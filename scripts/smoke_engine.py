@@ -27,7 +27,7 @@ import numpy as np
 from repro.retrieval.adc import adc_distances
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.search import rank_by_distance
+from repro.retrieval.search import SearchRequest, rank_by_distance
 
 
 def main() -> int:
@@ -46,7 +46,7 @@ def main() -> int:
 
     # The headline path: shards scanned by pool workers over shared memory.
     with QueryEngine(index, workers=2, num_shards=4, parallel="force") as engine:
-        ranked = index.search(queries, k=10, engine=engine)
+        ranked = index.search(SearchRequest(queries, k=10, engine=engine)).indices
         assert engine.last_dispatch == "process-pool", engine.last_dispatch
         assert np.array_equal(ranked, reference), "pool rankings diverge from serial"
         # Pool stays warm across batches; edge k values go through it too.

@@ -36,6 +36,7 @@ from repro.cluster.kmeans import kmeans
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex
+from repro.retrieval.search import SearchRequest
 
 
 def build_clustered_index(rng, n_db=2000, num_classes=16, m=4, k_words=16, dim=12):
@@ -64,18 +65,18 @@ def main() -> int:
     assert ivf.cell_sizes().sum() == len(index)
 
     # Full probe == exhaustive, exactly.
-    full = ivf.search(queries, k=10, nprobe=32)
+    full = ivf.search(SearchRequest(queries, k=10, nprobe=32)).indices
     assert np.array_equal(full, oracle), "full-probe IVF diverged from oracle"
 
     # uint8 LUT: identical final ranking to the float32 reference.
     ivf8 = IVFIndex.build(index, num_cells=32, lut_dtype="uint8", seed=0)
     for nprobe in (4, 32):
-        want = ivf.search(queries, k=10, nprobe=nprobe)
-        got = ivf8.search(queries, k=10, nprobe=nprobe)
+        want = ivf.search(SearchRequest(queries, k=10, nprobe=nprobe)).indices
+        got = ivf8.search(SearchRequest(queries, k=10, nprobe=nprobe)).indices
         assert np.array_equal(got, want), f"uint8 ranking drifted at nprobe={nprobe}"
 
     # Tuned nprobe: high recall at a fraction of the scan.
-    pruned = ivf.search(queries, k=10, nprobe=8)
+    pruned = ivf.search(SearchRequest(queries, k=10, nprobe=8)).indices
     recall = float(np.mean([
         len(set(a) & set(b)) / 10 for a, b in zip(pruned, oracle)
     ]))
@@ -86,7 +87,7 @@ def main() -> int:
         routed = engine.search(queries, k=10)
         assert engine.last_dispatch == "ivf"
         assert np.array_equal(routed, pruned), "engine ivf routing drifted"
-        bypass = engine.search(queries, k=10, nprobe=0)
+        bypass = engine.search(SearchRequest(queries, k=10, nprobe=0)).indices
         assert np.array_equal(bypass, oracle), "nprobe=0 bypass is not exact"
 
     # Tiny ivf-large bench run: schema v4 subtree with a curve.

@@ -215,16 +215,16 @@ SPECS: tuple[MetricSpec, ...] = (
         ADC_LUT_BUILD_TIME,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.adc.adc_distances, "
-        "repro.retrieval.engine.QueryEngine.search",
-        "Time to build the per-query M x K inner-product lookup tables.",
+        "repro.retrieval.adc.query_tables",
+        "Time to build the per-query M x K inner-product lookup tables "
+        "(one observation per batch on every search surface).",
     ),
     MetricSpec(
         ADC_SCAN_TIME,
         HISTOGRAM,
         "seconds",
         "repro.retrieval.adc.adc_distances, "
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Time to score every database item against the lookup tables "
         "(excludes ranking; the engine counts gather + distance assembly, "
         "summed over shards in-process, phase wall under the pool).",
@@ -234,7 +234,7 @@ SPECS: tuple[MetricSpec, ...] = (
         HISTOGRAM,
         "codes/second",
         "repro.retrieval.adc.adc_distances, "
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Scan throughput: table lookups performed per second "
         "(n_queries x n_db x M / scan time). Serial and engine scans feed "
         "the same histogram, so speedups read straight off one metric.",
@@ -243,7 +243,7 @@ SPECS: tuple[MetricSpec, ...] = (
         ENGINE_SHARD_SCAN_TIME,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "In-kernel scan time of one shard (gather-accumulate, distance "
         "assembly, and per-shard top-k), excluding pool dispatch.",
     ),
@@ -251,7 +251,7 @@ SPECS: tuple[MetricSpec, ...] = (
         ENGINE_MERGE_TIME,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Time to merge per-shard candidates into the global tie-stable "
         "top-k, including the exact float64 rerank when enabled.",
     ),
@@ -259,7 +259,7 @@ SPECS: tuple[MetricSpec, ...] = (
         ENGINE_SHARDS_SCANNED,
         COUNTER,
         "shards",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Shard scans performed across all engine batches (in-process "
         "dispatch coalesces the shards into one scan).",
     ),
@@ -267,14 +267,14 @@ SPECS: tuple[MetricSpec, ...] = (
         ENGINE_BATCHES_TOTAL,
         COUNTER,
         "batches",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Query batches served by the sharded engine.",
     ),
     MetricSpec(
         ENGINE_PARALLEL_BATCHES,
         COUNTER,
         "batches",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Engine batches dispatched to the multiprocessing pool (the rest "
         "ran in-process because parallelism could not pay).",
     ),
@@ -282,7 +282,7 @@ SPECS: tuple[MetricSpec, ...] = (
         ENGINE_POOL_FALLBACKS,
         COUNTER,
         "batches",
-        "repro.retrieval.engine.QueryEngine.search",
+        "repro.retrieval.engine.QueryEngine.scan",
         "Engine batches whose pool dispatch timed out or crashed and were "
         "re-served by the in-process serial scan (the pool is rebuilt on "
         "the next parallel batch).",
@@ -453,15 +453,16 @@ SPECS: tuple[MetricSpec, ...] = (
         IVF_SCAN_TIME,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Wall time of one IVF query batch: centroid probe scan, candidate "
-        "gather-scan over the probed cells, and the candidate rerank.",
+        "gather-scan over the probed cells, and the candidate rerank (the "
+        "table build before it is adc.lut.build_time_s).",
     ),
     MetricSpec(
         IVF_LUT_QUANTIZE_TIME,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Time spent quantizing per-query lookup tables to uint8 within a "
         "batch (only observed with lut_dtype='uint8').",
     ),
@@ -469,7 +470,7 @@ SPECS: tuple[MetricSpec, ...] = (
         IVF_CELLS_PROBED,
         HISTOGRAM,
         "cells",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Inverted lists probed per query — nprobe, unless probe expansion "
         "had to widen the set to fill k.",
     ),
@@ -477,7 +478,7 @@ SPECS: tuple[MetricSpec, ...] = (
         IVF_CANDIDATES_SCANNED,
         HISTOGRAM,
         "codes",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Database items scored per query (the probed cells' total size) — "
         "divide by n_db for the realised pruning fraction.",
     ),
@@ -485,14 +486,14 @@ SPECS: tuple[MetricSpec, ...] = (
         IVF_BATCHES_TOTAL,
         COUNTER,
         "batches",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Query batches served through the IVF layer.",
     ),
     MetricSpec(
         IVF_PROBES_EXPANDED,
         COUNTER,
         "queries",
-        "repro.retrieval.ivf.IVFIndex.search_with_distances",
+        "repro.retrieval.ivf.IVFIndex.scan",
         "Queries whose probed cells held fewer than k candidates and had "
         "their probe set widened in centroid-distance order (empty or "
         "tiny cells make this reachable).",
@@ -516,7 +517,7 @@ SPECS: tuple[MetricSpec, ...] = (
         QUERY_LATENCY,
         HISTOGRAM,
         "seconds",
-        "repro.retrieval.index.QuantizedIndex.search",
+        "repro.retrieval.index.QuantizedIndex.serve",
         "Per-query latency of ADC search (batch wall time spread over the "
         "batch's queries; single-query calls give exact per-query "
         "latency).",
@@ -525,14 +526,14 @@ SPECS: tuple[MetricSpec, ...] = (
         QUERY_BATCHES_TOTAL,
         COUNTER,
         "batches",
-        "repro.retrieval.index.QuantizedIndex.search",
+        "repro.retrieval.index.QuantizedIndex.serve",
         "Search calls served.",
     ),
     MetricSpec(
         QUERY_ITEMS_TOTAL,
         COUNTER,
         "queries",
-        "repro.retrieval.index.QuantizedIndex.search",
+        "repro.retrieval.index.QuantizedIndex.serve",
         "Individual queries served across all search calls.",
     ),
     MetricSpec(

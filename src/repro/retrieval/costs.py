@@ -36,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct
-from repro.retrieval.engine import (
-    MIN_PARALLEL_CODES,
+from repro.retrieval.adc import (
     RERANK_PAD,
-    compact_code_dtype,
+    adc_distances,
+    encode_nearest,
+    reconstruct,
 )
+from repro.retrieval.engine import MIN_PARALLEL_CODES, compact_code_dtype
 from repro.retrieval.search import squared_distances
 
 FLOAT_BYTES = 4  # the paper counts float32 storage

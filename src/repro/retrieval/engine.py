@@ -9,11 +9,13 @@ is the deployable version of the same Eqn. 24 arithmetic:
   unsigned dtype ``K`` permits (uint8 for K ≤ 256, uint16 for K ≤ 65 536),
   norms kept in both the scan dtype and float64, and the rows split into
   contiguous shards.
-- :class:`QueryEngine` builds one float32 lookup table per query batch, scans
-  each shard with a blocked gather-accumulate kernel, reduces every shard to
-  tie-stable top-k candidates, and merges candidates across shards with a
-  tie-stable reduction (distance first, global index second — exactly the
-  order a full stable argsort of the serial distance matrix produces).
+- :class:`QueryEngine` is the flat block provider of the shared ADC stages
+  (:mod:`repro.retrieval.adc`): it casts the batch's lookup tables to the
+  scan dtype, scans each shard with the blocked gather-accumulate kernel,
+  reduces every shard to tie-stable top-k candidates, and merges candidates
+  across shards with the tie-stable reduction (distance first, global index
+  second — exactly the order a full stable argsort of the serial distance
+  matrix produces).
 - Shards can be scanned by a ``multiprocessing`` pool whose workers attach to
   shared-memory code/norm buffers, so the database is materialised once per
   machine, not once per worker. The pool engages only when it can pay:
@@ -25,9 +27,9 @@ Exactness. With ``dtype=np.float64`` the kernel reproduces the reference
 scan's summation order, so distances and rankings are *identical* to the
 serial path. The default ``dtype=np.float32`` scans in float32 for
 throughput, then (``rerank=True``) re-scores the merged candidate pool —
-each shard contributes ``k + rerank_pad`` candidates — against the float64
+each shard contributes ``k + RERANK_PAD`` candidates — against the float64
 tables, which restores serial-exact rankings unless float32 error exceeds
-the true distance gap for ``rerank_pad`` items at once (never observed;
+the true distance gap for ``RERANK_PAD`` items at once (never observed;
 property-tested across seeds). With ``rerank=False`` rankings follow raw
 float32 distances: within float32 tolerance of serial, top-k sets identical
 on the benchmark profiles.
@@ -50,14 +52,22 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
+from repro.retrieval.adc import (
+    RERANK_PAD,
+    cast_tables,
+    merge_topk,
+    query_tables,
+    rerank_exact,
+    scan_topk,
+)
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import DEFAULT_CAPACITY as LUT_CACHE_CAPACITY
 from repro.retrieval.lut_cache import LUTCache
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
+    SearchSurface,
+    empty_answer,
     topk_tie_stable,
-    warn_legacy_search_kwargs,
+    validate_query_batch,
 )
 
 __all__ = [
@@ -73,11 +83,6 @@ __all__ = [
 #: dispatch keeps the batch in-process — pool IPC costs milliseconds, and a
 #: batch this small scans in less.
 MIN_PARALLEL_CODES = 2_000_000
-
-#: Extra per-shard candidates carried into the float64 rerank.
-RERANK_PAD = 8
-
-_BLOCK_ROWS = 8192
 
 
 def compact_code_dtype(num_codewords: int) -> np.dtype:
@@ -108,63 +113,6 @@ def shard_bounds(n_items: int, num_shards: int) -> list[tuple[int, int]]:
     return [(int(edges[i]), int(edges[i + 1])) for i in range(num_shards)]
 
 
-
-
-def merge_topk(
-    shard_distances: list[np.ndarray],
-    shard_indices: list[np.ndarray],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce per-shard candidates to the global tie-stable top-k.
-
-    Shard results carry *global* row ids, so ties across shards resolve by
-    global index exactly as a stable sort of the unsharded distance matrix
-    would. Returns ``(indices, values)``.
-    """
-    dists = np.concatenate(shard_distances, axis=1)
-    idxs = np.concatenate(shard_indices, axis=1)
-    k = max(0, min(k, dists.shape[1]))
-    order = np.lexsort((idxs, dists), axis=-1)[:, :k]
-    rows = np.arange(dists.shape[0])[:, None]
-    return idxs[rows, order], dists[rows, order]
-
-
-def _scan_block(lut, codes_t, lo, hi, block_rows):
-    """``Σ_j lut[:, j, codes[j]]`` over rows ``[lo, hi)``, blocked.
-
-    ``lut`` is ``(n_q, M, K)``; the gather runs one codebook at a time on at
-    most ``block_rows`` columns so temporaries stay cache-sized. Summation
-    starts from the first gathered table (``0 + x == x`` in IEEE), matching
-    the reference scan's left-to-right accumulation bit for bit in float64.
-    """
-    n_q, m, _ = lut.shape
-    width = hi - lo
-    out = np.empty((n_q, width), dtype=lut.dtype)
-    for start in range(lo, hi, block_rows):
-        end = min(start + block_rows, hi)
-        block = out[:, start - lo : end - lo]
-        np.take(lut[:, 0, :], codes_t[0, start:end], axis=1, out=block)
-        for j in range(1, m):
-            block += lut[:, j, :].take(codes_t[j, start:end], axis=1)
-    return out
-
-
-def _scan_shard(lut, q_sq, codes_t, norms, lo, hi, k, block_rows):
-    """Distances + tie-stable top-k for one shard; returns global indices.
-
-    Timings come back split: ``scan_seconds`` covers the table gather and
-    distance assembly (the work serial ``adc.scan.time_s`` measures) and
-    ``shard_seconds`` adds the per-shard top-k selection on top.
-    """
-    start = time.perf_counter()
-    cross = _scan_block(lut, codes_t, lo, hi, block_rows)
-    d = q_sq[:, None] + norms[lo:hi][None, :] - 2.0 * cross
-    np.maximum(d, 0.0, out=d)
-    scan_seconds = time.perf_counter() - start
-    local, vals = topk_tie_stable(d, k)
-    return vals, local + lo, scan_seconds, time.perf_counter() - start
-
-
 # ----------------------------------------------------------------------
 # Worker-side state: arrays attached from shared memory once per worker.
 # ----------------------------------------------------------------------
@@ -185,10 +133,8 @@ def _init_worker(codes_name, codes_shape, codes_dtype, norms_name, norms_dtype):
 
 
 def _pool_scan_shard(args):
-    lut, q_sq, lo, hi, k, block_rows = args
-    return _scan_shard(
-        lut, q_sq, _WORKER["codes_t"], _WORKER["norms"], lo, hi, k, block_rows
-    )
+    lut, q_sq, lo, hi, k = args
+    return scan_topk(lut, q_sq, _WORKER["codes_t"], _WORKER["norms"], lo, hi, k)
 
 
 class ShardedIndex:
@@ -242,7 +188,7 @@ class ShardedIndex:
         )
 
 
-class QueryEngine:
+class QueryEngine(SearchSurface):
     """Serve ADC top-k queries over a sharded index, optionally in parallel.
 
     Parameters
@@ -305,10 +251,8 @@ class QueryEngine:
         num_shards: int | None = None,
         dtype: np.dtype = np.float32,
         rerank: bool = True,
-        rerank_pad: int = RERANK_PAD,
         parallel: str = "auto",
         min_parallel_codes: int = MIN_PARALLEL_CODES,
-        block_rows: int = _BLOCK_ROWS,
         task_timeout_s: float | None = 30.0,
         ivf=None,
         nprobe: int | None = None,
@@ -326,10 +270,8 @@ class QueryEngine:
             self.sharded = ShardedIndex(index, num_shards, scan_dtype=dtype)
         self.workers = workers
         self.rerank = bool(rerank) and self.sharded.scan_dtype == np.dtype(np.float32)
-        self.rerank_pad = int(rerank_pad)
         self.parallel = parallel
         self.min_parallel_codes = int(min_parallel_codes)
-        self.block_rows = int(block_rows)
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive (or None)")
         self.task_timeout_s = task_timeout_s
@@ -355,8 +297,8 @@ class QueryEngine:
             raise ValueError("nprobe must be at least 1 (0 is per-call only)")
         self.nprobe = nprobe
         self.lut_cache = LUTCache(lut_cache) if lut_cache else None
-        # "in-process" | "process-pool" | "in-process-fallback"
-        self.last_dispatch: str | None = None
+        # "in-process" | "process-pool" | "in-process-fallback" | "ivf"
+        self.last_dispatch = "in-process"
         self._pool = None
         self._shms: list[shared_memory.SharedMemory] = []
         self._closed = False
@@ -492,22 +434,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
+    def search_with_distances(
         self,
-        queries: "np.ndarray | SearchRequest",
+        queries: np.ndarray,
         k: int | None = None,
         *,
         rerank: bool | None = None,
         nprobe: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices per query, shaped like the serial path.
-
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult`; the legacy array
-        form returns bare indices, with its ``rerank=``/``nprobe=`` kwargs
-        deprecated in favour of request hints (they still work, emitting
-        ``DeprecationWarning``).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ``(indices, squared distances)`` per query.
 
         ``k=None`` returns the full ranking; otherwise ``(n_q, min(k,
         n_db))``. Rankings are tie-stable on (distance, index) — the order
@@ -519,104 +454,74 @@ class QueryEngine:
         ``nprobe=0`` bypasses the layer and serves the exact exhaustive
         scan. Without an IVF layer any ``nprobe`` raises ``ValueError``.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or rerank is not None or nprobe is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "QueryEngine.search", rerank=rerank, nprobe=nprobe
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        probes = self._probes(nprobe)
+        queries, k_eff = validate_query_batch(
+            queries,
+            k,
+            nprobe,
+            dim=self.dim,
+            n_db=self.n_db,
+            has_ivf=self.ivf is not None,
+            pruned=bool(probes),
         )
-        indices, _ = self.search_with_distances(
-            queries, k=k, rerank=rerank, nprobe=nprobe
-        )
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` through this engine."""
-        if request.engine is not None and request.engine is not self:
-            raise ValueError(
-                "request carries an engine hint for a different engine"
-            )
-        if request.encoder is not None:
-            raise ValueError(
-                "the engine scans embeddings; encoder hints are served by "
-                "the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            rerank=request.rerank,
-            nprobe=request.nprobe,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source=self.last_dispatch or "in-process",
-            elapsed_s=time.perf_counter() - start,
+        if not (len(queries) and k_eff):
+            return empty_answer(len(queries), k_eff)
+        return self.scan(
+            queries,
+            self.tables(queries, probes),
+            k_eff,
+            rerank=rerank,
+            nprobe=probes,
         )
 
-    def search_with_distances(
+    def _probes(self, nprobe: int | None) -> int:
+        """IVF cells a call probes; 0 means this engine's exhaustive scan."""
+        if self.ivf is None or nprobe == 0:
+            return 0
+        return nprobe or self.nprobe or self.ivf.nprobe
+
+    def tables(
+        self, queries: np.ndarray, nprobe: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's ``(lut64, q_sq64)``, via the LUT cache of whichever
+        layer (IVF or flat) a call with this ``nprobe`` is scanned by."""
+        if self._probes(nprobe):
+            return self.ivf.tables(queries)
+        return query_tables(queries, self.sharded.codebooks64, self.lut_cache)
+
+    def scan(
         self,
         queries: np.ndarray,
-        k: int | None = None,
+        tables: tuple[np.ndarray, np.ndarray],
+        k: int,
         *,
         rerank: bool | None = None,
         nprobe: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`search` but also returns the squared distances."""
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if nprobe is None:
-            nprobe = self.nprobe if self.ivf is not None else None
-        elif self.ivf is None:
-            raise ValueError(
-                "nprobe was given but this engine has no IVF layer "
-                "(construct it with ivf=...)"
-            )
-        if self.ivf is not None and nprobe != 0:
+        """Top-``k`` of a validated, non-empty batch given its ``tables``.
+
+        ``1 <= k <= n_db``. This is the entry a caller that already holds
+        the batch's tables uses (:class:`~repro.retrieval.mutable.
+        MutableIndex` scans its other segments with the same ones).
+        """
+        probes = self._probes(nprobe)
+        if probes:
             self.last_dispatch = "ivf"
-            return self.ivf.search_with_distances(
-                queries, k=k, nprobe=nprobe, rerank=rerank
-            )
+            return self.ivf.scan(queries, tables, k, rerank=rerank, nprobe=probes)
         sharded = self.sharded
         n_db = len(sharded)
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != sharded.dim):
-            raise ValueError(
-                f"queries must be (n, {sharded.dim}), got shape {queries.shape}"
-            )
         n_q = len(queries)
-        if k is not None and k < 0:
-            raise ValueError("k must be non-negative")
-        k_eff = n_db if k is None else min(k, n_db)
-        if n_q == 0 or n_db == 0 or k_eff == 0:
-            return (np.empty((n_q, k_eff), dtype=np.int64),
-                    np.empty((n_q, k_eff), dtype=np.float64))
-
+        lut64, q_sq64 = tables
+        lut, q_sq = cast_tables(lut64, q_sq64, sharded.scan_dtype)
         obs = get_obs()
-        lut_start = time.perf_counter() if obs.enabled else 0.0
-        if self.lut_cache is not None:
-            lut64 = self.lut_cache.tables(queries, sharded.codebooks64)
-        else:
-            lut64 = np.einsum("qd,mkd->qmk", queries, sharded.codebooks64)
-        q_sq64 = (queries**2).sum(axis=1)
-        if sharded.scan_dtype == np.dtype(np.float32):
-            lut = np.ascontiguousarray(lut64, dtype=np.float32)
-            q_sq = q_sq64.astype(np.float32)
-        else:
-            lut = np.ascontiguousarray(lut64)
-            q_sq = q_sq64
         scan_start = time.perf_counter() if obs.enabled else 0.0
 
         use_rerank = self.rerank if rerank is None else (
             bool(rerank) and sharded.scan_dtype == np.dtype(np.float32)
         )
-        shard_k = min(k_eff + (self.rerank_pad if use_rerank else 0), n_db)
+        shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
         use_pool = self._use_pool(n_q)
         self.last_dispatch = "process-pool" if use_pool else "in-process"
         # Sharding exists to feed pool workers. When the batch stays
@@ -627,8 +532,7 @@ class QueryEngine:
         # is independent of shard boundaries, and the merge is tie-stable.
         bounds = sharded.bounds if use_pool else [(0, n_db)]
         tasks = [
-            (lut, q_sq, lo, hi, min(shard_k, hi - lo), self.block_rows)
-            for lo, hi in bounds
+            (lut, q_sq, lo, hi, min(shard_k, hi - lo)) for lo, hi in bounds
         ]
         fell_back = False
         if use_pool:
@@ -649,13 +553,12 @@ class QueryEngine:
                     raise  # KeyboardInterrupt and friends propagate
                 fell_back = True
                 self.last_dispatch = "in-process-fallback"
-                tasks = [(lut, q_sq, 0, n_db, min(shard_k, n_db),
-                          self.block_rows)]
+                tasks = [(lut, q_sq, 0, n_db, min(shard_k, n_db))]
         if not use_pool or fell_back:
             results = [
-                _scan_shard(lut, q_sq, sharded.codes_t, sharded.norms, lo, hi,
-                            shard_k_i, self.block_rows)
-                for (lut, q_sq, lo, hi, shard_k_i, _) in tasks
+                scan_topk(lut, q_sq, sharded.codes_t, sharded.norms, lo, hi,
+                          shard_k_i)
+                for (lut, q_sq, lo, hi, shard_k_i) in tasks
             ]
         served_by_pool = use_pool and not fell_back
         scan_elapsed = time.perf_counter() - scan_start if obs.enabled else 0.0
@@ -665,18 +568,16 @@ class QueryEngine:
             [r[0] for r in results], [r[1] for r in results], shard_k
         )
         if use_rerank:
-            indices, values = self._rerank_exact(
-                lut64, q_sq64, indices, k_eff
+            indices, values = rerank_exact(
+                lut64, q_sq64, sharded.codes_t, sharded.norms64,
+                indices, indices, k,
             )
         else:
-            indices, values = indices[:, :k_eff], values[:, :k_eff].astype(np.float64)
+            indices, values = indices[:, :k], values[:, :k].astype(np.float64)
         merge_elapsed = time.perf_counter() - merge_start if obs.enabled else 0.0
 
         if obs.enabled:
             registry = obs.registry
-            registry.histogram(metric_names.ADC_LUT_BUILD_TIME).observe(
-                scan_start - lut_start
-            )
             # Like the serial path, adc.scan.* excludes ranking work: it
             # counts gather + distance assembly only. In-process that is the
             # summed per-shard scan time; under the pool per-shard clocks
@@ -703,20 +604,3 @@ class QueryEngine:
             if fell_back:
                 registry.counter(metric_names.ENGINE_POOL_FALLBACKS).inc()
         return indices, values
-
-    def _rerank_exact(self, lut64, q_sq64, candidates, k):
-        """Re-score candidate ids in float64 and take the tie-stable top-k.
-
-        Cost is ``O(n_q · |candidates| · M)`` — negligible next to the scan —
-        and restores the serial float64 ranking among the candidates.
-        """
-        sharded = self.sharded
-        rows = np.arange(len(candidates))[:, None]
-        cross = lut64[rows, 0, sharded.codes_t[0][candidates]]
-        for j in range(1, sharded.num_codebooks):
-            cross = cross + lut64[rows, j, sharded.codes_t[j][candidates]]
-        d = q_sq64[:, None] + sharded.norms64[candidates] - 2.0 * cross
-        np.maximum(d, 0.0, out=d)
-        # Tie-stable over *global* ids: order candidates by (distance, id).
-        order = np.lexsort((candidates, d), axis=-1)[:, :k]
-        return candidates[rows, order], d[rows, order]

@@ -6,7 +6,7 @@ index a database once and serve ranked retrieval with ADC lookups.
 
 Both halves of the serving story are observable (:mod:`repro.obs`):
 :meth:`QuantizedIndex.build` emits encode and total build times inside an
-``index.build`` span, and :meth:`QuantizedIndex.search` emits a per-query
+``index.build`` span, and :meth:`QuantizedIndex.serve` emits a per-query
 latency histogram (``query.latency_s``) plus served-query counters — the
 numbers ``repro bench`` reports and ``docs/metrics.md`` catalogues.
 """
@@ -24,13 +24,14 @@ from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct, vali
 from repro.retrieval.search import (
     SearchRequest,
     SearchResult,
+    SearchSurface,
     rank_by_distance,
-    warn_legacy_search_kwargs,
+    validate_query_batch,
 )
 
 
 @dataclass
-class QuantizedIndex:
+class QuantizedIndex(SearchSurface):
     """An immutable database of additive-quantization codes.
 
     Attributes
@@ -135,22 +136,35 @@ class QuantizedIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
-        self,
-        queries: "np.ndarray | SearchRequest",
-        k: int | None = None,
-        engine: "object | None" = None,
-        nprobe: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices for each query via ADC lookups.
+    last_dispatch = "serial-adc"
 
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult` (indices *and*
-        distances). The legacy form — a raw query array plus ``k`` —
-        still returns a bare index array; its ``engine=``/``nprobe=``
-        kwargs keep working through a shim that emits
-        ``DeprecationWarning`` (use ``SearchRequest`` hints instead).
+    def search_with_distances(
+        self,
+        queries: np.ndarray,
+        k: int | None = None,
+        *,
+        rerank: bool | None = None,
+        nprobe: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ``(indices, squared distances)`` by the reference scan.
+
+        One float64 :func:`~repro.retrieval.adc.adc_distances` matrix and a
+        stable ranking of it — the oracle the engines are tested against.
+        ``rerank`` has nothing to do here (the scan is already exact) and
+        ``nprobe`` raises: there is no IVF layer to probe.
+        """
+        queries, _ = validate_query_batch(
+            queries, k, nprobe, dim=self.dim, n_db=len(self), has_ivf=False
+        )
+        distance_matrix = adc_distances(
+            queries, self.codes, self.codebooks, db_sq_norms=self.db_sq_norms
+        )
+        indices = rank_by_distance(distance_matrix, k=k)
+        rows = np.arange(len(indices))[:, None]
+        return indices, distance_matrix[rows, indices]
+
+    def serve(self, request: SearchRequest) -> SearchResult:
+        """Serve one :class:`SearchRequest` via ADC lookups.
 
         A request's ``engine`` hint delegates the scan to a
         :class:`repro.retrieval.engine.QueryEngine` built over this index —
@@ -166,60 +180,17 @@ class QuantizedIndex:
         queries, so single-query calls (the serving pattern the benchmark
         harness times) yield exact per-query percentiles.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or engine is not None or nprobe is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "QuantizedIndex.search", engine=engine, nprobe=nprobe
-        )
-        request = SearchRequest(queries, k=k, nprobe=nprobe, engine=engine)
-        return self.serve(request).indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` (the core of :meth:`search`)."""
-        if request.encoder is not None:
-            raise ValueError(
-                "QuantizedIndex scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
-            )
-        obs = get_obs()
-        start = time.perf_counter()
-        queries = request.queries
         engine = request.engine
-        if engine is not None:
-            if not engine.matches(self):
-                raise ValueError(
-                    "engine was built over an index with different geometry "
-                    "than this one"
-                )
-            hints: dict = {}
-            if request.nprobe is not None:
-                hints["nprobe"] = request.nprobe
-            if request.rerank is not None:
-                hints["rerank"] = request.rerank
-            indices, distances = engine.search_with_distances(
-                queries, k=request.k, **hints
-            )
-            source = getattr(engine, "last_dispatch", None) or "engine"
-        elif request.nprobe is not None:
+        if engine is None:
+            result = super().serve(request)
+        elif not engine.matches(self):
             raise ValueError(
-                "nprobe requires an engine with an IVF layer attached "
-                "(pass a QueryEngine built with ivf=..., or an IVFIndex, "
-                "as the request's engine hint)"
+                "engine was built over an index with different geometry "
+                "than this one"
             )
         else:
-            distance_matrix = adc_distances(
-                queries, self.codes, self.codebooks, db_sq_norms=self.db_sq_norms
-            )
-            indices = rank_by_distance(distance_matrix, k=request.k)
-            rows = np.arange(len(indices))[:, None]
-            distances = distance_matrix[rows, indices]
-            source = "serial-adc"
-        elapsed = time.perf_counter() - start
+            result = engine.serve(request)
+        obs = get_obs()
         if obs.enabled:
             n_queries = request.n_queries
             registry = obs.registry
@@ -227,26 +198,17 @@ class QuantizedIndex:
             if n_queries:
                 registry.counter(metric_names.QUERY_ITEMS_TOTAL).inc(n_queries)
                 registry.histogram(metric_names.QUERY_LATENCY).observe_many(
-                    elapsed / n_queries, n_queries
+                    result.elapsed_s / n_queries, n_queries
                 )
-        return SearchResult(
-            indices=indices,
-            distances=np.asarray(distances, dtype=np.float64),
-            k=request.k,
-            source=source,
-            elapsed_s=elapsed,
-        )
+        return result
 
     def search_labels(
-        self,
-        queries: "np.ndarray | SearchRequest",
-        k: int | None = None,
-        engine: "object | None" = None,
-        nprobe: int | None = None,
+        self, queries: "np.ndarray | SearchRequest", k: int | None = None
     ) -> np.ndarray:
         """Ranked database *labels*, ready for MAP evaluation."""
         if self.labels is None:
             raise RuntimeError("index was built without labels")
-        if isinstance(queries, SearchRequest):
-            return self.labels[self.serve(queries).indices]
-        return self.labels[self.search(queries, k=k, engine=engine, nprobe=nprobe)]
+        ranked = self.search(queries, k)
+        if isinstance(ranked, SearchResult):
+            ranked = ranked.indices
+        return self.labels[ranked]

@@ -17,9 +17,10 @@ maps positions back to global row numbers so returned indices match the
 exhaustive paths.
 
 Accuracy. Inside the probed cells the arithmetic is the engine's: a float32
-gather-scan over the per-query lookup tables followed by an exact float64
-rerank of the candidate pool, so rankings among candidates are identical to
-the serial reference. Recall is lost only to *pruning* — a true neighbour
+gather-scan over the per-query lookup tables followed by the shared exact
+float64 rerank (:func:`repro.retrieval.adc.rerank_exact`) of the candidate
+pool by *position*, so rankings among candidates are identical to the
+serial reference. Recall is lost only to *pruning* — a true neighbour
 whose cell was not probed. That trade is measured, not asserted:
 ``repro bench --profile ivf-large`` sweeps ``nprobe`` and records the
 recall@k-vs-speedup curve against the exact exhaustive oracle
@@ -51,13 +52,20 @@ import numpy as np
 from repro.cluster.kmeans import assign_to_centroids, kmeans
 from repro.obs import get_obs
 from repro.obs import names as metric_names
+from repro.retrieval.adc import (
+    RERANK_PAD,
+    cast_tables,
+    gather_distances,
+    merge_topk,
+    query_tables,
+    rerank_exact,
+)
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.lut_cache import DEFAULT_CAPACITY as LUT_CACHE_CAPACITY
 from repro.retrieval.lut_cache import LUTCache
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
-    warn_legacy_search_kwargs,
+    SearchSurface,
+    empty_answer,
+    validate_query_batch,
 )
 
 __all__ = [
@@ -65,9 +73,6 @@ __all__ = [
     "default_num_cells",
     "quantize_lut",
 ]
-
-#: Extra candidates carried into the float64 rerank, mirroring the engine.
-RERANK_PAD = 8
 
 #: Rows of reconstructions materialised at once during build/assignment.
 ASSIGN_CHUNK = 65_536
@@ -104,12 +109,12 @@ def quantize_lut(lut32: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return q8, offsets, scale
 
 
-class IVFIndex:
+class IVFIndex(SearchSurface):
     """An inverted-file coarse layer over a :class:`QuantizedIndex`.
 
     Build with :meth:`IVFIndex.build` (trains the coarse quantizer); the
     constructor takes the already-laid-out arrays. An ``IVFIndex`` serves
-    queries directly (:meth:`search` / :meth:`search_with_distances`) and
+    queries directly (``search`` / :meth:`search_with_distances`) and
     plugs into :class:`repro.retrieval.engine.QueryEngine` via its ``ivf=``
     parameter, which is how the serving daemon and the bench reach it.
 
@@ -142,8 +147,6 @@ class IVFIndex:
         nprobe: int = 8,
         lut_dtype: str = "float32",
         rerank: bool = True,
-        rerank_pad: int = RERANK_PAD,
-        lut_cache: int | None = LUT_CACHE_CAPACITY,
     ) -> None:
         if lut_dtype not in ("float32", "uint8"):
             raise ValueError("lut_dtype must be 'float32' or 'uint8'")
@@ -159,7 +162,6 @@ class IVFIndex:
         self.nprobe = int(nprobe)
         self.lut_dtype = lut_dtype
         self.rerank = bool(rerank)
-        self.rerank_pad = int(rerank_pad)
         if len(self.cell_offsets) != self.num_cells + 1:
             raise ValueError("cell_offsets must have num_cells + 1 entries")
         if self.cell_offsets[-1] != self.codes_t.shape[1]:
@@ -167,7 +169,7 @@ class IVFIndex:
         # Cached centroid norms for the probe scan.
         self._centroid_sq = (self.centroids**2).sum(axis=1)
         #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
-        self.lut_cache = LUTCache(lut_cache) if lut_cache else None
+        self.lut_cache: LUTCache | None = LUTCache()
 
     # ------------------------------------------------------------------
     # Construction
@@ -181,7 +183,6 @@ class IVFIndex:
         nprobe: int = 8,
         lut_dtype: str = "float32",
         rerank: bool = True,
-        rerank_pad: int = RERANK_PAD,
         train_sample: int = TRAIN_SAMPLE,
         kmeans_iterations: int = 25,
         seed: int = 0,
@@ -258,7 +259,6 @@ class IVFIndex:
             nprobe=nprobe,
             lut_dtype=lut_dtype,
             rerank=rerank,
-            rerank_pad=rerank_pad,
         )
         if obs.enabled:
             registry = obs.registry
@@ -317,21 +317,17 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
+    last_dispatch = "ivf"
+
+    def search_with_distances(
         self,
-        queries: "np.ndarray | SearchRequest",
+        queries: np.ndarray,
         k: int | None = None,
         *,
-        nprobe: int | None = None,
         rerank: bool | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices per query over the probed cells.
-
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult`; the legacy array
-        form returns bare indices, its ``nprobe=``/``rerank=`` kwargs kept
-        as deprecated shims (``DeprecationWarning``).
+        nprobe: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ``(indices, squared distances)`` over the probed cells.
 
         Shapes and tie-breaking match the exhaustive paths — ``(n_q,
         min(k, n_db))``, ordered by (distance, global index) — but only
@@ -342,92 +338,48 @@ class IVFIndex:
         contract always holds. ``k=None`` (the exhaustive paths' full
         ranking) is not served by a pruned index; pass an explicit ``k``.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or nprobe is not None or rerank is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "IVFIndex.search", nprobe=nprobe, rerank=rerank
+        queries, k_eff = validate_query_batch(
+            queries, k, nprobe, dim=self.dim, n_db=len(self), pruned=True
         )
-        indices, _ = self.search_with_distances(
-            queries, k=k, nprobe=nprobe, rerank=rerank
-        )
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` through the pruned path."""
-        if request.engine is not None and request.engine is not self:
+        if nprobe is not None and nprobe < 1:
             raise ValueError(
-                "request carries an engine hint for a different engine"
+                "nprobe must be at least 1 (the nprobe=0 exhaustive bypass "
+                "is the QueryEngine's)"
             )
-        if request.encoder is not None:
-            raise ValueError(
-                "the IVF layer scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            nprobe=request.nprobe,
-            rerank=request.rerank,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source="ivf",
-            elapsed_s=time.perf_counter() - start,
+        if not (len(queries) and k_eff):
+            return empty_answer(len(queries), k_eff)
+        return self.scan(
+            queries, self.tables(queries), k_eff, rerank=rerank, nprobe=nprobe
         )
 
-    def search_with_distances(
+    def tables(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's ``(lut64, q_sq64)`` through this layer's LUT cache."""
+        return query_tables(queries, self.codebooks64, self.lut_cache)
+
+    def scan(
         self,
         queries: np.ndarray,
-        k: int | None = None,
+        tables: tuple[np.ndarray, np.ndarray],
+        k: int,
         *,
-        nprobe: int | None = None,
         rerank: bool | None = None,
+        nprobe: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`search` but also returns the squared distances."""
-        if k is None:
-            raise ValueError(
-                "IVF search prunes the database and cannot produce the "
-                "full ranking; pass an explicit k (or use the exhaustive "
-                "QueryEngine path)"
-            )
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        nprobe = self.nprobe if nprobe is None else int(nprobe)
-        if nprobe < 1:
-            raise ValueError("nprobe must be at least 1")
-        nprobe = min(nprobe, self.num_cells)
-        use_rerank = self.rerank if rerank is None else bool(rerank)
+        """Top-``k`` of a validated, non-empty batch given its ``tables``.
 
+        ``1 <= k <= n_db``; the entry :class:`~repro.retrieval.engine.
+        QueryEngine` routes through once the batch's tables exist.
+        """
+        nprobe = min(self.nprobe if nprobe is None else int(nprobe), self.num_cells)
+        use_rerank = self.rerank if rerank is None else bool(rerank)
         n_db = len(self)
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != self.dim):
-            raise ValueError(
-                f"queries must be (n, {self.dim}), got shape {queries.shape}"
-            )
         n_q = len(queries)
-        k_eff = min(k, n_db)
-        if n_q == 0 or n_db == 0 or k_eff == 0:
-            return (np.empty((n_q, k_eff), dtype=np.int64),
-                    np.empty((n_q, k_eff), dtype=np.float64))
 
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
 
-        if self.lut_cache is not None:
-            lut64 = self.lut_cache.tables(queries, self.codebooks64)
-        else:
-            lut64 = np.einsum("qd,mkd->qmk", queries, self.codebooks64)
-        q_sq64 = (queries**2).sum(axis=1)
-        lut32 = np.ascontiguousarray(lut64, dtype=np.float32)
-        q_sq32 = q_sq64.astype(np.float32)
+        lut64, q_sq64 = tables
+        lut32, q_sq32 = cast_tables(lut64, q_sq64, np.float32)
 
         # Probe scan: rank every centroid per query (num_cells is small, a
         # full argsort costs microseconds and probe expansion needs the
@@ -438,13 +390,13 @@ class IVFIndex:
             kind="stable",
         )
 
-        shard_k = min(k_eff + (self.rerank_pad if use_rerank else 0), n_db)
+        shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
         quantize_elapsed = 0.0
         probed_counts = np.empty(n_q, dtype=np.int64)
         candidate_counts = np.empty(n_q, dtype=np.int64)
         expansions = 0
-        out_indices = np.empty((n_q, k_eff), dtype=np.int64)
-        out_values = np.empty((n_q, k_eff), dtype=np.float64)
+        out_indices = np.empty((n_q, k), dtype=np.int64)
+        out_values = np.empty((n_q, k), dtype=np.float64)
         for qi in range(n_q):
             # Widen past nprobe only if the probed cells cannot fill k —
             # empty cells make this reachable even at moderate nprobe.
@@ -469,15 +421,16 @@ class IVFIndex:
                     acc += q8[j, self.codes_t[j, cand]]
                 cross = offsets.sum() + scale * acc.astype(np.float32)
                 d = q_sq32[qi] + self.norms32[cand] - 2.0 * cross
+                np.maximum(d, 0.0, out=d)
             else:
-                cross = lut32[qi, 0, self.codes_t[0, cand]].copy()
-                for j in range(1, self.num_codebooks):
-                    cross += lut32[qi, j, self.codes_t[j, cand]]
-                d = q_sq32[qi] + self.norms32[cand] - 2.0 * cross
-            np.maximum(d, 0.0, out=d)
+                d = gather_distances(
+                    lut32[qi : qi + 1], q_sq32[qi : qi + 1],
+                    self.codes_t, self.norms32, cand[None, :],
+                )[0]
 
+            # Select by *position* in the permuted layout; the id map is
+            # applied once, to the survivors.
             take = min(shard_k, len(cand))
-            global_ids = self.ids[cand]
             if take < len(cand):
                 if self.lut_dtype == "uint8" and use_rerank:
                     # Quantization shifts each distance by at most M·scale/2
@@ -487,25 +440,23 @@ class IVFIndex:
                     # whole band makes the float64 rerank exact within the
                     # probed cells — uint8 trades rerank-pool size, not
                     # recall, against the float32 reference.
-                    kth = np.partition(d, k_eff - 1)[k_eff - 1]
+                    kth = np.partition(d, k - 1)[k - 1]
                     margin = 2.0 * self.num_codebooks * scale
                     keep = np.flatnonzero(d <= kth + margin)
-                    sel_ids, sel_d = global_ids[keep], d[keep]
                 else:
-                    part = np.argpartition(d, take - 1)[:take]
-                    sel_ids, sel_d = global_ids[part], d[part]
-            else:
-                sel_ids, sel_d = global_ids, d
+                    keep = np.argpartition(d, take - 1)[:take]
+                cand, d = cand[keep], d[keep]
+            sel_pos = cand[None, :]
+            sel_ids = self.ids[sel_pos]
             if use_rerank:
-                sel_ids, sel_d = self._rerank_exact(
-                    lut64[qi], float(q_sq64[qi]), sel_ids, k_eff
+                sel_ids, sel_d = rerank_exact(
+                    lut64[qi : qi + 1], q_sq64[qi : qi + 1],
+                    self.codes_t, self.norms64, sel_pos, sel_ids, k,
                 )
             else:
-                order = np.lexsort((sel_ids, sel_d))[:k_eff]
-                sel_ids = sel_ids[order]
-                sel_d = sel_d[order].astype(np.float64)
-            out_indices[qi] = sel_ids
-            out_values[qi] = sel_d
+                sel_ids, sel_d = merge_topk([d[None, :]], [sel_ids], k)
+            out_indices[qi] = sel_ids[0]
+            out_values[qi] = sel_d[0]
 
         if obs.enabled:
             registry = obs.registry
@@ -535,31 +486,6 @@ class IVFIndex:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
-
-    def _rerank_exact(
-        self, lut64: np.ndarray, q_sq: float, candidate_ids: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-score candidate *global* ids in float64; tie-stable top-k.
-
-        Uses the permuted layout via the inverse position of each id —
-        candidates arrive as global rows, so gather their columns back.
-        """
-        positions = self._positions_of(candidate_ids)
-        cross = lut64[0, self.codes_t[0, positions]].copy()
-        for j in range(1, self.num_codebooks):
-            cross += lut64[j, self.codes_t[j, positions]]
-        d = q_sq + self.norms64[positions] - 2.0 * cross
-        np.maximum(d, 0.0, out=d)
-        order = np.lexsort((candidate_ids, d))[:k]
-        return candidate_ids[order], d[order]
-
-    def _positions_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Permuted column positions of global database rows."""
-        if not hasattr(self, "_inverse"):
-            inverse = np.empty(len(self), dtype=np.int64)
-            inverse[self.ids] = np.arange(len(self))
-            self._inverse = inverse
-        return self._inverse[global_ids]
 
 
 def _reconstruct_rows(index: QuantizedIndex, rows: np.ndarray) -> np.ndarray:

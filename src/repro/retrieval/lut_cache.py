@@ -24,6 +24,12 @@ cached row. Batches larger than the cache capacity bypass it — they
 could only thrash the LRU, and the per-row bookkeeping would cost more
 than the one batched einsum it replaces.
 
+Thread-safety. Serving replicas share one engine layer (one IVF index,
+one mutable index), hence one cache, and scan on executor threads; the
+row dictionary and the counters are only touched under a lock. The einsum
+over a batch's miss rows runs outside it, so concurrent misses overlap —
+two threads missing the same row both build it, bit-identically.
+
 Hit/miss totals land on the ``query.lut.cache.*`` counters
 (:mod:`repro.obs.names`) and on the instance's ``hits`` / ``misses``
 attributes for pool workers running without a registry.
@@ -32,6 +38,7 @@ attributes for pool workers running without a registry.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -61,6 +68,7 @@ class LUTCache:
         self.capacity = int(capacity)
         self._rows: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self._codebooks: np.ndarray | None = None
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -75,8 +83,16 @@ class LUTCache:
 
     def reset(self) -> None:
         """Drop every cached row (counters are cumulative and survive)."""
-        self._rows.clear()
-        self._codebooks = None
+        with self._lock:
+            self._rows.clear()
+            self._codebooks = None
+
+    def _rebind(self, codebooks: np.ndarray) -> None:
+        """Drop every row if ``codebooks`` is a new array (lock held)."""
+        if self._codebooks is not codebooks:
+            # New codebook array (rebuild/compaction): every row is stale.
+            self._rows.clear()
+            self._codebooks = codebooks
 
     def tables(self, queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
         """The ``(n_q, M, K)`` float64 LUT block, reusing cached rows.
@@ -86,12 +102,10 @@ class LUTCache:
         """
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         codebooks = np.asarray(codebooks, dtype=np.float64)
-        if self._codebooks is not codebooks:
-            # New codebook array (rebuild/compaction): every row is stale.
-            self.reset()
-            self._codebooks = codebooks
         n_q = len(queries)
         if n_q == 0 or n_q > self.capacity:
+            with self._lock:
+                self._rebind(codebooks)
             return np.einsum("qd,mkd->qmk", queries, codebooks)
         out = np.empty(
             (n_q, codebooks.shape[0], codebooks.shape[1]), dtype=np.float64
@@ -101,33 +115,39 @@ class LUTCache:
         first_miss: dict[bytes, int] = {}
         dup_of: list[tuple[int, int]] = []
         batch_hits = 0
-        for i, key in enumerate(keys):
-            row = self._rows.get(key)
-            if row is not None:
-                self._rows.move_to_end(key)
-                out[i] = row
-                batch_hits += 1
-            elif key in first_miss:
-                # Repeat *within* the batch: identical bytes, identical
-                # row — serve it from the first occurrence's build.
-                dup_of.append((i, first_miss[key]))
-                batch_hits += 1
-            else:
-                first_miss[key] = i
-                miss.append(i)
+        with self._lock:
+            self._rebind(codebooks)
+            for i, key in enumerate(keys):
+                row = self._rows.get(key)
+                if row is not None:
+                    self._rows.move_to_end(key)
+                    out[i] = row
+                    batch_hits += 1
+                elif key in first_miss:
+                    # Repeat *within* the batch: identical bytes, identical
+                    # row — serve it from the first occurrence's build.
+                    dup_of.append((i, first_miss[key]))
+                    batch_hits += 1
+                else:
+                    first_miss[key] = i
+                    miss.append(i)
+            self.hits += batch_hits
+            self.misses += len(miss)
         if miss:
             fresh = np.einsum("qd,mkd->qmk", queries[miss], codebooks)
             out[miss] = fresh
-            for pos, i in enumerate(miss):
-                # Copy detaches the stored row from the batch-sized block.
-                self._rows[keys[i]] = fresh[pos].copy()
-                self._rows.move_to_end(keys[i])
-            while len(self._rows) > self.capacity:
-                self._rows.popitem(last=False)
+            with self._lock:
+                # Rows built against a codebook array another thread has
+                # since replaced must not be stored under the new one.
+                if self._codebooks is codebooks:
+                    for pos, i in enumerate(miss):
+                        # Copy detaches the row from the batch-sized block.
+                        self._rows[keys[i]] = fresh[pos].copy()
+                        self._rows.move_to_end(keys[i])
+                    while len(self._rows) > self.capacity:
+                        self._rows.popitem(last=False)
         for i, src in dup_of:
             out[i] = out[src]
-        self.hits += batch_hits
-        self.misses += len(miss)
         obs = get_obs()
         if obs.enabled:
             if batch_hits:

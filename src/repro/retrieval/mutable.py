@@ -52,12 +52,18 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
-from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct
+from repro.retrieval.adc import (
+    encode_nearest,
+    merge_topk,
+    query_tables,
+    reconstruct,
+    scan_topk,
+)
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
-    topk_tie_stable,
+    SearchSurface,
+    empty_answer,
+    validate_query_batch,
 )
 
 __all__ = [
@@ -238,7 +244,7 @@ class _Generation:
         return sum(segment.n_dead for segment in self.segments)
 
 
-class MutableIndex:
+class MutableIndex(SearchSurface):
     """A quantized index that accepts online ``add``/``remove``/``compact``.
 
     Parameters
@@ -607,52 +613,7 @@ class MutableIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
-        self,
-        queries: "np.ndarray | SearchRequest",
-        k: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Tie-stable top-k over live rows, as external ids.
-
-        Takes a :class:`SearchRequest` (returning a full
-        :class:`SearchResult`) or a raw query array with ``k`` (returning
-        bare ids) — the same convention as every other search surface.
-        """
-        if isinstance(queries, SearchRequest):
-            if k is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        indices, _ = self.search_with_distances(queries, k=k)
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        if request.engine is not None:
-            raise ValueError(
-                "MutableIndex owns its engine; requests cannot carry an "
-                "engine hint"
-            )
-        if request.encoder is not None:
-            raise ValueError(
-                "MutableIndex scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            rerank=request.rerank,
-            nprobe=request.nprobe,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source="mutable",
-            elapsed_s=time.perf_counter() - start,
-        )
+    last_dispatch = "mutable"
 
     def search_with_distances(
         self,
@@ -669,26 +630,29 @@ class MutableIndex:
         exact — i.e. unless ``nprobe`` prunes the base through an attached
         IVF layer. ``k`` is capped at the live count; tombstoned rows can
         never appear.
+
+        The batch's lookup tables are built once — through the base
+        engine's LUT cache when there is one — and shared by the base scan
+        and every sealed segment's float64 scan.
         """
         gen = self._gen
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != self.dim):
-            raise ValueError(
-                f"queries must be (n, {self.dim}), got shape {queries.shape}"
-            )
         engine = self._engine
         engine_base = self._engine_base
-        if nprobe is not None and getattr(engine, "ivf", None) is None:
-            raise ValueError(
-                "nprobe requires an IVF layer (construct the MutableIndex "
-                "with engine_kwargs={'ivf': ...})"
-            )
-        n_q = len(queries)
-        live = gen.live_count
-        k_eff = live if k is None else min(k, live)
-        if n_q == 0 or k_eff == 0:
-            return (np.empty((n_q, k_eff), dtype=np.int64),
-                    np.empty((n_q, k_eff), dtype=np.float64))
+        queries, k_eff = validate_query_batch(
+            queries,
+            k,
+            nprobe,
+            dim=self.dim,
+            n_db=gen.live_count,
+            has_ivf=getattr(engine, "ivf", None) is not None,
+        )
+        if not (len(queries) and k_eff):
+            return empty_answer(len(queries), k_eff)
+        if engine is None:
+            tables = query_tables(queries, self.codebooks)
+        else:
+            tables = engine.tables(queries, nprobe)
+        lut64, q_sq64 = tables
 
         id_blocks: list[np.ndarray] = []
         dist_blocks: list[np.ndarray] = []
@@ -700,36 +664,20 @@ class MutableIndex:
                 # base's dead count: among the top (k_eff + n_dead) rows at
                 # least k_eff are live (or every live base row is included).
                 base_k = min(len(segment), k_eff + segment.n_dead)
-                hints: dict = {}
-                if nprobe is not None:
-                    hints["nprobe"] = nprobe
-                if rerank is not None:
-                    hints["rerank"] = rerank
-                rows, dists = engine.search_with_distances(
-                    queries, k=base_k, **hints
+                rows, dists = engine.scan(
+                    queries, tables, base_k, rerank=rerank, nprobe=nprobe
                 )
                 dists = np.where(segment.dead[rows], np.inf, dists)
-                id_blocks.append(segment.ids[rows])
-                dist_blocks.append(dists)
-                continue
-            distances = adc_distances(
-                queries,
-                segment.codes,
-                self.codebooks,
-                db_sq_norms=segment.scan_norms,
-            )
-            local, values = topk_tie_stable(distances, min(k_eff, len(segment)))
-            id_blocks.append(segment.ids[local])
-            dist_blocks.append(values)
-
-        all_ids = np.concatenate(id_blocks, axis=1)
-        all_dists = np.concatenate(dist_blocks, axis=1)
-        order = np.lexsort((all_ids, all_dists), axis=-1)[:, :k_eff]
-        rows = np.arange(n_q)[:, None]
-        return (
-            all_ids[rows, order],
-            np.asarray(all_dists[rows, order], dtype=np.float64),
-        )
+            else:
+                # The float64 kernel has the reference summation order, and
+                # a segment's id-sorted rows make its column order id order.
+                dists, rows, _, _ = scan_topk(
+                    lut64, q_sq64, segment.codes.T, segment.scan_norms,
+                    0, len(segment), min(k_eff, len(segment)),
+                )
+            id_blocks.append(segment.ids[rows])
+            dist_blocks.append(dists)
+        return merge_topk(dist_blocks, id_blocks, k_eff)
 
     # ------------------------------------------------------------------
     # Internals

@@ -12,16 +12,17 @@ Two things live here:
 2. :class:`SearchRequest` / :class:`SearchResult` — the one request shape
    every search surface accepts (:meth:`QuantizedIndex.search`,
    :meth:`QueryEngine.search`, :meth:`IVFIndex.search`,
-   :meth:`MutableIndex.search`, and the serving daemon), replacing the
-   per-method kwarg sprawl (``engine=``, ``nprobe=``, ``rerank=``) those
-   methods accreted. The legacy kwargs still work through thin shims that
-   emit :class:`DeprecationWarning`.
+   :meth:`MutableIndex.search`, and the serving daemon) — together with the
+   two query-path stages that are about requests rather than arithmetic:
+   :func:`validate_query_batch`, the one validation site, and
+   :class:`SearchSurface`, the one ``search``/``serve`` front over each
+   surface's ``search_with_distances``. The numerical stages live in
+   :mod:`repro.retrieval.adc`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +83,8 @@ class SearchRequest:
         queries = np.asarray(self.queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[None, :]
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be (n_q, d) or (d,), got shape {queries.shape}"
-            )
+        queries, _ = validate_query_batch(queries, self.k, self.nprobe)
         object.__setattr__(self, "queries", queries)
-        if self.k is not None and self.k < 0:
-            raise ValueError("k must be non-negative (or None for the full ranking)")
-        if self.nprobe is not None and self.nprobe < 0:
-            raise ValueError("nprobe must be non-negative")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if self.encoder is not None and self.encoder not in ("full", "light"):
@@ -134,15 +128,124 @@ class SearchResult:
         return self.indices.shape[1]
 
 
-def warn_legacy_search_kwargs(method: str, **kwargs) -> None:
-    """Emit the deprecation shim warning for non-``None`` legacy kwargs."""
-    used = [name for name, value in kwargs.items() if value is not None]
-    if used:
-        warnings.warn(
-            f"{method}({', '.join(f'{name}=' for name in used)}) is "
-            "deprecated; pass a repro.retrieval.SearchRequest instead",
-            DeprecationWarning,
-            stacklevel=3,
+def validate_query_batch(
+    queries: np.ndarray,
+    k: int | None = None,
+    nprobe: int | None = None,
+    *,
+    dim: int | None = None,
+    n_db: int | None = None,
+    has_ivf: bool = True,
+    pruned: bool = False,
+) -> tuple[np.ndarray, int | None]:
+    """The one validation site of the query path.
+
+    Returns ``(queries, k_eff)``: the batch as float64 and ``k`` clamped to
+    the ``n_db`` searchable rows (``k=None``, the full ranking, clamps to
+    ``n_db``). Raises ``ValueError`` for a batch that is not ``(n, dim)``,
+    holds NaN/inf (one such row would turn a whole micro-batch's distances
+    non-finite), a negative ``k`` or ``nprobe``, any ``nprobe`` on a
+    surface with no IVF layer, or ``k=None`` on a ``pruned`` (IVF-probed)
+    scan, which cannot produce the full ranking. ``SearchRequest``
+    validates with the context it has (no ``dim``/``n_db``; ``k_eff`` is
+    then ``k``); every surface's ``search_with_distances`` supplies the
+    rest.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or (
+        dim is not None and queries.size and queries.shape[1] != dim
+    ):
+        raise ValueError(
+            f"queries must be (n, {'d' if dim is None else dim}), "
+            f"got shape {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (found NaN or inf)")
+    if k is not None and k < 0:
+        raise ValueError("k must be non-negative (or None for the full ranking)")
+    if nprobe is not None:
+        if nprobe < 0:
+            raise ValueError("nprobe must be non-negative")
+        if not has_ivf:
+            raise ValueError(
+                "nprobe requires an engine with an IVF layer attached, and "
+                "this surface has no IVF layer (use a QueryEngine built "
+                "with ivf=..., an IVFIndex, or a MutableIndex with "
+                "engine_kwargs={'ivf': ...})"
+            )
+    if k is None and pruned:
+        raise ValueError(
+            "IVF search prunes the database and cannot produce the full "
+            "ranking; pass an explicit k (or use the exhaustive "
+            "QueryEngine path)"
+        )
+    if n_db is None:
+        return queries, k
+    return queries, n_db if k is None else min(k, n_db)
+
+
+def empty_answer(n_queries: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(indices, distances)`` of a search with nothing to rank."""
+    return (
+        np.empty((n_queries, width), dtype=np.int64),
+        np.empty((n_queries, width), dtype=np.float64),
+    )
+
+
+class SearchSurface:
+    """``search``/``serve`` over a subclass's ``search_with_distances``.
+
+    ``search_with_distances(queries, k, *, rerank=None, nprobe=None)`` is
+    each surface's single array-level entry (and the replica protocol);
+    everything request-shaped — the two call forms, the hint checks, the
+    timing, the :class:`SearchResult` — is here once.
+    """
+
+    #: ``SearchResult.source``: the path that served the latest scan.
+    last_dispatch = ""
+
+    def search(
+        self, queries: "np.ndarray | SearchRequest", k: int | None = None
+    ) -> "np.ndarray | SearchResult":
+        """Ranked ids per query, tie-stable on (distance, id).
+
+        Takes a :class:`SearchRequest` and returns a :class:`SearchResult`
+        (ids *and* distances), or a query array plus ``k`` and returns the
+        bare ``(n_q, min(k, n))`` id array.
+        """
+        if isinstance(queries, SearchRequest):
+            if k is not None:
+                raise TypeError(
+                    "pass search parameters inside the SearchRequest, not "
+                    "alongside it"
+                )
+            return self.serve(queries)
+        return self.serve(SearchRequest(queries, k=k)).indices
+
+    def serve(self, request: SearchRequest) -> SearchResult:
+        """Serve one :class:`SearchRequest` through this surface."""
+        if request.engine is not None and request.engine is not self:
+            raise ValueError(
+                "request carries an engine hint for a different engine"
+            )
+        if request.encoder is not None:
+            raise ValueError(
+                f"{type(self).__name__} scans embeddings; encoder hints are "
+                "served by the serving daemon (repro.serving)"
+            )
+        start = time.perf_counter()
+        indices, distances = self.search_with_distances(
+            request.queries,
+            request.k,
+            rerank=request.rerank,
+            nprobe=request.nprobe,
+        )
+        return SearchResult(
+            indices=indices,
+            distances=distances,
+            k=request.k,
+            source=self.last_dispatch,
+            elapsed_s=time.perf_counter() - start,
         )
 
 

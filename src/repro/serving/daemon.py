@@ -48,7 +48,7 @@ from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.engine import QueryEngine, ShardedIndex
 from repro.retrieval.mutable import MutationRequest, MutationResult
-from repro.retrieval.search import SearchRequest
+from repro.retrieval.search import SearchRequest, validate_query_batch
 from repro.rng import make_rng
 from repro.serving.batcher import MicroBatcher, PendingRequest
 from repro.serving.breaker import CircuitBreaker
@@ -418,8 +418,13 @@ class ServingDaemon:
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1:
             raise ValueError("query must be a 1-D vector")
-        if encoder_mode is None and query.shape[0] != self.dim:
-            raise ValueError(f"query must be a ({self.dim},) vector")
+        # The array form meets the shared validation site here (a
+        # SearchRequest already has): one non-finite row would turn its
+        # whole micro-batch's distances non-finite. Raw features have the
+        # encoder's width, not the index's.
+        validate_query_batch(
+            query[None, :], dim=self.dim if encoder_mode is None else None
+        )
         loop = asyncio.get_running_loop()
         start = loop.time()
         obs = get_obs()

@@ -143,14 +143,10 @@ class Replica:
             call = self.calls
         if self.faults is not None:
             self.faults.before_scan(self.replica_id, call)
-        hints: dict = {"rerank": rerank}
-        if nprobe is not None:
-            # Passed through only when set: non-IVF engines reject the
-            # kwarg with a clear error, and the daemon screens for that at
-            # admission so it never reaches a scan.
-            hints["nprobe"] = nprobe
+        # A non-IVF engine rejects a set nprobe with a clear error; the
+        # daemon screens for that at admission so it never reaches a scan.
         indices, distances = self.engine.search_with_distances(
-            queries, k=k, **hints
+            queries, k=k, rerank=rerank, nprobe=nprobe
         )
         if self.faults is not None:
             indices, distances = self.faults.transform_response(

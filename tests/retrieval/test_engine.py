@@ -13,7 +13,7 @@ from repro.retrieval.engine import (
     topk_tie_stable,
 )
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.search import rank_by_distance
+from repro.retrieval.search import SearchRequest, rank_by_distance
 
 
 def make_index(seed=0, n_db=120, m=3, k_words=16, dim=6):
@@ -218,7 +218,8 @@ class TestIndexDelegation:
         index, queries = make_index()
         want = index.search(queries, k=10)
         with QueryEngine(index, num_shards=3) as engine:
-            assert np.array_equal(index.search(queries, k=10, engine=engine), want)
+            got = index.search(SearchRequest(queries, k=10, engine=engine))
+            assert np.array_equal(got.indices, want)
 
     def test_search_labels_through_engine(self):
         rng = np.random.default_rng(5)
@@ -226,7 +227,7 @@ class TestIndexDelegation:
         index.labels = rng.integers(0, 4, size=len(index))
         with QueryEngine(index, num_shards=2) as engine:
             assert np.array_equal(
-                index.search_labels(queries, k=5, engine=engine),
+                index.search_labels(SearchRequest(queries, k=5, engine=engine)),
                 index.search_labels(queries, k=5),
             )
 
@@ -235,7 +236,7 @@ class TestIndexDelegation:
         other, _ = make_index(seed=1, n_db=60)
         with QueryEngine(other) as engine:
             with pytest.raises(ValueError, match="geometry"):
-                index.search(queries, k=5, engine=engine)
+                index.search(SearchRequest(queries, k=5, engine=engine))
 
 
 def _hang_scan_shard(args):
@@ -337,4 +338,5 @@ class TestRerankOverride:
         index, queries = make_index(seed=6)
         with QueryEngine(index, rerank=True) as engine:
             base = engine.search(queries, k=10)
-            assert np.array_equal(engine.search(queries, k=10, rerank=None), base)
+            got = engine.search(SearchRequest(queries, k=10, rerank=None))
+            assert np.array_equal(got.indices, base)

@@ -10,6 +10,7 @@ from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex, default_num_cells, quantize_lut
 from repro.retrieval.metrics import recall_at_k
+from repro.retrieval.search import SearchRequest
 
 
 def make_clustered_index(seed=0, n_db=600, num_classes=12, m=3, k_words=16, dim=8):
@@ -110,15 +111,15 @@ class TestSearch:
     def test_all_cells_probed_equals_exhaustive(self):
         index, queries = make_clustered_index()
         ivf = IVFIndex.build(index, num_cells=8)
-        got = ivf.search(queries, k=7, nprobe=8)
+        got = ivf.search(SearchRequest(queries, k=7, nprobe=8)).indices
         want = QueryEngine(index).search(queries, k=7)
         np.testing.assert_array_equal(got, want)
 
     def test_nprobe_clamped_above_num_cells(self):
         index, queries = make_clustered_index()
         ivf = IVFIndex.build(index, num_cells=4)
-        got = ivf.search(queries, k=5, nprobe=1000)
-        want = ivf.search(queries, k=5, nprobe=4)
+        got = ivf.search(SearchRequest(queries, k=5, nprobe=1000)).indices
+        want = ivf.search(SearchRequest(queries, k=5, nprobe=4)).indices
         np.testing.assert_array_equal(got, want)
 
     def test_empty_cells_probe_expansion_fills_k(self):
@@ -134,7 +135,7 @@ class TestSearch:
         assert (ivf.cell_sizes() == 0).sum() >= 1
         # Query near the far centroids: its nearest cells are empty.
         far_queries = np.full((3, index.dim), 400.0)
-        got = ivf.search(far_queries, k=10, nprobe=1)
+        got = ivf.search(SearchRequest(far_queries, k=10, nprobe=1)).indices
         assert got.shape == (3, 10)
         assert len(np.unique(got[0])) == 10
 
@@ -162,7 +163,7 @@ class TestSearch:
         index, queries = make_clustered_index()
         ivf = IVFIndex.build(index, num_cells=4)
         with pytest.raises(ValueError, match="nprobe"):
-            ivf.search(queries, k=5, nprobe=0)
+            ivf.search(SearchRequest(queries, k=5, nprobe=0))
 
     def test_query_dim_checked(self):
         index, _ = make_clustered_index()
@@ -227,7 +228,7 @@ class TestSearch:
 
         oracle = QueryEngine(index).search(queries, k=10)
         ivf = IVFIndex.build(index, num_cells=32)
-        got = ivf.search(queries, k=10, nprobe=8)
+        got = ivf.search(SearchRequest(queries, k=10, nprobe=8)).indices
         overlap = np.mean([
             len(set(a) & set(b)) / 10 for a, b in zip(got, oracle)
         ])
@@ -247,7 +248,7 @@ class TestEngineIntegration:
         with QueryEngine(index, ivf=ivf) as engine:
             got = engine.search(queries, k=10)
             assert engine.last_dispatch == "ivf"
-        want = ivf.search(queries, k=10, nprobe=4)
+        want = ivf.search(SearchRequest(queries, k=10, nprobe=4)).indices
         np.testing.assert_array_equal(got, want)
 
     def test_engine_builds_ivf_from_cell_count(self):
@@ -262,7 +263,7 @@ class TestEngineIntegration:
         index, queries = make_clustered_index()
         ivf = IVFIndex.build(index, num_cells=16, nprobe=2)
         with QueryEngine(index, ivf=ivf) as engine:
-            got = engine.search(queries, k=10, nprobe=0)
+            got = engine.search(SearchRequest(queries, k=10, nprobe=0)).indices
             assert engine.last_dispatch != "ivf"
         want = QueryEngine(index).search(queries, k=10)
         np.testing.assert_array_equal(got, want)
@@ -271,7 +272,7 @@ class TestEngineIntegration:
         index, queries = make_clustered_index()
         with QueryEngine(index) as engine:
             with pytest.raises(ValueError, match="no IVF layer"):
-                engine.search(queries, k=10, nprobe=4)
+                engine.search(SearchRequest(queries, k=10, nprobe=4))
 
     def test_engine_rejects_mismatched_ivf(self):
         index, _ = make_clustered_index(seed=0)
@@ -284,14 +285,16 @@ class TestEngineIntegration:
         index, queries = make_clustered_index()
         ivf = IVFIndex.build(index, num_cells=16)
         with QueryEngine(index, ivf=ivf, nprobe=2) as engine:
-            got = index.search(queries, k=10, engine=engine, nprobe=16)
-        want = ivf.search(queries, k=10, nprobe=16)
+            got = index.search(
+                SearchRequest(queries, k=10, engine=engine, nprobe=16)
+            ).indices
+        want = ivf.search(SearchRequest(queries, k=10, nprobe=16)).indices
         np.testing.assert_array_equal(got, want)
 
     def test_index_search_rejects_nprobe_without_engine(self):
         index, queries = make_clustered_index()
         with pytest.raises(ValueError, match="nprobe requires an engine"):
-            index.search(queries, k=10, nprobe=4)
+            index.search(SearchRequest(queries, k=10, nprobe=4))
 
 
 class TestObservability:
@@ -302,7 +305,7 @@ class TestObservability:
         index, queries = make_clustered_index()
         with obs.observed() as handle:
             ivf = IVFIndex.build(index, num_cells=16)
-            ivf.search(queries, k=10, nprobe=4)
+            ivf.search(SearchRequest(queries, k=10, nprobe=4))
             registry = handle.registry
             assert registry.histogram(names.IVF_BUILD_TIME).count == 1
             assert registry.histogram(names.IVF_SCAN_TIME).count == 1

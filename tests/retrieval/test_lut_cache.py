@@ -183,3 +183,65 @@ class TestIVFParity:
             assert np.array_equal(got_d, want_d)
         assert cached.lut_cache.hits >= len(queries)
         assert cached.lut_cache.misses == len(queries)
+
+
+class TestConcurrency:
+    """Replicas share one cache and scan on executor threads."""
+
+    def test_concurrent_single_row_batches_keep_the_lru_consistent(self):
+        """Four threads thrash a two-row cache with single-row batches.
+
+        Unlocked, one thread's ``popitem`` lands between another's
+        ``get`` and ``move_to_end`` and ``tables`` raises ``KeyError`` —
+        in service, a failed scan and a breaker failure on a healthy
+        replica. Every table must also still be the fresh build, and no
+        lookup may go uncounted.
+        """
+        import sys
+        import threading
+        import time
+        from collections import OrderedDict
+
+        class YieldingRows(OrderedDict):
+            """Hands the interpreter over right after a lookup: the window
+            the race needs, which a bare stress run hits once in ~10^4."""
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)
+                return value
+
+        rng = np.random.default_rng(3)
+        codebooks = rng.normal(size=(2, 4, 3))
+        pool = rng.normal(size=(12, 3))
+        want = build_lookup_tables(pool, codebooks)
+        cache = LUTCache(capacity=2)
+        cache._rows = YieldingRows()
+        rounds = 1500
+        errors: list[BaseException] = []
+
+        def worker(offset: int) -> None:
+            try:
+                for step in range(rounds):
+                    row = (offset + 5 * step) % len(pool)
+                    got = cache.tables(pool[row : row + 1], codebooks)
+                    if not np.array_equal(got[0], want[row]):
+                        raise AssertionError(f"row {row} differs from a fresh build")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= cache.capacity
+        assert cache.hits + cache.misses == len(threads) * rounds

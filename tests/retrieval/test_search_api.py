@@ -1,10 +1,9 @@
 """Tests for the unified SearchRequest/SearchResult API.
 
 Covers the request dataclass's validation, the routing of every search
-surface through ``serve``, the deprecation shims that keep legacy kwarg
-call sites working (asserting the warning actually fires — the
-acceptance criterion for the API redesign), and the loud ``ValueError``
-for ``nprobe`` without an IVF layer (previously a silent no-op).
+surface through ``serve``, and the loud ``ValueError`` for ``nprobe``
+without an IVF layer (previously a silent no-op). The cross-surface
+contract table lives in ``test_surface_contract.py``.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ class TestIndexSurface:
         with pytest.raises(TypeError, match="SearchRequest"):
             index.search(SearchRequest(queries=queries, k=5), k=5)
 
-    def test_engine_kwarg_warns_but_works(self, corpus):
-        index, queries = corpus
-        with QueryEngine(index, parallel="never") as engine:
-            with pytest.warns(DeprecationWarning, match="QuantizedIndex.search"):
-                ranked = index.search(queries, k=10, engine=engine)
-        assert np.array_equal(ranked, index.search(queries, k=10))
-
     def test_engine_hint_in_request_does_not_warn(self, corpus):
         import warnings
 
@@ -93,9 +85,6 @@ class TestIndexSurface:
         index, queries = corpus
         with pytest.raises(ValueError, match="nprobe"):
             index.search(SearchRequest(queries=queries, k=5, nprobe=4))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="nprobe"):
-                index.search(queries, k=5, nprobe=4)
         with QueryEngine(index, parallel="never") as engine:
             with pytest.raises(ValueError, match="nprobe|ivf"):
                 index.search(
@@ -110,12 +99,6 @@ class TestEngineSurface:
             result = engine.search(SearchRequest(queries=queries, k=10))
             assert isinstance(result, SearchResult)
             assert np.array_equal(result.indices, index.search(queries, k=10))
-
-    def test_legacy_rerank_kwarg_warns(self, corpus):
-        index, queries = corpus
-        with QueryEngine(index, parallel="never") as engine:
-            with pytest.warns(DeprecationWarning, match="QueryEngine.search"):
-                engine.search(queries, k=5, rerank=False)
 
     def test_plain_array_path_stays_silent(self, corpus):
         import warnings
@@ -133,9 +116,8 @@ class TestIVFSurface:
         index, queries = corpus
         ivf = IVFIndex.build(index, num_cells=6)
         result = ivf.search(SearchRequest(queries=queries, k=10, nprobe=6))
-        with pytest.warns(DeprecationWarning, match="IVFIndex.search"):
-            legacy = ivf.search(queries, k=10, nprobe=6)
-        assert np.array_equal(result.indices, legacy)
+        array_form, _ = ivf.search_with_distances(queries, k=10, nprobe=6)
+        assert np.array_equal(result.indices, array_form)
         assert result.source == "ivf"
 
 

@@ -98,6 +98,33 @@ class TestHealthyServing:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_cannot_poison_its_micro_batch(self, served_index, bad):
+        """A NaN/inf row used to ride into the batch, turn every row's
+        distances non-finite and fail its finite neighbour too — three
+        retries and a breaker failure each. It is refused at admission."""
+        index, pool = served_index
+        want_i, _ = exact_answers(index, pool[:1])
+        poisoned = pool[1].copy()
+        poisoned[0] = bad
+
+        async def run():
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config()
+            ) as daemon:
+                good, refused = await asyncio.gather(
+                    daemon.submit(pool[0], k=10),
+                    daemon.submit(poisoned, k=10),
+                    return_exceptions=True,
+                )
+                return daemon, good, refused
+
+        daemon, good, refused = asyncio.run(run())
+        assert isinstance(refused, ValueError) and "finite" in str(refused)
+        assert np.array_equal(good.indices, want_i[0])
+        assert daemon.counts["retries"] == 0
+        assert daemon.counts["failed"] == 0
+
     def test_rejects_after_stop(self, served_index):
         index, pool = served_index
 

@@ -11,6 +11,8 @@ slow-worker stall — and asserts the resilience contract:
   never degrades quality silently: non-degraded results are bit-identical
   to ``QueryEngine`` outside degraded windows),
 - the crash actually fired (failover observed, crash event logged),
+- batching is work-conserving: before the burst, a lone request on an idle
+  daemon is answered without paying ``batch_delay_s``,
 - shutdown drains cleanly.
 
 Budget: well under 5 seconds. Run from the repository root::
@@ -50,6 +52,20 @@ async def run() -> tuple:
         codebooks, rng.normal(size=(n_db, dim)), codes=codes
     )
     pool = rng.normal(size=(24, dim))
+
+    # An idle replica dispatches at once: batch_delay_s bounds the wait for
+    # company only while every replica is busy.
+    idle = ServingDaemon(
+        index,
+        num_replicas=2,
+        config=ServingConfig(heartbeat_interval_s=None, batch_delay_s=0.5),
+    )
+    async with idle:
+        lone = await idle.submit(pool[0], k=10)
+    assert lone.latency_s < 0.25, (
+        f"lone request on an idle daemon took {lone.latency_s:.3f}s "
+        "— it lingered for company"
+    )
 
     faults = ServingFaults(
         ReplicaKillFault(replica=0, at_call=3),

@@ -106,6 +106,7 @@ SERVE_REQUESTS_SHED = "serve.requests.shed"
 SERVE_REQUEST_LATENCY = "serve.request.latency_s"
 SERVE_BATCH_SIZE = "serve.batch.size"
 SERVE_BATCHES_TOTAL = "serve.batches.total"
+SERVE_BATCH_WAIT_S = "serve.batch.wait_s"
 SERVE_QUEUE_DEPTH = "serve.queue.depth"
 SERVE_CACHE_HITS = "serve.cache.hits"
 SERVE_CACHE_MISSES = "serve.cache.misses"
@@ -339,6 +340,14 @@ SPECS: tuple[MetricSpec, ...] = (
         "batches",
         "repro.serving.batcher.MicroBatcher",
         "Micro-batches dispatched to the replica set.",
+    ),
+    MetricSpec(
+        SERVE_BATCH_WAIT_S,
+        HISTOGRAM,
+        "seconds",
+        "repro.serving.batcher.MicroBatcher",
+        "Queue wait plus micro-batch assembly of one request: admission to "
+        "dispatch hand-off (linger is paid only while every replica is busy).",
     ),
     MetricSpec(
         SERVE_QUEUE_DEPTH,

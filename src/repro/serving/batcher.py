@@ -1,13 +1,14 @@
 """Micro-batching front end: many awaiters, one engine scan.
 
 Concurrent ``submit`` calls land individual single-query requests on an
-asyncio queue; the batcher's collector loop pops the first, waits at most
-``max_delay_s`` for company (up to ``max_batch_size``), groups what
-arrived by ``(k, rerank hint, nprobe)``, and hands each group to the
-daemon's dispatch coroutine
-as **one** scan. That amortises the per-batch costs the bench already
-measures (LUT build, dispatch, merge) across every rider — the asyncio
-version of the batch-vs-single gap in ``phases.query``.
+asyncio queue; the batcher's collector loop pops the first, sweeps up what
+else is already queued (up to ``max_batch_size``), groups the batch by
+``(k, rerank hint, nprobe)``, and hands each group to the daemon's dispatch
+coroutine as **one** scan. It is work-conserving: it dispatches at once
+while fewer than ``busy_threshold`` dispatches are in flight (a replica is
+idle) and lingers for company — at most ``max_delay_s`` — only while every
+replica is busy, which is when a bigger batch buys throughput (LUT build,
+dispatch and merge amortised across every rider).
 
 The queue is bounded: a full queue means the daemon is past its
 backpressure limit and ``try_enqueue`` returns ``False`` (the daemon sheds
@@ -60,14 +61,18 @@ class MicroBatcher:
         max_batch_size: int = 32,
         max_delay_s: float = 0.002,
         max_queue: int = 1024,
+        busy_threshold: int = 1,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
+        if busy_threshold < 1:
+            raise ValueError("busy_threshold must be at least 1")
         if max_delay_s < 0:
             raise ValueError("max_delay_s must be non-negative")
         self._dispatch = dispatch
         self.max_batch_size = int(max_batch_size)
         self.max_delay_s = float(max_delay_s)
+        self.busy_threshold = int(busy_threshold)
         self._queue: asyncio.Queue[PendingRequest] = asyncio.Queue(
             maxsize=max_queue
         )
@@ -147,7 +152,10 @@ class MicroBatcher:
             batch: list[PendingRequest] = []
             try:
                 batch.append(await self._queue.get())
-                window_ends = loop.time() + self.max_delay_s
+                # Linger only while every replica is busy; with one idle
+                # the sweep below still coalesces simultaneous arrivals.
+                busy = len(self._inflight) >= self.busy_threshold
+                window_ends = loop.time() + (self.max_delay_s if busy else 0.0)
                 while len(batch) < self.max_batch_size:
                     remaining = window_ends - loop.time()
                     if remaining <= 0:
@@ -184,6 +192,11 @@ class MicroBatcher:
                     (request.k, request.rerank, request.nprobe), []
                 ).append(request)
             obs = get_obs()
+            if obs.enabled:
+                wait = obs.registry.histogram(metric_names.SERVE_BATCH_WAIT_S)
+                now = loop.time()
+                for request in batch:
+                    wait.observe(now - request.enqueue_time)
             for group in groups.values():
                 if obs.enabled:
                     obs.registry.histogram(

@@ -78,7 +78,8 @@ class ServingConfig:
     knobs scale together (attempt < hedge budget < request deadline)."""
 
     default_k: int = 10
-    #: Requests coalesced into one scan, and how long to wait for company.
+    #: Requests coalesced into one scan, and the upper bound on the wait for
+    #: company added while every replica is busy (an idle one dispatches at once).
     max_batch_size: int = 32
     batch_delay_s: float = 0.002
     #: Admission queue bound — beyond it requests shed with Overloaded.
@@ -251,6 +252,7 @@ class ServingDaemon:
             max_batch_size=cfg.max_batch_size,
             max_delay_s=cfg.batch_delay_s,
             max_queue=cfg.max_queue,
+            busy_threshold=len(self.replica_set),
         )
         self._min_healthy = (
             cfg.degrade_min_healthy
@@ -701,7 +703,7 @@ class ServingDaemon:
         loop = asyncio.get_running_loop()
         cfg = self.config
         attempt_deadline = loop.time() + budget_s
-        running: dict[asyncio.Task, Replica] = {
+        running: dict[asyncio.Future, Replica] = {
             self._scan_task(replica, queries, k, rerank, nprobe): replica
         }
         hedge_wait = (
@@ -773,16 +775,11 @@ class ServingDaemon:
     def _scan_task(
         self, replica: Replica, queries: np.ndarray, k: int,
         rerank: bool | None, nprobe: int | None = None,
-    ) -> asyncio.Task:
-        loop = asyncio.get_running_loop()
-
-        async def scan():
-            return await loop.run_in_executor(
-                None,
-                lambda: replica.search(queries, k, rerank=rerank, nprobe=nprobe),
-            )
-
-        return asyncio.create_task(scan())
+    ) -> asyncio.Future:
+        return asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: replica.search(queries, k, rerank=rerank, nprobe=nprobe),
+        )
 
     def _pick_hedge(self, now: float, exclude: set[int]) -> Replica | None:
         candidates = self.replica_set.candidates(now, exclude=exclude)
@@ -792,10 +789,10 @@ class ServingDaemon:
                 return candidate
         return None
 
-    def _detach(self, task: asyncio.Task, replica: Replica) -> None:
+    def _detach(self, task: asyncio.Future, replica: Replica) -> None:
         """Let an abandoned scan finish on its own; harvest its outcome."""
 
-        def harvest(finished: asyncio.Task) -> None:
+        def harvest(finished: asyncio.Future) -> None:
             if finished.cancelled():
                 return
             error = finished.exception()

@@ -10,6 +10,8 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.obs import names as metric_names
 from repro.resilience.faults import (
     CorruptResponseFault,
     ReplicaKillFault,
@@ -83,6 +85,36 @@ class TestHealthyServing:
         assert repeat.source == "cache"
         assert daemon.counts["cache_hits"] == 1
         assert daemon.counts["ok"] == 2
+
+    def test_idle_daemon_does_not_linger_but_still_coalesces(self, served_index):
+        """Work-conserving batching: with a replica idle a lone miss is
+        dispatched at once (batch_delay_s only bounds the wait while every
+        replica is busy), and simultaneous misses still share one scan.
+        Bounds are ~100x the real numbers (a few ms) so load cannot flake it."""
+        index, pool = served_index
+        want_i, _ = exact_answers(index, pool[:9])
+
+        async def run(batches):
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config(batch_delay_s=1.0)
+            ) as daemon:
+                lone = await daemon.submit(pool[8], k=10)
+                assert batches.value == 1
+                burst = await asyncio.gather(
+                    *(daemon.submit(pool[row], k=10) for row in range(8))
+                )
+                return daemon, lone, burst
+
+        with obs.observed() as handle:
+            batches = handle.registry.counter(metric_names.SERVE_BATCHES_TOTAL)
+            daemon, lone, burst = asyncio.run(run(batches))
+        assert max(result.latency_s for result in [lone, *burst]) < 0.5
+        assert batches.value == 2  # the 8 simultaneous misses rode one scan
+        assert daemon.counts["cache_misses"] == 9 and daemon.counts["ok"] == 9
+        assert np.array_equal(lone.indices, want_i[8])
+        for row, result in enumerate(burst):
+            assert result.source == "engine"
+            assert np.array_equal(result.indices, want_i[row])
 
     def test_submit_validation(self, served_index):
         index, pool = served_index

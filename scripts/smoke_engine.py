@@ -5,7 +5,9 @@ Builds a random quantized index, forces the multiprocessing pool on
 (``parallel="force"`` — the cost-based dispatcher would otherwise keep a
 batch this small in-process), and checks the pool-served rankings against
 the serial reference scan — plus the in-process fast path and the empty /
-k-edge cases. Budget: well under 5 seconds.
+k-edge cases — then does the same over a pair-fused layout: fused
+in-process == fused pool == the float64 (never fused) scan on one batch.
+Budget: well under 5 seconds.
 
 Run from the repository root::
 
@@ -66,6 +68,26 @@ def main() -> int:
         assert np.array_equal(ranked, reference)
         empty = engine.search(np.empty((0, dim)), k=5)
         assert empty.shape == (0, 5), empty.shape
+
+    # Pair-fused layout (even M, 4·K² = 1024 rows): the joint-code scan,
+    # its shared-memory attach, and the divmod decode in the rerank must all
+    # land on the float64 scan's ids and distances.
+    fused_codes = rng.integers(0, k_words, size=(1200, m))
+    fused_index = QuantizedIndex.build(
+        codebooks, np.zeros((len(fused_codes), dim)), codes=fused_codes
+    )
+    with QueryEngine(fused_index, parallel="never", dtype=np.float64) as engine:
+        assert not engine.sharded.fused
+        want = engine.search_with_distances(queries, 10)
+    with QueryEngine(fused_index, parallel="never") as engine:
+        assert engine.sharded.fused
+        in_process = engine.search_with_distances(queries, 10)
+    with QueryEngine(fused_index, workers=2, num_shards=4, parallel="force") as engine:
+        pooled = engine.search_with_distances(queries, 10)
+        assert engine.last_dispatch == "process-pool", engine.last_dispatch
+    for name, got in (("in-process", in_process), ("pool", pooled)):
+        assert np.array_equal(got[0], want[0]), f"fused {name} ids diverge"
+        assert np.array_equal(got[1], want[1]), f"fused {name} distances diverge"
 
     elapsed = time.perf_counter() - start
     print(f"smoke engine OK in {elapsed:.2f}s")

@@ -236,9 +236,10 @@ SPECS: tuple[MetricSpec, ...] = (
         "codes/second",
         "repro.retrieval.adc.adc_distances, "
         "repro.retrieval.engine.QueryEngine.scan",
-        "Scan throughput: table lookups performed per second "
-        "(n_queries x n_db x M / scan time). Serial and engine scans feed "
-        "the same histogram, so speedups read straight off one metric.",
+        "Scan throughput in logical table lookups per second "
+        "(n_queries x n_db x M / scan time, whatever the layout gathers). "
+        "Serial and engine scans feed the same histogram, so speedups read "
+        "straight off one metric.",
     ),
     MetricSpec(
         ENGINE_SHARD_SCAN_TIME,

@@ -19,9 +19,11 @@ blocks they hand to it:
 
 - :func:`query_tables` — the per-batch float64 tables plus ``‖q‖²``
   (through a :class:`~repro.retrieval.lut_cache.LUTCache` when one is
-  attached), cast once per scan dtype by :func:`cast_tables`;
-- :func:`scan_block` / :func:`scan_topk` — the blocked gather-accumulate
-  kernel over a transposed ``(M, n)`` code block and its tie-stable top-k;
+  attached);
+- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the flat
+  scan: a sealed ``(columns, n)`` code layout, the batch's tables laid out
+  query-minor for it, and the gather-accumulate kernel with its tie-stable
+  top-k (see "The flat scan kernel" below);
 - :func:`gather_distances` / :func:`rerank_exact` — the same arithmetic at
   scattered candidate *positions*, and its float64 re-scoring pass;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
@@ -29,12 +31,39 @@ blocks they hand to it:
 :func:`adc_distances` stays the float64 reference every one of them is
 tested against.
 
+The flat scan kernel. A NumPy gather costs per *call element*, not per
+byte, so the kernel is shaped to gather as few, as wide elements as it can:
+
+- *query-minor tables*: a chunk of up to :data:`QUERY_CHUNK` queries has its
+  tables transposed once to ``(columns, width, n_q)``, so one code gathers
+  ``n_q`` contiguous floats (a lone query gathers from the 1-D table);
+  larger batches are scanned chunk by chunk, which keeps a chunk's tables
+  and distance rows cache-resident;
+- *pair-fused tables*: where :func:`fuses_pairs` says so the layout stores
+  the joint code ``c_{2j}·K + c_{2j+1}`` of each codebook pair and the
+  float32 tables are summed pairwise to ``M/2`` tables of ``K²`` entries —
+  half the gathers for ``M/2·K²`` extra adds per query;
+- *in-cache assembly*: each block of rows (:data:`BLOCK_ELEMENTS` floats)
+  is gathered, accumulated and turned into distances in place before the
+  next block is touched;
+- *range check hoisted*: :func:`scan_codes` / :func:`seal_scan_codes`
+  verify ``codes < width`` once and freeze the array, so the gathers run
+  ``mode="clip"`` (no per-call check, no buffered ``out=``).
+
+A float64 scan is never fused and reproduces :func:`adc_distances`'
+left-to-right summation and ``(‖q‖² + ‖o‖²) − 2·cross`` order bit for
+bit. A float32 scan — fused or not — is only ever a preselect: its
+``k + RERANK_PAD`` survivors are re-scored by :func:`rerank_exact` in
+float64, decoding joint codes with ``divmod(code, K)`` at those few
+positions.
+
 The two stages are observable separately (:mod:`repro.obs`): with
 observability enabled, :func:`query_tables` emits the lookup-table build
 time (``adc.lut.build_time_s``) and :func:`adc_distances` the table-scan
 time (``adc.scan.time_s``) and the realised scan throughput in code lookups
-per second (``adc.scan.codes_per_s``) — the quantities §IV's cost model
-predicts and the benchmark harness (``repro bench``) reports.
+per second (``adc.scan.codes_per_s``, always the logical ``n_q·n·M``
+lookups of §IV's cost model, whatever the layout gathers) — the quantities
+``benchmarks/perf`` reads as ``retrieval.adc.*`` / ``retrieval.engine.*``.
 """
 
 from __future__ import annotations
@@ -50,8 +79,20 @@ from repro.retrieval.search import topk_tie_stable
 #: Extra candidates every scanned block carries into the float64 rerank.
 RERANK_PAD = 8
 
-#: Columns gathered per codebook at once, so scan temporaries stay cache-sized.
-BLOCK_ROWS = 8192
+#: Queries scanned together. Gathers are query-minor, so a scan costs about
+#: the same for 1 to 8 queries; past 8 the chunk's tables (and its distance
+#: rows, for the top-k) fall out of cache and the cost per query rises again.
+QUERY_CHUNK = 8
+
+#: Floats (rows × chunk queries) of one scan block: gathered, accumulated and
+#: assembled into distances while still cache-resident.
+BLOCK_ELEMENTS = 1 << 17
+
+#: Widest fused table (``K²`` entries) :func:`fuses_pairs` accepts: 16 KB a
+#: query in float32, 128 KB a chunk. Measured, K=128 (64 KB / 512 KB) halves
+#: a lone query's scan but costs an 8-query chunk 5–60 % more, so it stays
+#: unfused.
+FUSED_WIDTH_MAX = 4096
 
 
 def validate_codes(codes: np.ndarray, num_codebooks: int, num_codewords: int) -> np.ndarray:
@@ -147,42 +188,183 @@ def cast_tables(
     )
 
 
-def scan_block(lut, codes_t, lo, hi):
-    """``Σ_j lut[:, j, codes[j]]`` over columns ``[lo, hi)``, blocked.
+def compact_code_dtype(num_codewords: int) -> np.dtype:
+    """Narrowest unsigned dtype that can hold codeword ids below ``K``."""
+    if num_codewords <= 0:
+        raise ValueError("num_codewords must be positive")
+    if num_codewords <= 2**8:
+        return np.dtype(np.uint8)
+    if num_codewords <= 2**16:
+        return np.dtype(np.uint16)
+    if num_codewords <= 2**32:
+        return np.dtype(np.uint32)
+    return np.dtype(np.uint64)
 
-    ``lut`` is ``(n_q, M, K)`` and ``codes_t`` a transposed ``(M, n)`` code
-    block; the gather runs one codebook at a time on at most
-    :data:`BLOCK_ROWS` columns. Summation starts from the first gathered
-    table (``0 + x == x`` in IEEE), matching :func:`adc_distances`'
-    left-to-right accumulation bit for bit in float64.
+
+def fuses_pairs(
+    scan_dtype: np.dtype, num_codebooks: int, num_codewords: int, n_items: int
+) -> bool:
+    """Whether a flat layout of this shape stores pair-fused joint codes.
+
+    Fusion halves the gathers and costs ``M/2·K²`` adds per query, so it
+    needs rows to amortise over (``n ≥ 4·K²``), an even ``M``, and fused
+    tables that stay cache-resident (:data:`FUSED_WIDTH_MAX`). Only a
+    float32 scan is fused: its result is a preselect the float64 rerank
+    re-scores, whereas a float64 scan *is* the answer and must keep the
+    reference's left-to-right summation.
     """
-    n_q, m, _ = lut.shape
-    out = np.empty((n_q, hi - lo), dtype=lut.dtype)
-    for start in range(lo, hi, BLOCK_ROWS):
-        end = min(start + BLOCK_ROWS, hi)
-        block = out[:, start - lo : end - lo]
-        np.take(lut[:, 0, :], codes_t[0, start:end], axis=1, out=block)
-        for j in range(1, m):
-            block += lut[:, j, :].take(codes_t[j, start:end], axis=1)
+    width = num_codewords * num_codewords
+    return (
+        np.dtype(scan_dtype) == np.dtype(np.float32)
+        and num_codebooks % 2 == 0
+        and width <= FUSED_WIDTH_MAX
+        and n_items >= 4 * width
+    )
+
+
+def seal_scan_codes(codes_t: np.ndarray, width: int) -> np.ndarray:
+    """Verify a ``(columns, n)`` scan layout against its table width, freeze it.
+
+    The hoisted half of the kernel's range check: :func:`scan_topk` gathers
+    with ``mode="clip"``, which is the identity only on codes below
+    ``width`` — so every array it is handed was either built by
+    :func:`scan_codes` or (a copy in another buffer, e.g. shared memory)
+    passed here, and cannot be written since.
+    """
+    if codes_t.size and (codes_t.min() < 0 or codes_t.max() >= width):
+        raise ValueError(
+            f"scan codes out of range for a {width}-entry lookup table"
+        )
+    codes_t.setflags(write=False)
+    return codes_t
+
+
+def scan_codes(
+    codes: np.ndarray, num_codewords: int, fuse: bool = False
+) -> np.ndarray:
+    """The frozen ``(columns, n)`` scan layout of ``(n, M)`` codeword ids.
+
+    Unfused, column ``j`` is codebook ``j`` in :func:`compact_code_dtype`.
+    With ``fuse`` (``M`` even), column ``j`` holds the joint code
+    ``c_{2j}·K + c_{2j+1}`` in the unsigned dtype twice as wide — the same
+    bytes as the pair it replaces; the per-codebook ids are recovered with
+    ``divmod(code, K)`` (:func:`gather_distances`), never stored twice.
+    Ids outside ``[0, K)`` are rejected here, before the narrowing cast
+    could wrap them into range (see :func:`seal_scan_codes`).
+    """
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= num_codewords):
+        raise ValueError("code ids out of codebook range")
+    dtype = compact_code_dtype(num_codewords)
+    if fuse:
+        # Built in place in one array: no (n, M/2) int64 temporaries.
+        codes_t = np.empty(
+            (codes.shape[1] // 2, len(codes)), dtype=f"u{2 * dtype.itemsize}"
+        )
+        np.multiply(codes[:, 0::2].T, num_codewords, out=codes_t, casting="unsafe")
+        np.add(codes_t, codes[:, 1::2].T, out=codes_t, casting="unsafe")
+    else:
+        codes_t = np.ascontiguousarray(codes.T.astype(dtype))
+    codes_t.setflags(write=False)
+    return codes_t
+
+
+def scan_tables(
+    lut64: np.ndarray, q_sq64: np.ndarray, dtype: np.dtype, fuse: bool = False
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The batch's tables as :func:`scan_topk` gathers them.
+
+    Returns ``(chunks, q_sq)``: one contiguous query-minor ``(columns,
+    width, n_c)`` array per :data:`QUERY_CHUNK` queries, in the scan
+    ``dtype`` and pre-scaled by −2 (exact: a power of two), so accumulating
+    gathered entries yields Eqn. 24's ``−2·cross`` term directly — and
+    ``‖q‖²`` in the same dtype. With ``fuse`` consecutive table pairs are
+    summed to ``(M/2, K², n_c)`` — entry ``a·K + b`` of pair ``j`` is
+    ``lut[2j, a] + lut[2j+1, b]``, matching the joint codes of
+    :func:`scan_codes`.
+    """
+    n_q, m, width = lut64.shape
+    chunks = []
+    for lo in range(0, n_q, QUERY_CHUNK):
+        chunk = lut64[lo : lo + QUERY_CHUNK].transpose(1, 2, 0)
+        # Always a fresh array: a one-query float64 chunk is already
+        # contiguous, and scaling a view would corrupt the caller's tables.
+        tables = np.empty(chunk.shape, dtype=dtype)
+        np.multiply(chunk, -2.0, out=tables, casting="same_kind")
+        if fuse:
+            # Row a of the even table K times, plus the whole odd table:
+            # both operands stream whole (K·n_c)-float rows.
+            n_c = tables.shape[2]
+            fused = np.repeat(tables[0::2], width, axis=1)
+            fused.reshape(m // 2, width, width * n_c)[...] += tables[
+                1::2
+            ].reshape(m // 2, 1, width * n_c)
+            tables = fused
+        chunks.append(tables)
+    return chunks, q_sq64.astype(dtype, copy=False)
+
+
+def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
+    """``(n_c, hi - lo)`` distances of one query chunk over columns ``[lo, hi)``.
+
+    Per block of rows: gather table 0 into a query-minor accumulator and add
+    the other tables left to right (``0 + x == x`` in IEEE, so this is
+    :func:`adc_distances`' accumulation, of entries :func:`scan_tables`
+    already scaled by −2); then ``(‖q‖² + ‖o‖²) − 2·cross`` is one
+    transposing add into the block's slab of the output — as ``−2·cross +
+    (‖q‖² + ‖o‖²)``, the same float operations with commuted operands,
+    hence the same bits — clamped at 0 while the slab is cache-resident.
+    """
+    columns, _, n_c = tables.shape
+    single = n_c == 1
+    if single:
+        tables = tables[:, :, 0]  # 1-D gathers: faster than (width, 1) rows
+    out = np.empty((n_c, hi - lo), dtype=tables.dtype)
+    rows = max(BLOCK_ELEMENTS // n_c, 1)
+    block = None if single else np.empty((min(rows, hi - lo), n_c), out.dtype)
+    for start in range(lo, hi, rows):
+        end = min(start + rows, hi)
+        d = out[:, start - lo : end - lo]
+        acc = d[0] if single else block[: end - start]
+        np.take(tables[0], codes_t[0, start:end], axis=0, out=acc, mode="clip")
+        for j in range(1, columns):
+            acc += tables[j].take(codes_t[j, start:end], axis=0, mode="clip")
+        np.add(acc.T, np.add.outer(q_sq, norms[start:end]), out=d)
+        np.maximum(d, 0.0, out=d)
     return out
 
 
-def scan_topk(lut, q_sq, codes_t, norms, lo, hi, k):
-    """Distances + tie-stable top-k of one code block, in ``lut``'s dtype.
+def scan_topk(tables, q_sq, codes_t, norms, lo, hi, k):
+    """Distances + tie-stable top-k of one code block, in the tables' dtype.
 
-    Returns ``(values, columns, scan_seconds, block_seconds)`` with columns
-    counted from 0 across the whole of ``codes_t`` (``lo`` included).
-    ``scan_seconds`` covers the table gather and distance assembly — the
-    work ``adc.scan.time_s`` measures — and ``block_seconds`` adds the
-    top-k selection. A ``+inf`` norm (a tombstoned row) scans at ``+inf``.
+    ``tables`` / ``q_sq`` come from :func:`scan_tables` and ``codes_t`` from
+    :func:`scan_codes` (or :func:`seal_scan_codes`): the gathers trust its
+    range. Returns ``(values, columns, scan_seconds, block_seconds)`` with
+    columns counted from 0 across the whole of ``codes_t`` (``lo``
+    included). ``scan_seconds`` covers the table gather and distance
+    assembly — the work ``adc.scan.time_s`` measures — and
+    ``block_seconds`` adds the top-k selection. A ``+inf`` norm (a
+    tombstoned row) scans at ``+inf``.
     """
     start = time.perf_counter()
-    cross = scan_block(lut, codes_t, lo, hi)
-    d = q_sq[:, None] + norms[lo:hi][None, :] - 2.0 * cross
-    np.maximum(d, 0.0, out=d)
-    scan_seconds = time.perf_counter() - start
-    local, vals = topk_tie_stable(d, k)
-    return vals, local + lo, scan_seconds, time.perf_counter() - start
+    scan_seconds = 0.0
+    values, columns = [], []
+    first = 0
+    for chunk in tables:
+        chunk_start = time.perf_counter()
+        last = first + chunk.shape[2]
+        d = _scan_distances(chunk, q_sq[first:last], codes_t, norms, lo, hi)
+        scan_seconds += time.perf_counter() - chunk_start
+        local, vals = topk_tie_stable(d, k)
+        values.append(vals)
+        columns.append(local)
+        first = last
+    return (
+        np.concatenate(values),
+        np.concatenate(columns) + lo,
+        scan_seconds,
+        time.perf_counter() - start,
+    )
 
 
 def merge_topk(
@@ -208,14 +390,26 @@ def merge_topk(
 def gather_distances(lut, q_sq, codes_t, norms, positions):
     """Eqn. 24 at ``(n_q, c)`` candidate ``positions``, in ``lut``'s dtype.
 
-    The same left-to-right accumulation as :func:`scan_block`, gathered at
-    arbitrary columns of ``codes_t`` / ``norms`` instead of a contiguous
+    The same left-to-right accumulation as :func:`adc_distances`, gathered
+    at arbitrary columns of ``codes_t`` / ``norms`` instead of a contiguous
     range — the IVF layer's probed-cell scan and every exact rerank.
+    ``lut`` is the row-major ``(n_q, M, K)`` table block; a ``codes_t``
+    with ``M/2`` columns is a pair-fused layout (:func:`scan_codes`), whose
+    joint codes are decoded here, at these few positions only.
     """
     rows = np.arange(len(positions))[:, None]
-    cross = lut[rows, 0, codes_t[0][positions]]
-    for j in range(1, len(codes_t)):
-        cross = cross + lut[rows, j, codes_t[j][positions]]
+    m, num_codewords = lut.shape[1:]
+    if len(codes_t) == m:
+        ids = [column[positions] for column in codes_t]
+    else:
+        ids = [
+            half
+            for column in codes_t
+            for half in divmod(column[positions], num_codewords)
+        ]
+    cross = lut[rows, 0, ids[0]]
+    for j in range(1, m):
+        cross = cross + lut[rows, j, ids[j]]
     d = q_sq[:, None] + norms[positions] - 2.0 * cross
     np.maximum(d, 0.0, out=d)
     return d

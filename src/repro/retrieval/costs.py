@@ -15,7 +15,7 @@ as the database grows; :func:`efficiency_sweep` reproduces that experiment.
 Two byte accountings coexist. The paper's *ideal* accounting charges
 ``M·log2(K)/8`` bytes per item — fractional bits, as if codes were
 entropy-packed. The engine actually stores one unsigned integer per
-codebook (:func:`repro.retrieval.engine.compact_code_dtype`: uint8 for
+codebook (:func:`repro.retrieval.adc.compact_code_dtype`: uint8 for
 K ≤ 256, uint16 up to 65536), so the *as-stored* accounting charges
 ``M · itemsize`` bytes per item and the two disagree for any K that is
 not a power of 256. :class:`StorageCost` reports both; budget decisions
@@ -39,10 +39,12 @@ import numpy as np
 from repro.retrieval.adc import (
     RERANK_PAD,
     adc_distances,
+    compact_code_dtype,
     encode_nearest,
+    fuses_pairs,
     reconstruct,
 )
-from repro.retrieval.engine import MIN_PARALLEL_CODES, compact_code_dtype
+from repro.retrieval.engine import MIN_PARALLEL_CODES
 from repro.retrieval.search import squared_distances
 
 FLOAT_BYTES = 4  # the paper counts float32 storage
@@ -275,6 +277,18 @@ class SearchConfig:
         probed = min(self.nprobe, self.num_cells)
         return self.n_db * probed / self.num_cells
 
+    @property
+    def fused(self) -> bool:
+        """Whether the exhaustive engine's float32 layout is pair-fused.
+
+        The same :func:`~repro.retrieval.adc.fuses_pairs` call
+        :class:`~repro.retrieval.engine.ShardedIndex` makes; an IVF scan
+        gathers per codebook whatever the flat layout is.
+        """
+        return not self.uses_ivf and fuses_pairs(
+            "float32", self.num_codebooks, self.num_codewords, self.n_db
+        )
+
     def effective_workers(self, n_queries: int = 1) -> int:
         """Pool width the exhaustive engine would actually dispatch with.
 
@@ -319,8 +333,11 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     (``num_cells·d``), the per-probed-cell walk (``min(nprobe, cells)``
     inverted lists gathered per query — fixed bookkeeping per cell that
     no op-count term covers), pruned candidates (``nprobe/num_cells`` of
-    the database), the LUT dtype (uint8 scans touch a quarter of the
-    bytes but pay a preselect+rerank, so it gets its own column),
+    the database), the gather passes the layout performs per candidate
+    (``M``, or ``M/2`` over a pair-fused flat layout, whose ``M/2·K²``
+    table-fusion adds join the LUT column), the LUT dtype (uint8 scans
+    touch a quarter of the bytes but pay a preselect+rerank, so it gets
+    its own column),
     worker-pool division of the scan, per-shard top-k merge, the float64
     rerank, and the query-side encode. The encode terms are per-mode
     columns (the fitted constant absorbs the input-feature width, which
@@ -329,13 +346,18 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     assignment scoring (``d·M·K``).
     """
     m = config.num_codebooks
-    scan_lookups = config.candidates * m / config.effective_workers(n_queries)
+    fused = config.fused
+    passes = m // 2 if fused else m
+    scan_lookups = config.candidates * passes / config.effective_workers(n_queries)
     uint8 = config.uses_ivf and config.lut_dtype == "uint8"
     shards = 1 if config.uses_ivf else min(config.num_shards, config.n_db)
     encode_gemm = float(config.dim * config.dim)
+    lut_ops = config.dim * m * config.num_codewords
+    if fused:
+        lut_ops += passes * config.num_codewords**2
     return np.array([
         1.0,
-        float(config.dim * m * config.num_codewords),
+        float(lut_ops),
         float(config.num_cells * config.dim) if config.uses_ivf else 0.0,
         float(min(config.nprobe, config.num_cells)) if config.uses_ivf else 0.0,
         0.0 if uint8 else scan_lookups,

@@ -5,39 +5,50 @@ one process, and a full ``(n_q, n_db)`` temporary per codebook. This module
 is the deployable version of the same Eqn. 24 arithmetic:
 
 - :class:`ShardedIndex` re-lays a :class:`~repro.retrieval.index.QuantizedIndex`
-  for scanning: codes transposed to ``(M, n_db)`` and stored in the narrowest
-  unsigned dtype ``K`` permits (uint8 for K ≤ 256, uint16 for K ≤ 65 536),
-  norms kept in both the scan dtype and float64, and the rows split into
-  contiguous shards.
+  for scanning (:func:`repro.retrieval.adc.scan_codes`): codes transposed to
+  ``(columns, n_db)`` — one column per codebook in the narrowest unsigned
+  dtype ``K`` permits (uint8 for K ≤ 256, uint16 for K ≤ 65 536), or, where
+  :func:`~repro.retrieval.adc.fuses_pairs` says the shape pays for it, one
+  column per codebook *pair* holding the joint code ``c_{2j}·K + c_{2j+1}``
+  in the dtype twice as wide (the same bytes per item) — range-checked once
+  and frozen, norms kept in both the scan dtype and float64, and the rows
+  split into contiguous shards.
 - :class:`QueryEngine` is the flat block provider of the shared ADC stages
-  (:mod:`repro.retrieval.adc`): it casts the batch's lookup tables to the
-  scan dtype, scans each shard with the blocked gather-accumulate kernel,
+  (:mod:`repro.retrieval.adc`): it lays the batch's lookup tables out for
+  the layout (:func:`~repro.retrieval.adc.scan_tables`: scan dtype,
+  query-minor, pair-summed for a fused layout), scans each shard with the
+  one gather-accumulate kernel (:func:`~repro.retrieval.adc.scan_topk`),
   reduces every shard to tie-stable top-k candidates, and merges candidates
   across shards with the tie-stable reduction (distance first, global index
   second — exactly the order a full stable argsort of the serial distance
   matrix produces).
 - Shards can be scanned by a ``multiprocessing`` pool whose workers attach to
-  shared-memory code/norm buffers, so the database is materialised once per
-  machine, not once per worker. The pool engages only when it can pay:
+  shared-memory code/norm buffers (re-verifying the code range as they do),
+  so the database is materialised once per machine, not once per worker.
+  The pool engages only when it can pay:
   ``min(workers, cpu_count, num_shards) > 1`` and the batch clears
   ``min_parallel_codes`` of scan work (``parallel="force"`` overrides, which
   is what the smoke test uses; ``parallel="never"`` pins in-process).
 
-Exactness. With ``dtype=np.float64`` the kernel reproduces the reference
-scan's summation order, so distances and rankings are *identical* to the
-serial path. The default ``dtype=np.float32`` scans in float32 for
-throughput, then (``rerank=True``) re-scores the merged candidate pool —
-each shard contributes ``k + RERANK_PAD`` candidates — against the float64
-tables, which restores serial-exact rankings unless float32 error exceeds
-the true distance gap for ``RERANK_PAD`` items at once (never observed;
+Exactness. With ``dtype=np.float64`` the layout is never fused and the
+kernel reproduces the reference scan's summation order, so distances and
+rankings are *identical* to the serial path. The default
+``dtype=np.float32`` scans in float32 for throughput — over fused tables
+when the layout is fused, which changes only float32 rounding — then
+(``rerank=True``) re-scores the merged candidate pool — each shard
+contributes ``k + RERANK_PAD`` candidates — against the float64 tables
+(joint codes decoded with ``divmod(code, K)`` at those positions), which
+restores serial-exact rankings unless float32 error exceeds the true
+distance gap for ``RERANK_PAD`` items at once (never observed;
 property-tested across seeds). With ``rerank=False`` rankings follow raw
 float32 distances: within float32 tolerance of serial, top-k sets identical
 on the benchmark profiles.
 
 Observability: the engine feeds the same ``adc.lut.build_time_s`` /
 ``adc.scan.time_s`` / ``adc.scan.codes_per_s`` instruments as the serial
-scan (so ``repro bench`` reads speedups off one metric), plus the
-``engine.*`` family catalogued in :mod:`repro.obs.names`.
+scan (``codes_per_s`` counts the logical ``n_q·n·M`` lookups whatever the
+layout gathers, so one metric compares every path), plus the ``engine.*``
+family catalogued in :mod:`repro.obs.names`.
 """
 
 from __future__ import annotations
@@ -55,10 +66,15 @@ from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
     cast_tables,
+    compact_code_dtype,
+    fuses_pairs,
     merge_topk,
     query_tables,
     rerank_exact,
+    scan_codes,
+    scan_tables,
     scan_topk,
+    seal_scan_codes,
 )
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import DEFAULT_CAPACITY as LUT_CACHE_CAPACITY
@@ -83,19 +99,6 @@ __all__ = [
 #: dispatch keeps the batch in-process — pool IPC costs milliseconds, and a
 #: batch this small scans in less.
 MIN_PARALLEL_CODES = 2_000_000
-
-
-def compact_code_dtype(num_codewords: int) -> np.dtype:
-    """Narrowest unsigned dtype that can hold codeword ids below ``K``."""
-    if num_codewords <= 0:
-        raise ValueError("num_codewords must be positive")
-    if num_codewords <= 2**8:
-        return np.dtype(np.uint8)
-    if num_codewords <= 2**16:
-        return np.dtype(np.uint16)
-    if num_codewords <= 2**32:
-        return np.dtype(np.uint32)
-    return np.dtype(np.uint64)
 
 
 def shard_bounds(n_items: int, num_shards: int) -> list[tuple[int, int]]:
@@ -124,26 +127,33 @@ def _attach(name, shape, dtype):
     return shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
 
 
-def _init_worker(codes_name, codes_shape, codes_dtype, norms_name, norms_dtype):
+def _init_worker(
+    codes_name, codes_shape, codes_dtype, table_width, norms_name, norms_dtype
+):
     codes_shm, codes_t = _attach(codes_name, codes_shape, codes_dtype)
     norms_shm, norms = _attach(norms_name, (codes_shape[1],), norms_dtype)
-    _WORKER["codes_t"] = codes_t
+    _WORKER["codes_t"] = seal_scan_codes(codes_t, table_width)
     _WORKER["norms"] = norms
     _WORKER["shms"] = (codes_shm, norms_shm)  # keep buffers alive
 
 
 def _pool_scan_shard(args):
     lut, q_sq, lo, hi, k = args
-    return scan_topk(lut, q_sq, _WORKER["codes_t"], _WORKER["norms"], lo, hi, k)
+    codes_t = _WORKER["codes_t"]
+    tables, q_sq = scan_tables(lut, q_sq, lut.dtype, len(codes_t) < lut.shape[1])
+    return scan_topk(tables, q_sq, codes_t, _WORKER["norms"], lo, hi, k)
 
 
 class ShardedIndex:
     """A :class:`QuantizedIndex` re-laid for sharded scanning.
 
-    Codes are transposed to ``(M, n_db)`` (each codebook's column becomes a
-    contiguous row — the scan gathers one codebook at a time) and narrowed to
-    :func:`compact_code_dtype`; norms are kept in the scan dtype and, for
-    the exact rerank, float64. ``bounds`` are the contiguous row shards.
+    ``codes_t`` is the frozen :func:`~repro.retrieval.adc.scan_codes`
+    layout: ``(M, n_db)`` compact codeword ids, or — when ``fused``, decided
+    here from ``(scan_dtype, M, K, n_db)`` by
+    :func:`~repro.retrieval.adc.fuses_pairs` and by nothing else —
+    ``(M/2, n_db)`` joint pair codes indexing ``table_width = K²``-entry
+    fused tables. Norms are kept in the scan dtype and, for the exact
+    rerank, float64. ``bounds`` are the contiguous row shards.
     """
 
     def __init__(
@@ -159,8 +169,10 @@ class ShardedIndex:
         self.num_codewords = index.num_codewords
         self.dim = index.dim
         self.scan_dtype = scan_dtype
-        self.code_dtype = compact_code_dtype(index.num_codewords)
-        self.codes_t = np.ascontiguousarray(index.codes.T.astype(self.code_dtype))
+        self.fused = fuses_pairs(
+            scan_dtype, index.num_codebooks, index.num_codewords, len(index)
+        )
+        self.codes_t = scan_codes(index.codes, index.num_codewords, self.fused)
         self.norms64 = np.ascontiguousarray(index.db_sq_norms, dtype=np.float64)
         self.norms = self.norms64.astype(scan_dtype)
         self.codebooks64 = np.ascontiguousarray(index.codebooks, dtype=np.float64)
@@ -172,6 +184,11 @@ class ShardedIndex:
     @property
     def num_shards(self) -> int:
         return len(self.bounds)
+
+    @property
+    def table_width(self) -> int:
+        """Entries of each lookup table ``codes_t`` indexes: ``K``, or ``K²``."""
+        return self.num_codewords ** (2 if self.fused else 1)
 
     @property
     def nbytes(self) -> int:
@@ -415,7 +432,7 @@ class QueryEngine(SearchSurface):
             norms_view[:] = sharded.norms
             # Scan from the shared buffers in-parent too, so both paths read
             # the same memory and the per-worker copies never exist.
-            sharded.codes_t = codes_view
+            sharded.codes_t = seal_scan_codes(codes_view, sharded.table_width)
             sharded.norms = norms_view
         codes_shm, norms_shm = self._shms
         self._pool = ctx.Pool(
@@ -425,6 +442,7 @@ class QueryEngine(SearchSurface):
                 codes_shm.name,
                 sharded.codes_t.shape,
                 sharded.codes_t.dtype,
+                sharded.table_width,
                 norms_shm.name,
                 sharded.norms.dtype,
             ),
@@ -514,7 +532,6 @@ class QueryEngine(SearchSurface):
         n_db = len(sharded)
         n_q = len(queries)
         lut64, q_sq64 = tables
-        lut, q_sq = cast_tables(lut64, q_sq64, sharded.scan_dtype)
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
 
@@ -524,18 +541,15 @@ class QueryEngine(SearchSurface):
         shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
         use_pool = self._use_pool(n_q)
         self.last_dispatch = "process-pool" if use_pool else "in-process"
-        # Sharding exists to feed pool workers. When the batch stays
-        # in-process, splitting work one process will do serially only adds
-        # per-shard top-k and kernel-launch overhead, so the scan coalesces
-        # to a single full-range shard (the blocked kernel already bounds
-        # peak memory). Results are identical either way: row accumulation
-        # is independent of shard boundaries, and the merge is tie-stable.
-        bounds = sharded.bounds if use_pool else [(0, n_db)]
-        tasks = [
-            (lut, q_sq, lo, hi, min(shard_k, hi - lo)) for lo, hi in bounds
-        ]
         fell_back = False
         if use_pool:
+            # Tasks carry the compact row-major tables; each worker lays
+            # them out for the scan itself (fused tables are K/2 times the bytes).
+            lut, q_sq = cast_tables(lut64, q_sq64, sharded.scan_dtype)
+            tasks = [
+                (lut, q_sq, lo, hi, min(shard_k, hi - lo))
+                for lo, hi in sharded.bounds
+            ]
             try:
                 pool = self._ensure_pool()
                 results = pool.map_async(_pool_scan_shard, tasks).get(
@@ -553,12 +567,18 @@ class QueryEngine(SearchSurface):
                     raise  # KeyboardInterrupt and friends propagate
                 fell_back = True
                 self.last_dispatch = "in-process-fallback"
-                tasks = [(lut, q_sq, 0, n_db, min(shard_k, n_db))]
         if not use_pool or fell_back:
+            # Sharding exists to feed pool workers. In-process, splitting
+            # work one process does serially only adds per-shard top-k
+            # overhead, so the scan is one full-range block (the kernel's
+            # query chunks already bound peak memory). Results are identical
+            # either way: row accumulation is independent of shard
+            # boundaries, and the merge is tie-stable.
             results = [
-                scan_topk(lut, q_sq, sharded.codes_t, sharded.norms, lo, hi,
-                          shard_k_i)
-                for (lut, q_sq, lo, hi, shard_k_i) in tasks
+                scan_topk(
+                    *scan_tables(lut64, q_sq64, sharded.scan_dtype, sharded.fused),
+                    sharded.codes_t, sharded.norms, 0, n_db, shard_k,
+                )
             ]
         served_by_pool = use_pool and not fell_back
         scan_elapsed = time.perf_counter() - scan_start if obs.enabled else 0.0

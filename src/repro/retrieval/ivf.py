@@ -55,6 +55,7 @@ from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
     cast_tables,
+    compact_code_dtype,
     gather_distances,
     merge_topk,
     query_tables,
@@ -198,8 +199,6 @@ class IVFIndex(SearchSurface):
         entirely. Pass ``centroids`` to skip training and use a fixed
         coarse codebook (tests use this to force empty cells).
         """
-        from repro.retrieval.engine import compact_code_dtype
-
         obs = get_obs()
         build_start = time.perf_counter()
         n_db = len(index)

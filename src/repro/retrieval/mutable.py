@@ -57,6 +57,8 @@ from repro.retrieval.adc import (
     merge_topk,
     query_tables,
     reconstruct,
+    scan_codes,
+    scan_tables,
     scan_topk,
 )
 from repro.retrieval.index import QuantizedIndex
@@ -160,7 +162,10 @@ class Segment:
     index) breaks them by external id — the invariant the cross-segment
     merge and the rebuild-parity contract rest on. ``dead`` is the
     tombstone mask; ``scan_norms`` bakes it in as ``+inf`` norms so the
-    scan itself needs no masking pass.
+    scan itself needs no masking pass. ``codes_t`` is the frozen
+    :func:`~repro.retrieval.adc.scan_codes` layout of ``codes`` — unfused,
+    since segments scan in float64 — laid out once at seal time and shared
+    by every copy-on-write tombstoning of the segment.
     """
 
     codes: np.ndarray
@@ -168,6 +173,7 @@ class Segment:
     ids: np.ndarray
     labels: np.ndarray | None
     dead: np.ndarray
+    codes_t: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     scan_norms: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     n_dead: int = 0
 
@@ -179,8 +185,14 @@ class Segment:
         ids: np.ndarray,
         labels: np.ndarray | None = None,
         dead: np.ndarray | None = None,
+        *,
+        num_codewords: int,
     ) -> "Segment":
-        """Sort rows by external id and freeze the segment."""
+        """Sort rows by external id and freeze the segment.
+
+        ``num_codewords`` is the ``K`` the codes index: the scan layout is
+        range-checked against it here, once.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64)[order])
@@ -192,10 +204,12 @@ class Segment:
             dead = np.zeros(len(ids), dtype=bool)
         else:
             dead = np.asarray(dead, dtype=bool)[order]
-        return cls._assemble(codes, norms, ids, labels, dead)
+        return cls._assemble(
+            codes, norms, ids, labels, dead, scan_codes(codes, num_codewords)
+        )
 
     @classmethod
-    def _assemble(cls, codes, norms, ids, labels, dead) -> "Segment":
+    def _assemble(cls, codes, norms, ids, labels, dead, codes_t) -> "Segment":
         scan_norms = np.where(dead, np.inf, norms)
         return cls(
             codes=codes,
@@ -203,6 +217,7 @@ class Segment:
             ids=ids,
             labels=labels,
             dead=dead,
+            codes_t=codes_t,
             scan_norms=scan_norms,
             n_dead=int(dead.sum()),
         )
@@ -212,7 +227,7 @@ class Segment:
         dead = self.dead.copy()
         dead[rows] = True
         return type(self)._assemble(
-            self.codes, self.norms, self.ids, self.labels, dead
+            self.codes, self.norms, self.ids, self.labels, dead, self.codes_t
         )
 
     def __len__(self) -> int:
@@ -305,6 +320,7 @@ class MutableIndex(SearchSurface):
             np.empty(0, dtype=np.float64),
             np.empty(0, dtype=np.int64),
             labels=None,
+            num_codewords=self.num_codewords,
         )
         self._gen = _Generation(number=0, segments=(empty_base,))
         self._lock = threading.Lock()
@@ -342,7 +358,8 @@ class MutableIndex(SearchSurface):
         mutable = cls(index.codebooks, **kwargs)
         with mutable._lock:
             base = Segment.seal(
-                index.codes, index.db_sq_norms, ids, labels=index.labels
+                index.codes, index.db_sq_norms, ids, labels=index.labels,
+                num_codewords=index.num_codewords,
             )
             mutable._install_generation(
                 _Generation(number=1, segments=(base,)), rebuild_engine=True
@@ -501,7 +518,10 @@ class MutableIndex(SearchSurface):
             reconstructions = reconstruct(codes, self.codebooks)
             norms = (reconstructions**2).sum(axis=1)
             self._update_drift(vectors, reconstructions)
-            segment = Segment.seal(codes, norms, ids, labels=labels)
+            segment = Segment.seal(
+                codes, norms, ids, labels=labels,
+                num_codewords=self.num_codewords,
+            )
             gen = self._gen
             position = len(gen.segments)
             self._install_generation(
@@ -652,7 +672,9 @@ class MutableIndex(SearchSurface):
             tables = query_tables(queries, self.codebooks)
         else:
             tables = engine.tables(queries, nprobe)
-        lut64, q_sq64 = tables
+        # Sealed segments scan in float64 (the reference summation order),
+        # so one query-minor float64 layout serves all of them.
+        segment_tables = None
 
         id_blocks: list[np.ndarray] = []
         dist_blocks: list[np.ndarray] = []
@@ -669,10 +691,11 @@ class MutableIndex(SearchSurface):
                 )
                 dists = np.where(segment.dead[rows], np.inf, dists)
             else:
-                # The float64 kernel has the reference summation order, and
-                # a segment's id-sorted rows make its column order id order.
+                # A segment's id-sorted rows make its column order id order.
+                if segment_tables is None:
+                    segment_tables = scan_tables(*tables, np.float64)
                 dists, rows, _, _ = scan_topk(
-                    lut64, q_sq64, segment.codes.T, segment.scan_norms,
+                    *segment_tables, segment.codes_t, segment.scan_norms,
                     0, len(segment), min(k_eff, len(segment)),
                 )
             id_blocks.append(segment.ids[rows])
@@ -722,7 +745,9 @@ class MutableIndex(SearchSurface):
             labels = np.concatenate(
                 [s.labels[~s.dead] for s in gen.segments if len(s)]
             )
-        return Segment.seal(codes, norms, ids, labels=labels)
+        return Segment.seal(
+            codes, norms, ids, labels=labels, num_codewords=self.num_codewords
+        )
 
     def _install_generation(
         self, gen: _Generation, *, rebuild_engine: bool

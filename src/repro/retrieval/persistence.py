@@ -258,6 +258,7 @@ def load_mutable_index(path: str, *, engine_kwargs: dict | None = None):
                 np.asarray(members["ids"], dtype=np.int64),
                 labels=labels,
                 dead=np.asarray(members["dead"], dtype=bool),
+                num_codewords=k,
             )
         )
     state = np.asarray(arrays["state"], dtype=np.int64).reshape(-1)

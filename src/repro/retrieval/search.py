@@ -272,6 +272,62 @@ def hamming_distances(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarr
     return (bits - query_codes @ db_codes.T) / 2.0
 
 
+#: Strided lanes of the hierarchical top-k: a row is read as ``LANES`` slabs
+#: of ``w // LANES`` columns and group ``g`` is column ``g`` of every slab.
+TOPK_LANES = 64
+
+#: Narrowest row (in groups per lane) the hierarchical path takes: below it
+#: the per-row bookkeeping costs more than one ``argpartition`` of the row.
+TOPK_MIN_GROUPS = 128
+
+
+def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest of a 1-D array, in stable order.
+
+    Everything strictly below the k-th value plus the lowest-index entries
+    tied with it: a partition and two masks, and a sort of ``k`` entries —
+    never of the row, however many entries share the k-th value.
+    """
+    kth = np.partition(values, k - 1)[k - 1]
+    less = np.flatnonzero(values < kth)
+    ties = np.flatnonzero(values == kth)[: k - len(less)]
+    pick = np.concatenate([less, ties])
+    return pick[np.argsort(values[pick], kind="stable")]
+
+
+def _topk_hierarchical(distances: np.ndarray, k: int):
+    """Tie-stable top-k of wide rows through strided group minima.
+
+    Group ``g`` holds columns ``g, g + ng, g + 2·ng, …`` (``ng = w //
+    TOPK_LANES``), so the minima are an elementwise minimum of contiguous
+    slabs. At least ``k`` groups have a minimum ``<= tau``, the k-th
+    smallest group minimum, hence at least ``k`` entries are ``<= tau`` and
+    the k-th smallest entry is too: every entry of the answer — ties with
+    the k-th value included — lies in a group whose minimum is ``<= tau``
+    (or in the ``w % TOPK_LANES`` tail columns). Those few groups are
+    gathered in ascending column order and reduced by
+    :func:`_smallest_stable`. Returns ``None`` when a row holds NaN, which
+    a minimum cannot order.
+    """
+    n, w = distances.shape
+    ng = w // TOPK_LANES
+    main = ng * TOPK_LANES
+    group_min = distances[:, :main].reshape(n, TOPK_LANES, ng).min(axis=1)
+    tail = np.arange(main, w)
+    if np.isnan(group_min).any() or np.isnan(distances[:, main:]).any():
+        return None
+    tau = np.partition(group_min, k - 1, axis=1)[:, k - 1]
+    lanes = (np.arange(TOPK_LANES) * ng)[:, None]
+    indices = np.empty((n, k), dtype=np.int64)
+    for r in range(n):
+        row = distances[r]
+        cols = (np.flatnonzero(group_min[r] <= tau[r]) + lanes).ravel()
+        cols = np.concatenate([cols, tail])
+        cols = cols[row[cols] <= tau[r]]
+        indices[r] = cols[_smallest_stable(row[cols], k)]
+    return indices, distances[np.arange(n)[:, None], indices]
+
+
 def topk_tie_stable(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row indices and values of the ``k`` smallest entries, tie-stable.
 
@@ -279,33 +335,39 @@ def topk_tie_stable(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     stable ascending argsort produces — so duplicated distances always
     resolve to the lower index, independent of how the selection was
     partitioned. Returns ``(indices, values)`` of shape ``(n, min(k, w))``.
+
+    Wide rows (an ADC scan's) go through :func:`_topk_hierarchical`; narrow
+    ones through one ``argpartition``, whose arbitrary pick among entries
+    tied with the k-th value is repaired per row by
+    :func:`_smallest_stable`. Neither sorts more than ``k`` entries of a
+    row.
     """
     distances = np.asarray(distances)
     n, w = distances.shape
     k = max(0, min(k, w))
-    rows = np.arange(n)[:, None]
     if k == 0:
         return (np.empty((n, 0), dtype=np.int64),
                 np.empty((n, 0), dtype=distances.dtype))
+    rows = np.arange(n)[:, None]
     if k == w:
         order = np.argsort(distances, axis=1, kind="stable")
         return order, distances[rows, order]
+    if w // TOPK_LANES >= max(2 * k, TOPK_MIN_GROUPS):
+        found = _topk_hierarchical(distances, k)
+        if found is not None:
+            return found
     part = np.argpartition(distances, k - 1, axis=1)[:, :k]
     vals = distances[rows, part]
     order = np.lexsort((part, vals), axis=-1)
-    part = part[rows, order]
+    part = part[rows, order].astype(np.int64, copy=False)
     vals = vals[rows, order]
-    # argpartition picks an *arbitrary* subset of entries tied with the k-th
-    # value; rows where that tie extends past the selection need the stable
-    # choice (lowest indices) restored.
-    boundary = vals[:, -1]
-    in_row = (distances == boundary[:, None]).sum(axis=1)
-    in_sel = (vals == boundary[:, None]).sum(axis=1)
+    boundary = vals[:, -1:]
+    in_row = (distances == boundary).sum(axis=1)
+    in_sel = (vals == boundary).sum(axis=1)
     for r in np.nonzero(in_row > in_sel)[0]:
-        full = np.argsort(distances[r], kind="stable")[:k]
-        part[r] = full
-        vals[r] = distances[r, full]
-    return part.astype(np.int64, copy=False), vals
+        part[r] = _smallest_stable(distances[r], k)
+        vals[r] = distances[r, part[r]]
+    return part, vals
 
 
 def rank_by_distance(distances: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -111,6 +111,56 @@ class TestShardedIndex:
         assert sharded.codes_t.shape == (index.num_codebooks, len(index))
         assert np.array_equal(sharded.codes_t.T, index.codes)
 
+    def test_fused_layout_keeps_the_bytes(self):
+        # Even M and 4·K² = 64 rows: joint pair codes, two bytes a pair.
+        index, _ = make_index(m=4, k_words=4)
+        plain = ShardedIndex(index, num_shards=1, scan_dtype=np.float64)
+        fused = ShardedIndex(index, num_shards=1)
+        assert fused.fused and not plain.fused
+        assert fused.codes_t.shape == (2, len(index))
+        assert fused.table_width == 16 and plain.table_width == 4
+        assert fused.nbytes - fused.norms.nbytes == plain.codes_t.nbytes
+
+    @pytest.mark.parametrize("k_words", [4, 16], ids=["fused", "unfused"])
+    def test_out_of_range_code_is_rejected_at_construction(self, k_words):
+        # The scan gathers without a per-call range check; an index whose
+        # codes were damaged after validation must not get a layout.
+        index, _ = make_index(m=4, k_words=k_words)
+        index.codes[7, 2] = k_words
+        with pytest.raises(ValueError, match="out of codebook range"):
+            ShardedIndex(index, num_shards=1)
+
+    def test_out_of_range_code_is_rejected_at_worker_attach(self):
+        from multiprocessing import shared_memory
+
+        from repro.retrieval import engine as engine_module
+
+        sharded = ShardedIndex(make_index(m=4, k_words=4)[0], num_shards=1)
+        codes_shm = shared_memory.SharedMemory(create=True, size=sharded.codes_t.nbytes)
+        norms_shm = shared_memory.SharedMemory(create=True, size=sharded.norms.nbytes)
+        view = np.ndarray(sharded.codes_t.shape, sharded.codes_t.dtype,
+                          buffer=codes_shm.buf)
+        try:
+            view[:] = sharded.codes_t
+            args = (codes_shm.name, view.shape, view.dtype, sharded.table_width,
+                    norms_shm.name, sharded.norms.dtype)
+            engine_module._init_worker(*args)
+            attached = engine_module._WORKER["codes_t"]
+            assert np.array_equal(attached, sharded.codes_t)
+            assert not attached.flags.writeable
+            view[1, 5] = sharded.table_width  # corrupt the shared buffer
+            with pytest.raises(ValueError, match="16-entry lookup table"):
+                engine_module._init_worker(*args)
+        finally:
+            # Drop every array over the buffers before closing them.
+            view = attached = None
+            handles = engine_module._WORKER.pop("shms", ())
+            engine_module._WORKER.clear()
+            for shm in (*handles, codes_shm, norms_shm):
+                shm.close()
+            codes_shm.unlink()
+            norms_shm.unlink()
+
     def test_matches_geometry(self):
         index, _ = make_index()
         other, _ = make_index(seed=1, n_db=50)

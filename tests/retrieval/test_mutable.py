@@ -389,7 +389,7 @@ class TestSegmentInternals:
         codes = rng.integers(0, 4, size=(5, 2))
         norms = rng.random(5)
         ids = np.array([30, 10, 50, 20, 40])
-        segment = Segment.seal(codes, norms, ids, labels=None)
+        segment = Segment.seal(codes, norms, ids, labels=None, num_codewords=4)
         assert segment.ids.tolist() == [10, 20, 30, 40, 50]
         assert segment.n_live == 5 and segment.n_dead == 0
 
@@ -400,6 +400,7 @@ class TestSegmentInternals:
             rng.random(4),
             np.arange(4),
             labels=None,
+            num_codewords=4,
         )
         dead = segment.with_dead(np.array([1, 3]))
         assert dead.n_dead == 2 and dead.n_live == 2
@@ -407,3 +408,17 @@ class TestSegmentInternals:
         assert np.isfinite(dead.scan_norms[[0, 2]]).all()
         # Copy-on-write: the original segment is untouched.
         assert segment.n_dead == 0
+        # ... and the scan layout is shared, not rebuilt per tombstoning.
+        assert dead.codes_t is segment.codes_t
+
+    def test_scan_layout_is_sealed_once_compact_and_contiguous(self):
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 4, size=(6, 3))
+        ids = np.array([5, 3, 4, 0, 2, 1])
+        segment = Segment.seal(codes, rng.random(6), ids, num_codewords=4)
+        assert segment.codes_t.dtype == np.uint8
+        assert segment.codes_t.flags.c_contiguous
+        assert not segment.codes_t.flags.writeable
+        assert np.array_equal(segment.codes_t.T, segment.codes)
+        with pytest.raises(ValueError, match="out of codebook range"):
+            Segment.seal(codes + 1, rng.random(6), ids, num_codewords=4)

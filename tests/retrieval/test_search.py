@@ -8,6 +8,7 @@ from repro.retrieval.search import (
     hamming_distances,
     rank_by_distance,
     squared_distances,
+    topk_tie_stable,
 )
 
 
@@ -86,3 +87,56 @@ class TestRanking:
         assert exhaustive_search(no_queries, db).shape == (0, 30)
         assert exhaustive_search(no_queries, db, k=99).shape == (0, 30)
         assert exhaustive_search(no_queries, db, k=7).dtype == np.int64
+
+
+class TestTopkBoundaryTies:
+    """A k-th value duplicated outside the selection used to trigger a
+    stable argsort of the whole row (10 ms on a 100k-wide row)."""
+
+    @staticmethod
+    def planted(width, k, dtype):
+        # Distinct values, then the k-th smallest copied to far-apart columns:
+        # ties inside, at and beyond the selection boundary.
+        rng = np.random.default_rng(width)
+        rows = rng.permutation(3 * width).reshape(3, width).astype(dtype)
+        for row in rows:
+            kth = np.partition(row, k - 1)[k - 1]
+            row[rng.choice(width, size=6, replace=False)] = kth
+        return rows
+
+    @pytest.mark.parametrize("width", [500, 100_000], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_stable_argsort_without_sorting_the_row(
+        self, width, dtype, monkeypatch
+    ):
+        k = 18
+        distances = self.planted(width, k, dtype)
+        want = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        sorted_widths = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorted_widths.append(np.shape(a)[-1])
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        indices, values = topk_tie_stable(distances, k)
+        assert np.array_equal(indices, want)
+        assert np.array_equal(values, np.take_along_axis(distances, want, axis=1))
+        assert sorted_widths and max(sorted_widths) <= k
+
+    def test_nan_rows_fall_back_to_argsort_order(self):
+        # A minimum cannot order NaN, so the hierarchical path declines.
+        rng = np.random.default_rng(0)
+        distances = rng.random((2, 20_000))
+        distances[0, [5, 9_000]] = np.nan
+        want = np.argsort(distances, axis=1, kind="stable")[:, :10]
+        assert np.array_equal(topk_tie_stable(distances, 10)[0], want)
+
+    def test_mostly_infinite_wide_row(self):
+        # Fewer finite groups than k: every +inf ties at the boundary.
+        distances = np.full((1, 50_000), np.inf)
+        distances[0, [40_000, 7, 123]] = [1.0, 2.0, 2.0]
+        indices, values = topk_tie_stable(distances, 6)
+        assert indices.tolist() == [[40_000, 7, 123, 0, 1, 2]]
+        assert values.tolist() == [[1.0, 2.0, 2.0, np.inf, np.inf, np.inf]]

@@ -1,7 +1,9 @@
 """One contract table for every search surface, in both call forms.
 
-``QuantizedIndex``, ``QueryEngine`` (float32+rerank, float64, and with an
-IVF layer), ``IVFIndex`` and ``MutableIndex`` (bare and engine-backed) all
+``QuantizedIndex``, ``QueryEngine`` (float32+rerank, float64, with an IVF
+layer, and over a pair-fused layout both in-process and through the
+shared-memory pool), ``IVFIndex`` and ``MutableIndex`` (bare and
+engine-backed) all
 run the same validate → LUT → scan → rerank → merge stages, so the same
 inputs must give the same shapes, dtypes and exception types whichever
 surface and whichever form — ``search_with_distances(queries, k, ...)`` or
@@ -21,6 +23,7 @@ from repro.retrieval import (
     QuantizedIndex,
     QueryEngine,
     SearchRequest,
+    ShardedIndex,
     adc_distances,
 )
 
@@ -33,8 +36,10 @@ WITH_IVF = {"engine+ivf", "ivf", "mutable+engine"}
 WITH_BYPASS = {"engine+ivf", "mutable+engine"}
 SURFACES = (
     "index", "engine", "engine-f64", "engine+ivf", "ivf", "mutable",
-    "mutable+engine",
+    "mutable+engine", "engine-fused", "engine-fused-pool",
 )
+#: K of the fused surfaces' own index: ``4·K²`` = 64 rows already fuse.
+FUSED_K = 4
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,19 @@ def world():
             index, engine_kwargs={"ivf": CELLS, "parallel": "never"}
         ),
     }
+    # A pair-fused layout needs an even M and 4·K² rows; K=4 keeps it cheap
+    # (and 150 rows over 256 possible codes plant duplicate rows, i.e. ties).
+    fused_index = QuantizedIndex.build(
+        rng.normal(size=(4, FUSED_K, DIM)), rng.normal(size=(150, DIM))
+    )
+    surfaces["fused-index"] = fused_index
+    surfaces["engine-fused"] = QueryEngine(fused_index, parallel="never")
+    surfaces["engine-fused-pool"] = QueryEngine(
+        fused_index, workers=2, num_shards=2, parallel="force"
+    )
+    for name in ("engine-fused", "engine-fused-pool"):
+        assert surfaces[name].sharded.fused
+        assert surfaces[name].sharded.codes_t.dtype == np.uint16
     # Give the mutable surfaces something to merge and something to mask.
     extra = rng.normal(size=(20, DIM))
     for name in ("mutable", "mutable+engine"):
@@ -78,7 +96,7 @@ def oracle(surfaces, name, queries, k):
     if name.startswith("mutable"):
         index, ids = surfaces[name].rebuild()
     else:
-        index = surfaces["index"]
+        index = surfaces["fused-index" if "fused" in name else "index"]
         ids = np.arange(len(index))
     distances = adc_distances(
         queries, index.codes, index.codebooks, db_sq_norms=index.db_sq_norms
@@ -170,3 +188,33 @@ def test_encoder_hint_is_refused(world, name):
     surfaces, queries = world
     with pytest.raises(ValueError, match="encoder"):
         surfaces[name].search(SearchRequest(queries, k=5, encoder="light"))
+
+
+def test_pool_surface_was_served_by_the_pool(world):
+    surfaces, queries = world
+    engine = surfaces["engine-fused-pool"]
+    engine.search_with_distances(queries, 5)
+    assert engine.last_dispatch == "process-pool"
+
+
+@pytest.mark.parametrize("rows, fused", [(4 * FUSED_K**2 - 1, False), (4 * FUSED_K**2, True)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_either_side_of_the_fusion_boundary(rows, fused, dtype):
+    """``len >= 4·K²`` flips a float32 layout to joint codes; the answer
+    does not move, and a float64 layout never fuses."""
+    rng = np.random.default_rng(rows)
+    index = QuantizedIndex.build(
+        rng.normal(size=(4, FUSED_K, DIM)), rng.normal(size=(rows, DIM))
+    )
+    sharded = ShardedIndex(index, 1, scan_dtype=dtype)
+    assert sharded.fused == (fused and dtype is np.float32)
+    assert len(sharded.codes_t) == (2 if sharded.fused else 4)
+    queries = rng.normal(size=(5, DIM))
+    with QueryEngine(sharded, parallel="never") as engine:
+        ids, distances = engine.search_with_distances(queries, 10)
+    want = adc_distances(
+        queries, index.codes, index.codebooks, db_sq_norms=index.db_sq_norms
+    )
+    order = np.argsort(want, axis=1, kind="stable")[:, :10]
+    assert np.array_equal(ids, order)
+    assert np.array_equal(distances, want[np.arange(5)[:, None], order])

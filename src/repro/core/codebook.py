@@ -219,8 +219,13 @@ class CodebookChain(Module):
         Hashing the raw bytes (rather than tracking an explicit version
         counter) catches both in-place optimizer updates — which keep the
         same arrays — and ``load_state_dict``, which rebinds them. The
-        digest covers ~``M·K·d`` floats, far cheaper than the ``M − 1``
-        FFN matmuls a materialization costs.
+        digest covers every chain parameter, FFN weights included: 0.5 ms
+        at ``M=8, K=64, d=32`` and 2.0–2.5 ms at ``M=8, K=128, d=64``
+        (1.45 MB), about what an encode of 512 rows costs. A caller with a
+        loop inside which the parameters cannot change — a chunked encode,
+        a fit against a frozen teacher — resolves
+        :meth:`materialize_cached` once outside it and hands the array
+        down (``DSQ.encode(..., _stacked=)``).
         """
         digest = hashlib.blake2b(digest_size=16)
         for param in self.parameters():

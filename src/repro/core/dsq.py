@@ -313,7 +313,9 @@ class DSQ(Module):
             soft_assignments=[Tensor(soft[k]) for k in range(num_books)],
         )
 
-    def encode(self, embeddings: np.ndarray) -> np.ndarray:
+    def encode(
+        self, embeddings: np.ndarray, *, _stacked: np.ndarray | None = None
+    ) -> np.ndarray:
         """Hard codes for raw feature rows, without building a graph.
 
         For the fused-eligible similarities this runs a dedicated batched
@@ -324,21 +326,29 @@ class DSQ(Module):
         :meth:`forward` under the same fused-vs-reference contract (exact
         op-order mirroring; ties agree up to the documented ~1e-16 STE
         residue of the reference decode).
+
+        Each call checks the chain's parameters for change
+        (:meth:`CodebookChain.materialize_cached` — a hash of every
+        parameter). A caller encoding many chunks between which they cannot
+        change resolves :meth:`materialized_codebooks` once and passes it
+        as ``_stacked``; nothing is checked then.
         """
         emb = np.asarray(embeddings, dtype=np.float64)
         if self.similarity in FUSED_SIMILARITIES:
-            return self._encode_fused(emb)
+            return self._encode_fused(emb, stacked=_stacked)
         with no_grad():
             output = self.forward(Tensor(emb))
         return output.codes
 
-    def assignment_scores(self, embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def assignment_scores(
+        self, embeddings: np.ndarray, *, _stacked: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-level pre-softmax scores ``(n, M, K)`` plus hard codes.
 
         The teacher side of query-encoder distillation: softmaxing the
         returned scores gives the codeword posteriors of Eqn. (5).
         Inference-only (no tape) and limited to the fused-eligible
-        similarities.
+        similarities. ``_stacked`` as in :meth:`encode`.
         """
         emb = np.asarray(embeddings, dtype=np.float64)
         if self.similarity not in FUSED_SIMILARITIES:
@@ -347,19 +357,22 @@ class DSQ(Module):
                 f"got {self.similarity!r}"
             )
         scores = np.empty((len(emb), self.num_codebooks, self.num_codewords))
-        codes = self._encode_fused(emb, scores_out=scores)
+        codes = self._encode_fused(emb, scores_out=scores, stacked=_stacked)
         return scores, codes
 
     def _encode_fused(
-        self, emb: np.ndarray, scores_out: np.ndarray | None = None
+        self,
+        emb: np.ndarray,
+        scores_out: np.ndarray | None = None,
+        stacked: np.ndarray | None = None,
     ) -> np.ndarray:
         """No-tape batched encode over cached stacked codebooks."""
         if emb.ndim != 2:
             raise ValueError(f"embeddings must be (n, d), got shape {emb.shape}")
-        chain = self.codebooks
         n = len(emb)
         num_books, num_words, dim = self.num_codebooks, self.num_codewords, self.dim
-        stacked = chain.materialize_cached()
+        if stacked is None:
+            stacked = self.codebooks.materialize_cached()
         use_dot = self.similarity == "dot"
         cache = self._fused_cache
         code_sq = None

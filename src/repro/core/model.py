@@ -131,14 +131,24 @@ class LightLT(Module):
         """Discrete codes ``b_i`` (Eqn. 1) for raw feature rows.
 
         Uses :meth:`DSQ.encode`'s fused batched inference kernel, so only
-        the backbone pass touches the autograd machinery.
+        the backbone pass touches the autograd machinery. The codebooks are
+        resolved — parameters hashed, chain re-run if they changed — once
+        per call, not once per ``batch_size`` chunk.
         """
+        return self._encode(features, self.dsq.materialized_codebooks(), batch_size)
+
+    def _encode(
+        self, features: np.ndarray, codebooks: np.ndarray, batch_size: int = 512
+    ) -> np.ndarray:
+        """:meth:`encode` against already-resolved ``codebooks``."""
         self.eval()
         blocks = []
         with no_grad():
             for start in range(0, len(features), batch_size):
                 batch = Tensor(features[start : start + batch_size])
-                blocks.append(self.dsq.encode(self.backbone(batch).data))
+                blocks.append(
+                    self.dsq.encode(self.backbone(batch).data, _stacked=codebooks)
+                )
         if not blocks:
             return np.empty((0, self.config.num_codebooks), dtype=np.int64)
         return np.concatenate(blocks, axis=0)
@@ -155,12 +165,12 @@ class LightLT(Module):
 
     def build_index(self, database: np.ndarray, labels: np.ndarray | None = None) -> QuantizedIndex:
         """Index a database with this model's codes and codebooks (Fig. 3)."""
-        codes = self.encode(database)
+        codebooks = self.dsq.materialized_codebooks()
         return QuantizedIndex.build(
-            codebooks=self.dsq.materialized_codebooks(),
+            codebooks=codebooks,
             database=database,
             labels=labels,
-            codes=codes,
+            codes=self._encode(database, codebooks),
         )
 
     def search_ranked_labels(

@@ -81,7 +81,13 @@ class DistillationOutput:
 
 
 class DistillationModel(Module):
-    """Frozen teacher + trainable student behind the LightLT forward shape."""
+    """Frozen teacher + trainable student behind the LightLT forward shape.
+
+    Frozen by contract: the teacher's codebooks are resolved here, once,
+    and every forward scores against that array without re-hashing the
+    teacher's parameters (0.5–2 ms a step) — as
+    :class:`DistillationCriterion` holds its own copy from construction.
+    """
 
     def __init__(self, teacher: LightLT, student: LightQueryEncoder):
         super().__init__()
@@ -97,6 +103,7 @@ class DistillationModel(Module):
             )
         self.teacher = teacher
         self.student = student
+        self._teacher_codebooks = teacher.dsq.materialized_codebooks()
 
     def forward(self, features: Tensor | np.ndarray) -> DistillationOutput:
         if not isinstance(features, Tensor):
@@ -106,7 +113,9 @@ class DistillationModel(Module):
         self.teacher.eval()
         with no_grad():
             teacher_emb = self.teacher.backbone(features).data
-            scores, codes = self.teacher.dsq.assignment_scores(teacher_emb)
+            scores, codes = self.teacher.dsq.assignment_scores(
+                teacher_emb, _stacked=self._teacher_codebooks
+            )
         student_emb = self.student(features)
         return DistillationOutput(
             embedding=student_emb,

@@ -15,6 +15,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def fingerprints(monkeypatch) -> list:
+    """One entry per ``CodebookChain.parameter_fingerprint`` call — the hash
+    over every chain parameter that each codebook resolve pays."""
+    from repro.core.codebook import CodebookChain
+
+    calls = []
+    original = CodebookChain.parameter_fingerprint
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(CodebookChain, "parameter_fingerprint", counted)
+    return calls
+
+
 def build_tiny_dataset(
     num_classes: int = 6,
     dim: int = 12,

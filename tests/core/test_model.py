@@ -97,3 +97,53 @@ class TestInferenceAPI:
         b = make_model()
         x = np.random.default_rng(5).normal(size=(4, 12))
         assert np.allclose(a(x).logits.data, b(x).logits.data)
+
+
+class TestOneCodebookResolvePerEncode:
+    def test_chunked_encode_hashes_once(self, fingerprints):
+        model = make_model()
+        features = np.random.default_rng(6).normal(size=(4096, 12))
+        codes = model.encode(features)  # eight 512-row chunks
+        assert len(fingerprints) == 1
+        chunked = np.concatenate([
+            model.dsq.encode(model.embed(features[lo : lo + 512]))
+            for lo in range(0, len(features), 512)
+        ])
+        assert np.array_equal(codes, chunked)
+
+    def test_build_index_hashes_once(self, fingerprints):
+        model = make_model()
+        database = np.random.default_rng(7).normal(size=(1500, 12))
+        index = model.build_index(database)
+        assert len(fingerprints) == 1
+        assert np.array_equal(index.codebooks, model.dsq.materialized_codebooks())
+        assert np.array_equal(index.codes, model.encode(database))
+
+    def test_bare_dsq_encode_still_checks_every_call(self, fingerprints):
+        model = make_model()
+        embeddings = np.random.default_rng(8).normal(size=(10, 12))
+        model.dsq.encode(embeddings)
+        model.dsq.encode(embeddings)
+        assert len(fingerprints) == 2
+
+    def test_optimiser_step_between_encodes_is_seen(self):
+        model = make_model()
+        chain = model.dsq.codebooks
+        features = np.random.default_rng(9).normal(size=(600, 12))
+        before = model.encode(features)
+        assert chain.materializations == 1
+        for param in chain.parameters():  # what an optimiser step does: in place
+            param.data *= -1.5
+        after = model.encode(features)
+        assert chain.materializations == 2
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, model.dsq.encode(model.embed(features)))
+
+    def test_load_state_dict_between_encodes_is_seen(self):
+        model, donor = make_model(), LightLT(make_model().config, rng=1)
+        chain = model.dsq.codebooks
+        features = np.random.default_rng(10).normal(size=(600, 12))
+        model.encode(features)
+        model.load_state_dict(donor.state_dict())
+        assert np.array_equal(model.encode(features), donor.encode(features))
+        assert chain.materializations == 2

@@ -90,6 +90,25 @@ class TestDistillationModel:
         assert np.array_equal(scores.argmax(axis=2), out.codes)
         assert np.array_equal(out.embedding.data, student.embed(features))
 
+    def test_frozen_teacher_is_hashed_once_per_fit(
+        self, teacher_and_dataset, fingerprints
+    ):
+        """The wrapper resolves the teacher's codebooks at construction;
+        steps score against them without re-hashing its parameters, and get
+        what a checked ``assignment_scores`` call returns."""
+        teacher, dataset = teacher_and_dataset
+        wrapper = DistillationModel(
+            teacher,
+            LightQueryEncoder(teacher.config.input_dim, teacher.config.embed_dim, rng=0),
+        )
+        assert len(fingerprints) == 1
+        features = np.asarray(dataset.query.features[:8], dtype=np.float64)
+        outputs = [wrapper(features) for _ in range(5)]
+        assert len(fingerprints) == 1
+        scores, codes = teacher.dsq.assignment_scores(teacher.embed(features))
+        assert np.array_equal(outputs[-1].logits.data, scores.reshape(len(features), -1))
+        assert np.array_equal(outputs[-1].codes, codes)
+
 
 class TestDistillQueryEncoder:
     def test_kl_fit_converges_and_tracks_teacher(self, teacher_and_dataset):

@@ -31,6 +31,19 @@ class TestReconstruct:
         expected0 = codebooks[0, 0] + codebooks[1, 1] + codebooks[2, 2]
         assert np.allclose(recon[0], expected0)
 
+    @pytest.mark.parametrize("m, d", [(3, 6), (9, 1), (8, 64)])
+    def test_row_chunks_keep_the_whole_matrix_bits(self, monkeypatch, m, d):
+        # Stored norms are sums over these rows: decoding in row chunks must
+        # leave every bit of the one-piece gather-and-sum — also at d = 1,
+        # M >= 8, where NumPy sums the level axis pairwise.
+        rng = np.random.default_rng(3)
+        codebooks = rng.normal(size=(m, 16, d))
+        codes = rng.integers(16, size=(301, m))
+        whole = codebooks[np.arange(m)[None, :], codes].sum(axis=1)
+        monkeypatch.setattr("repro.retrieval.adc.RECONSTRUCT_CELLS", 64 * m * d)
+        assert np.array_equal(reconstruct(codes, codebooks), whole)  # 64-row chunks
+        assert reconstruct(codes[:0], codebooks).shape == (0, d)
+
     def test_code_validation(self):
         codebooks, _, _ = random_setup()
         with pytest.raises(ValueError):

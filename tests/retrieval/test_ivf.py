@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import kmeans
+from repro.cluster.kmeans import assign_to_centroids, kmeans
 from repro.data.longtail import labels_from_sizes, zipf_class_sizes
 from repro.data.synthetic import make_feature_model
+from repro.retrieval import ivf as ivf_module
+from repro.retrieval.adc import compact_code_dtype
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex, default_num_cells, quantize_lut
@@ -95,6 +97,82 @@ class TestBuildLayout:
         index, _ = make_clustered_index(n_db=10, k_words=8)
         ivf = IVFIndex.build(index, num_cells=50)
         assert ivf.num_cells <= 10
+
+
+LAYOUT_ARRAYS = ("ids", "cell_offsets", "codes_t", "norms64")
+
+
+def assert_same_layout(a: IVFIndex, b: IVFIndex) -> None:
+    for name in LAYOUT_ARRAYS:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
+
+
+class TestBuildReuse:
+    """A trained build reconstructs each row once when the training sample
+    is the whole index, and always lays out what ``build(centroids=)`` does."""
+
+    # n_db = 600: the sample is the whole index, or a 200-row subset of it.
+    @pytest.mark.parametrize("train_sample", [600, 4096, 200])
+    @pytest.mark.parametrize("chunk_size", [128, 65_536])
+    def test_trained_build_equals_build_from_its_centroids(self, train_sample, chunk_size):
+        index, _ = make_clustered_index()
+        trained = IVFIndex.build(
+            index, 16, seed=3, train_sample=train_sample, chunk_size=chunk_size,
+            kmeans_iterations=5,
+        )
+        given = IVFIndex.build(index, centroids=trained.centroids, chunk_size=chunk_size)
+        assert_same_layout(trained, given)
+
+    @pytest.mark.parametrize("train_sample", [4096, 200])
+    def test_layout_is_the_stable_sort_of_the_nearest_centroid(self, train_sample):
+        # The layout spelled out from its definition, whatever the build reused.
+        index, _ = make_clustered_index()
+        ivf = IVFIndex.build(index, 16, seed=1, train_sample=train_sample, chunk_size=128)
+        cells = assign_to_centroids(index.reconstructions(), ivf.centroids)
+        order = np.argsort(cells, kind="stable")
+        assert np.array_equal(ivf.ids, order)
+        assert np.array_equal(ivf.cell_sizes(), np.bincount(cells, minlength=ivf.num_cells))
+        assert ivf.codes_t.dtype == compact_code_dtype(index.num_codewords)
+        assert np.array_equal(ivf.codes_t, index.codes[order].T)
+        assert np.array_equal(ivf.norms64, index.db_sq_norms[order])
+
+    def test_no_training_iterations_still_consistent(self):
+        index, _ = make_clustered_index()
+        trained = IVFIndex.build(index, 16, seed=0, kmeans_iterations=0)
+        assert_same_layout(trained, IVFIndex.build(index, centroids=trained.centroids))
+
+    @pytest.fixture
+    def reconstructed(self, monkeypatch):
+        """Rows handed to every ``_reconstruct_rows`` call of a build."""
+        calls = []
+        original = ivf_module._reconstruct_rows
+
+        def recording(index, rows):
+            out = original(index, rows)
+            calls.append((rows, len(out)))
+            return out
+
+        monkeypatch.setattr(ivf_module, "_reconstruct_rows", recording)
+        return calls
+
+    def test_whole_index_sample_reconstructs_each_row_once(self, reconstructed):
+        index, _ = make_clustered_index()
+        IVFIndex.build(index, 16, chunk_size=128)  # n_db <= train_sample
+        assert [count for _, count in reconstructed] == [len(index)]
+
+    def test_large_index_is_never_reconstructed_whole(self, reconstructed):
+        # The streaming contract a memory-mapped corpus relies on: past the
+        # training sample, reconstructions exist one chunk at a time, and
+        # chunks are slices (views of the codes), not index arrays.
+        index, _ = make_clustered_index()
+        IVFIndex.build(index, 16, train_sample=200, chunk_size=128)
+        sample, *chunks = reconstructed
+        assert sample[1] == 200
+        assert all(isinstance(rows, slice) for rows, _ in chunks)
+        assert [count for _, count in chunks] == [128, 128, 128, 128, 88]
+        assert max(count for _, count in reconstructed) < len(index)
 
 
 class TestSearch:

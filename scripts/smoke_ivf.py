@@ -6,9 +6,9 @@ asserts the layer's serving contract end to end:
 
 - probing every cell reproduces the exhaustive engine's ranking exactly
   (pruning is the *only* source of approximation),
-- the uint8-LUT scan returns the identical final ranking as the float32
-  reference (the error-bounded preselect plus float64 rerank removes the
-  quantization error),
+- a thin probe (``k`` larger than the ``nprobe`` cells hold) widens in
+  centroid order and still returns ``k`` results, equal to the reference
+  scan restricted to the widened cell set,
 - a tuned ``nprobe`` clears recall@10 >= 0.9 against the exact oracle
   while scanning a fraction of the database,
 - the ``QueryEngine(ivf=...)`` integration routes through the layer and
@@ -33,6 +33,7 @@ if _SRC not in sys.path:
 import numpy as np
 
 from repro.cluster.kmeans import kmeans
+from repro.retrieval.adc import RERANK_PAD, adc_distances
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex
@@ -68,12 +69,27 @@ def main() -> int:
     full = ivf.search(SearchRequest(queries, k=10, nprobe=32)).indices
     assert np.array_equal(full, oracle), "full-probe IVF diverged from oracle"
 
-    # uint8 LUT: identical final ranking to the float32 reference.
-    ivf8 = IVFIndex.build(index, num_cells=32, lut_dtype="uint8", seed=0)
-    for nprobe in (4, 32):
-        want = ivf.search(SearchRequest(queries, k=10, nprobe=nprobe)).indices
-        got = ivf8.search(SearchRequest(queries, k=10, nprobe=nprobe)).indices
-        assert np.array_equal(got, want), f"uint8 ranking drifted at nprobe={nprobe}"
+    # Thin probe: no single cell holds k, so nprobe=1 must widen (doubling,
+    # in centroid order, until k + RERANK_PAD candidates are in) and return
+    # k results equal to the reference scan over exactly those cells.
+    sizes = ivf.cell_sizes()
+    k_wide = int(sizes.max()) + 1
+    wide = ivf.search(SearchRequest(queries, k=k_wide, nprobe=1)).indices
+    assert wide.shape == (len(queries), k_wide)
+    centroid_d = (ivf.centroids**2).sum(axis=1) - 2.0 * (queries @ ivf.centroids.T)
+    for query, cells, got in zip(queries, np.argsort(centroid_d, axis=1, kind="stable"), wide):
+        used = 1
+        while sizes[cells[:used]].sum() < k_wide + RERANK_PAD and used < ivf.num_cells:
+            used = min(ivf.num_cells, used * 2)
+        assert used > 1
+        rows = np.sort(np.concatenate([
+            ivf.ids[ivf.cell_offsets[c]:ivf.cell_offsets[c + 1]] for c in cells[:used]
+        ]))
+        d = adc_distances(
+            query[None], index.codes[rows], index.codebooks, index.db_sq_norms[rows]
+        )[0]
+        want = rows[np.argsort(d, kind="stable")[:k_wide]]
+        assert np.array_equal(got, want), "widened probe diverged from its oracle"
 
     # Tuned nprobe: high recall at a fraction of the scan.
     pruned = ivf.search(SearchRequest(queries, k=10, nprobe=8)).indices

@@ -632,7 +632,6 @@ def bench_ivf_profile(
     nprobes: tuple[int, ...] | None = None,
     ivf_items: int | None = None,
     ivf_cells: int | None = None,
-    ivf_lut: str = "float32",
 ) -> dict:
     """The ``ivf-large`` profile: recall@10-vs-speedup over a memmap corpus.
 
@@ -670,10 +669,7 @@ def bench_ivf_profile(
                     else default_num_cells(len(index))
                 )
                 with handle.span("bench.ivf.build", cells=num_cells):
-                    ivf = IVFIndex.build(
-                        index, num_cells=num_cells, lut_dtype=ivf_lut,
-                        seed=seed,
-                    )
+                    ivf = IVFIndex.build(index, num_cells=num_cells, seed=seed)
                 with QueryEngine(
                     index, workers=workers or 1, num_shards=shards
                 ) as engine:
@@ -725,7 +721,6 @@ def bench_ivf_profile(
             build_entry = {
                 "wall_time_s": _span_duration(tracer, "bench.ivf.build"),
                 "num_cells": ivf.num_cells,
-                "lut_dtype": ivf_lut,
                 "nbytes": int(ivf.nbytes),
                 "empty_cells": int((cell_sizes == 0).sum()),
                 "cell_size_min": int(cell_sizes.min()),
@@ -1019,7 +1014,6 @@ def run_bench(
     nprobes: tuple[int, ...] | None = None,
     ivf_items: int | None = None,
     ivf_cells: int | None = None,
-    ivf_lut: str = "float32",
     stream_items: int | None = None,
     stream_steps: int | None = None,
 ) -> dict:
@@ -1047,7 +1041,6 @@ def run_bench(
             results["profiles"][profile] = bench_ivf_profile(
                 quick=quick, seed=seed, workers=workers, shards=shards,
                 nprobes=nprobes, ivf_items=ivf_items, ivf_cells=ivf_cells,
-                ivf_lut=ivf_lut,
             )
         else:
             results["profiles"][profile] = bench_profile(
@@ -1216,11 +1209,14 @@ def format_summary(results: dict) -> str:
             exhaustive = ivf["exhaustive"]
             exh_qps = exhaustive.get("qps")
             rate_text = f"{exh_qps:,.0f} qps" if exh_qps else "-"
+            # Present only in artifacts written while a uint8-LUT scan existed.
+            lut = build.get("lut_dtype")
+            lut_text = f"{lut} LUT, " if lut else ""
             lines.append(
                 f"{profile:<16} {'ivf.exhaustive':<12} "
                 f"{exhaustive['wall_time_s']:>8.3f} {rate_text:>18} "
-                f"(oracle; {build['num_cells']} cells, {build['lut_dtype']} "
-                f"LUT, build {build['wall_time_s']:.1f}s)"
+                f"(oracle; {build['num_cells']} cells, {lut_text}"
+                f"build {build['wall_time_s']:.1f}s)"
             )
             for point in ivf["curve"]:
                 qps = point.get("qps")
@@ -1465,11 +1461,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="coarse-quantizer cell count for ivf-large (default: sqrt rule)",
     )
     parser.add_argument(
-        "--ivf-lut", choices=("float32", "uint8"), default="float32",
-        help="ADC lookup-table dtype for ivf-large (uint8 = quantized "
-        "tables, 4x smaller scan working set)",
-    )
-    parser.add_argument(
         "--stream-items", type=int, default=None,
         help="total items streamed through the mutable index in the stream "
         f"phase (default: {STREAM_ITEMS:,}; --quick: {STREAM_QUICK_ITEMS:,})",
@@ -1505,7 +1496,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers, shards=args.shards,
         nprobes=tuple(args.nprobe) if args.nprobe else None,
         ivf_items=args.ivf_items, ivf_cells=args.ivf_cells,
-        ivf_lut=args.ivf_lut,
         stream_items=args.stream_items, stream_steps=args.stream_steps,
     )
     path = write_results(results, args.out)

@@ -72,7 +72,6 @@ IVF_BUILD_TIME = "ivf.build.time_s"
 IVF_TRAIN_TIME = "ivf.train.time_s"
 IVF_ASSIGN_TIME = "ivf.assign.time_s"
 IVF_SCAN_TIME = "ivf.scan.time_s"
-IVF_LUT_QUANTIZE_TIME = "ivf.lut.quantize_time_s"
 IVF_CELLS_PROBED = "ivf.cells.probed"
 IVF_CANDIDATES_SCANNED = "ivf.candidates.scanned"
 IVF_BATCHES_TOTAL = "ivf.batches.total"
@@ -464,17 +463,9 @@ SPECS: tuple[MetricSpec, ...] = (
         HISTOGRAM,
         "seconds",
         "repro.retrieval.ivf.IVFIndex.scan",
-        "Wall time of one IVF query batch: centroid probe scan, candidate "
-        "gather-scan over the probed cells, and the candidate rerank (the "
-        "table build before it is adc.lut.build_time_s).",
-    ),
-    MetricSpec(
-        IVF_LUT_QUANTIZE_TIME,
-        HISTOGRAM,
-        "seconds",
-        "repro.retrieval.ivf.IVFIndex.scan",
-        "Time spent quantizing per-query lookup tables to uint8 within a "
-        "batch (only observed with lut_dtype='uint8').",
+        "Wall time of one IVF query batch: centroid probe scan, block "
+        "assembly and kernel scan of the probed cells, and the candidate "
+        "rerank (the table build before it is adc.lut.build_time_s).",
     ),
     MetricSpec(
         IVF_CELLS_PROBED,

@@ -25,7 +25,7 @@ from repro.retrieval.engine import (
     topk_tie_stable,
 )
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.ivf import IVFIndex, default_num_cells, quantize_lut
+from repro.retrieval.ivf import IVFIndex, default_num_cells
 from repro.retrieval.mutable import (
     MutableIndex,
     MutationRequest,
@@ -64,7 +64,6 @@ __all__ = [
     "compact_code_dtype",
     "default_num_cells",
     "merge_topk",
-    "quantize_lut",
     "shard_bounds",
     "topk_tie_stable",
     "adc_distances",

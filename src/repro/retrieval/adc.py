@@ -24,8 +24,8 @@ blocks they hand to it:
   scan: a sealed ``(columns, n)`` code layout, the batch's tables laid out
   query-minor for it, and the gather-accumulate kernel with its tie-stable
   top-k (see "The flat scan kernel" below);
-- :func:`gather_distances` / :func:`rerank_exact` — the same arithmetic at
-  scattered candidate *positions*, and its float64 re-scoring pass;
+- :func:`rerank_exact` — the same arithmetic in float64 at the scattered
+  *positions* of a float32 scan's survivors;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
 
 :func:`adc_distances` stays the float64 reference every one of them is
@@ -259,7 +259,7 @@ def scan_codes(
     With ``fuse`` (``M`` even), column ``j`` holds the joint code
     ``c_{2j}·K + c_{2j+1}`` in the unsigned dtype twice as wide — the same
     bytes as the pair it replaces; the per-codebook ids are recovered with
-    ``divmod(code, K)`` (:func:`gather_distances`), never stored twice.
+    ``divmod(code, K)`` (:func:`rerank_exact`), never stored twice.
     Ids outside ``[0, K)`` are rejected here, before the narrowing cast
     could wrap them into range (see :func:`seal_scan_codes`).
     """
@@ -398,44 +398,35 @@ def merge_topk(
     return ids[rows, order], dists[rows, order]
 
 
-def gather_distances(lut, q_sq, codes_t, norms, positions):
-    """Eqn. 24 at ``(n_q, c)`` candidate ``positions``, in ``lut``'s dtype.
-
-    The same left-to-right accumulation as :func:`adc_distances`, gathered
-    at arbitrary columns of ``codes_t`` / ``norms`` instead of a contiguous
-    range — the IVF layer's probed-cell scan and every exact rerank.
-    ``lut`` is the row-major ``(n_q, M, K)`` table block; a ``codes_t``
-    with ``M/2`` columns is a pair-fused layout (:func:`scan_codes`), whose
-    joint codes are decoded here, at these few positions only.
-    """
-    rows = np.arange(len(positions))[:, None]
-    m, num_codewords = lut.shape[1:]
-    if len(codes_t) == m:
-        ids = [column[positions] for column in codes_t]
-    else:
-        ids = [
-            half
-            for column in codes_t
-            for half in divmod(column[positions], num_codewords)
-        ]
-    cross = lut[rows, 0, ids[0]]
-    for j in range(1, m):
-        cross = cross + lut[rows, j, ids[j]]
-    d = q_sq[:, None] + norms[positions] - 2.0 * cross
-    np.maximum(d, 0.0, out=d)
-    return d
-
-
 def rerank_exact(lut64, q_sq64, codes_t, norms64, positions, ids, k):
     """Re-score candidates in float64 and keep the tie-stable top-k.
 
     ``positions`` are ``(n_q, c)`` columns of ``codes_t`` / ``norms64``;
     ``ids`` the ids those columns are returned (and tie-broken) under — the
     same array for a flat layout, the id map's image for a permuted one.
-    Cost is ``O(n_q · c · M)`` — negligible next to the scan — and restores
-    the :func:`adc_distances` ranking among the candidates.
+    Eqn. 24 with :func:`adc_distances`' left-to-right accumulation, gathered
+    at scattered columns instead of a contiguous range, so the candidates
+    rank exactly as the reference ranks them. ``lut64`` is the row-major
+    ``(n_q, M, K)`` table block; a ``codes_t`` with ``M/2`` columns is a
+    pair-fused layout (:func:`scan_codes`), whose joint codes are decoded
+    here, at these few positions only. Cost is ``O(n_q · c · M)`` —
+    negligible next to the scan.
     """
-    d = gather_distances(lut64, q_sq64, codes_t, norms64, positions)
+    rows = np.arange(len(positions))[:, None]
+    m, num_codewords = lut64.shape[1:]
+    if len(codes_t) == m:
+        codes = [column[positions] for column in codes_t]
+    else:
+        codes = [
+            half
+            for column in codes_t
+            for half in divmod(column[positions], num_codewords)
+        ]
+    cross = lut64[rows, 0, codes[0]]
+    for j in range(1, m):
+        cross = cross + lut64[rows, j, codes[j]]
+    d = q_sq64[:, None] + norms64[positions] - 2.0 * cross
+    np.maximum(d, 0.0, out=d)
     return merge_topk([d], [ids], k)
 
 

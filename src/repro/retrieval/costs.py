@@ -223,9 +223,7 @@ class SearchConfig:
     """One serving configuration the calibrated cost model prices.
 
     ``num_cells == 0`` (or ``nprobe == 0``) means no IVF layer — the
-    exhaustive sharded engine scans everything. ``lut_dtype`` names the
-    scan lookup-table dtype (``"uint8"`` is only honoured on the IVF
-    path, matching :class:`~repro.retrieval.ivf.IVFIndex`).
+    exhaustive sharded engine scans everything.
     ``query_encoder`` prices the query-side encode before the scan:
     ``"none"`` (queries arrive as embeddings), ``"full"`` (the trained
     backbone + DSQ assignment pass), or ``"light"`` (the distilled
@@ -241,7 +239,6 @@ class SearchConfig:
     num_shards: int = 1
     num_cells: int = 0
     nprobe: int = 0
-    lut_dtype: str = "float32"
     query_encoder: str = "none"
 
     def __post_init__(self) -> None:
@@ -253,8 +250,6 @@ class SearchConfig:
             raise ValueError("workers and num_shards must be at least 1")
         if min(self.num_cells, self.nprobe) < 0:
             raise ValueError("num_cells and nprobe must be non-negative")
-        if self.lut_dtype not in ("float32", "uint8"):
-            raise ValueError("lut_dtype must be 'float32' or 'uint8'")
         if self.query_encoder not in ("none", "full", "light"):
             raise ValueError(
                 "query_encoder must be 'none', 'full', or 'light'"
@@ -317,7 +312,6 @@ COST_FEATURE_NAMES = (
     "coarse_ops",
     "probe_cells",
     "scan_float32",
-    "scan_uint8",
     "merge_ops",
     "rerank_ops",
     "encode_light",
@@ -335,9 +329,7 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     no op-count term covers), pruned candidates (``nprobe/num_cells`` of
     the database), the gather passes the layout performs per candidate
     (``M``, or ``M/2`` over a pair-fused flat layout, whose ``M/2·K²``
-    table-fusion adds join the LUT column), the LUT dtype (uint8 scans
-    touch a quarter of the bytes but pay a preselect+rerank, so it gets
-    its own column),
+    table-fusion adds join the LUT column),
     worker-pool division of the scan, per-shard top-k merge, the float64
     rerank, and the query-side encode. The encode terms are per-mode
     columns (the fitted constant absorbs the input-feature width, which
@@ -349,7 +341,6 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     fused = config.fused
     passes = m // 2 if fused else m
     scan_lookups = config.candidates * passes / config.effective_workers(n_queries)
-    uint8 = config.uses_ivf and config.lut_dtype == "uint8"
     shards = 1 if config.uses_ivf else min(config.num_shards, config.n_db)
     encode_gemm = float(config.dim * config.dim)
     lut_ops = config.dim * m * config.num_codewords
@@ -360,8 +351,7 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
         float(lut_ops),
         float(config.num_cells * config.dim) if config.uses_ivf else 0.0,
         float(min(config.nprobe, config.num_cells)) if config.uses_ivf else 0.0,
-        0.0 if uint8 else scan_lookups,
-        scan_lookups if uint8 else 0.0,
+        scan_lookups,
         float(shards * (config.k + RERANK_PAD)),
         float((config.k + RERANK_PAD) * config.dim),
         encode_gemm if config.query_encoder == "light" else 0.0,

@@ -302,12 +302,7 @@ class QueryEngine(SearchSurface):
                     "ShardedIndex"
                 )
             ivf = IVFIndex.build(index, num_cells=ivf, rerank=rerank)
-        if ivf is not None and (
-            len(ivf) != len(self.sharded)
-            or ivf.num_codebooks != self.sharded.num_codebooks
-            or ivf.num_codewords != self.sharded.num_codewords
-            or ivf.dim != self.sharded.dim
-        ):
+        if ivf is not None and not ivf.matches(self.sharded):
             raise ValueError("ivf was built over an index with different geometry")
         self.ivf = ivf
         if nprobe is not None and nprobe < 1:

@@ -16,27 +16,16 @@ sharded engine scans — a probe is a cheap contiguous slice, and ``ids``
 maps positions back to global row numbers so returned indices match the
 exhaustive paths.
 
-Accuracy. Inside the probed cells the arithmetic is the engine's: a float32
-gather-scan over the per-query lookup tables followed by the shared exact
-float64 rerank (:func:`repro.retrieval.adc.rerank_exact`) of the candidate
-pool by *position*, so rankings among candidates are identical to the
-serial reference. Recall is lost only to *pruning* — a true neighbour
-whose cell was not probed. That trade is measured, not asserted:
-``repro bench --profile ivf-large`` sweeps ``nprobe`` and records the
-recall@k-vs-speedup curve against the exact exhaustive oracle
-(``docs/tuning.md`` explains how to choose a point on it).
-
-Quantized lookup tables. With ``lut_dtype="uint8"`` the per-query float32
-LUT is quantized to uint8 with one scale per query and one offset per
-codebook (``lut ≈ offset_j + scale · q``); the scan then gathers one byte
-per code instead of four and accumulates in int32, shrinking the scan
-working set 4x. Because ``Σ_j lut[j, c_j] ≈ Σ_j offset_j + scale · Σ_j q``,
-dequantization is two scalars per query. Quantization shifts each distance
-by at most ``M · scale``, so the rerank pool keeps every candidate within
-``2 · M · scale`` of the k-th smallest quantized distance and the float64
-rerank then removes the error from the final ranking entirely — uint8 pays
-with a wider rerank pool, not with recall. The float32 path is kept as the
-reference (``lut_dtype="float32"``, the default).
+Accuracy. Like the flat engine and the mutable segments, this layer only
+provides blocks to the one scan kernel: a query's probed cells are
+concatenated into one ``(M, candidates)`` code block, scanned in float32 by
+:func:`repro.retrieval.adc.scan_topk`, and the ``k + RERANK_PAD`` survivors
+are re-scored in float64 (:func:`repro.retrieval.adc.rerank_exact`) at their
+layout *positions*, so rankings among candidates are the serial reference's.
+Recall is lost only to *pruning* — a true neighbour whose cell was not
+probed. That trade is measured, not asserted: ``repro bench --profile
+ivf-large`` sweeps ``nprobe`` and records recall@k against speedup over the
+exact exhaustive oracle (``docs/tuning.md`` explains how to pick a point).
 
 Observability: the ``ivf.*`` metric family catalogued in
 :mod:`repro.obs.names` (build/train/assign times, per-query probed-cell and
@@ -54,27 +43,20 @@ from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
-    cast_tables,
     compact_code_dtype,
-    gather_distances,
     merge_topk,
     query_tables,
     reconstruct,
     rerank_exact,
+    scan_tables,
+    scan_topk,
+    seal_scan_codes,
 )
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import LUTCache
-from repro.retrieval.search import (
-    SearchSurface,
-    empty_answer,
-    validate_query_batch,
-)
+from repro.retrieval.search import SearchSurface, empty_answer, validate_query_batch
 
-__all__ = [
-    "IVFIndex",
-    "default_num_cells",
-    "quantize_lut",
-]
+__all__ = ["IVFIndex", "default_num_cells"]
 
 #: Rows of reconstructions materialised at once during build/assignment.
 ASSIGN_CHUNK = 65_536
@@ -93,22 +75,6 @@ def default_num_cells(n_db: int) -> int:
     if n_db <= 0:
         return 1
     return int(min(4096, max(1, round(np.sqrt(n_db)))))
-
-
-def quantize_lut(lut32: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quantize one query's ``(M, K)`` float32 LUT to uint8.
-
-    Returns ``(q8, offsets, scale)`` with ``lut ≈ offsets[:, None] +
-    scale · q8`` — one offset per codebook (tables have very different
-    ranges when codebooks encode residuals of shrinking norm) and a single
-    scale so the scan can accumulate raw integer sums.
-    """
-    offsets = lut32.min(axis=1)
-    shifted = lut32 - offsets[:, None]
-    span = float(shifted.max())
-    scale = span / 255.0 if span > 0 else 1.0
-    q8 = np.rint(shifted / scale).astype(np.uint8)
-    return q8, offsets, scale
 
 
 class IVFIndex(SearchSurface):
@@ -133,8 +99,6 @@ class IVFIndex(SearchSurface):
         ``(n_db,)`` global database row of each permuted column.
     nprobe:
         Default number of cells probed per query.
-    lut_dtype:
-        ``"float32"`` (reference) or ``"uint8"`` (quantized tables).
     """
 
     def __init__(
@@ -147,27 +111,31 @@ class IVFIndex(SearchSurface):
         norms64: np.ndarray,
         codebooks64: np.ndarray,
         nprobe: int = 8,
-        lut_dtype: str = "float32",
         rerank: bool = True,
     ) -> None:
-        if lut_dtype not in ("float32", "uint8"):
-            raise ValueError("lut_dtype must be 'float32' or 'uint8'")
         if nprobe < 1:
             raise ValueError("nprobe must be at least 1")
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.cell_offsets = np.asarray(cell_offsets, dtype=np.int64)
-        self.codes_t = codes_t
+        self.codes_t = np.asarray(codes_t)
         self.ids = np.asarray(ids, dtype=np.int64)
         self.norms64 = np.asarray(norms64, dtype=np.float64)
         self.norms32 = self.norms64.astype(np.float32)
         self.codebooks64 = np.asarray(codebooks64, dtype=np.float64)
         self.nprobe = int(nprobe)
-        self.lut_dtype = lut_dtype
         self.rerank = bool(rerank)
+        if self.codes_t.ndim != 2 or len(self.codes_t) != self.num_codebooks:
+            raise ValueError(f"codes_t must be (M, n), got shape {self.codes_t.shape}")
+        # Range-checked once and frozen: the scan kernel's gathers trust it.
+        seal_scan_codes(self.codes_t, self.num_codewords)
+        if not len(self.ids) == len(self.norms64) == len(self):
+            raise ValueError("ids and norms64 must have one entry per code column")
         if len(self.cell_offsets) != self.num_cells + 1:
             raise ValueError("cell_offsets must have num_cells + 1 entries")
-        if self.cell_offsets[-1] != self.codes_t.shape[1]:
+        if self.cell_offsets[0] != 0 or self.cell_offsets[-1] != len(self):
             raise ValueError("cell_offsets do not cover the code matrix")
+        if (self.cell_sizes() < 0).any():
+            raise ValueError("cell_offsets must be non-decreasing")
         # Cached centroid norms for the probe scan.
         self._centroid_sq = (self.centroids**2).sum(axis=1)
         #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
@@ -183,7 +151,6 @@ class IVFIndex(SearchSurface):
         num_cells: int | None = None,
         *,
         nprobe: int = 8,
-        lut_dtype: str = "float32",
         rerank: bool = True,
         train_sample: int = TRAIN_SAMPLE,
         kmeans_iterations: int = 25,
@@ -266,7 +233,6 @@ class IVFIndex(SearchSurface):
             norms64=index.db_sq_norms[order],
             codebooks64=index.codebooks,
             nprobe=nprobe,
-            lut_dtype=lut_dtype,
             rerank=rerank,
         )
         if obs.enabled:
@@ -303,12 +269,8 @@ class IVFIndex(SearchSurface):
     @property
     def nbytes(self) -> int:
         """Serving-side footprint: codes, id map, norms, centroids."""
-        return (
-            self.codes_t.nbytes
-            + self.ids.nbytes
-            + self.norms32.nbytes
-            + self.centroids.nbytes
-        )
+        arrays = (self.codes_t, self.ids, self.norms32, self.centroids)
+        return sum(a.nbytes for a in arrays)
 
     def cell_sizes(self) -> np.ndarray:
         """``(num_cells,)`` items per inverted list (empty cells are 0)."""
@@ -381,120 +343,74 @@ class IVFIndex(SearchSurface):
         """
         nprobe = min(self.nprobe if nprobe is None else int(nprobe), self.num_cells)
         use_rerank = self.rerank if rerank is None else bool(rerank)
-        n_db = len(self)
         n_q = len(queries)
+        lut64, q_sq64 = tables
 
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
 
-        lut64, q_sq64 = tables
-        lut32, q_sq32 = cast_tables(lut64, q_sq64, np.float32)
-
         # Probe scan: rank every centroid per query (num_cells is small, a
         # full argsort costs microseconds and probe expansion needs the
         # complete order anyway).
-        probe_order = np.argsort(
-            self._centroid_sq[None, :] - 2.0 * (queries @ self.centroids.T),
-            axis=1,
-            kind="stable",
-        )
+        centroid_d = self._centroid_sq[None, :] - 2.0 * (queries @ self.centroids.T)
+        probe_order = np.argsort(centroid_d, axis=1, kind="stable")
 
-        shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
-        quantize_elapsed = 0.0
-        probed_counts = np.empty(n_q, dtype=np.int64)
-        candidate_counts = np.empty(n_q, dtype=np.int64)
-        expansions = 0
+        shard_k = min(k + (RERANK_PAD if use_rerank else 0), len(self))
+        # What a query's first c cells hold, in probe order, as a running sum.
+        block_ends = np.cumsum(self.cell_sizes()[probe_order], axis=1)
+        cells_used = np.empty(n_q, dtype=np.int64)
+
         out_indices = np.empty((n_q, k), dtype=np.int64)
         out_values = np.empty((n_q, k), dtype=np.float64)
         for qi in range(n_q):
             # Widen past nprobe only if the probed cells cannot fill k —
             # empty cells make this reachable even at moderate nprobe.
-            n_cells_used = nprobe
-            cand = self._gather_candidates(probe_order[qi], n_cells_used)
-            while len(cand) < shard_k and n_cells_used < self.num_cells:
-                n_cells_used = min(self.num_cells, max(n_cells_used * 2, 1))
-                cand = self._gather_candidates(probe_order[qi], n_cells_used)
-            if n_cells_used > nprobe:
-                expansions += 1
-            probed_counts[qi] = n_cells_used
-            candidate_counts[qi] = len(cand)
-
-            scale = 0.0
-            if self.lut_dtype == "uint8":
-                q_start = time.perf_counter() if obs.enabled else 0.0
-                q8, offsets, scale = quantize_lut(lut32[qi])
-                if obs.enabled:
-                    quantize_elapsed += time.perf_counter() - q_start
-                acc = q8[0, self.codes_t[0, cand]].astype(np.int32)
-                for j in range(1, self.num_codebooks):
-                    acc += q8[j, self.codes_t[j, cand]]
-                cross = offsets.sum() + scale * acc.astype(np.float32)
-                d = q_sq32[qi] + self.norms32[cand] - 2.0 * cross
-                np.maximum(d, 0.0, out=d)
-            else:
-                d = gather_distances(
-                    lut32[qi : qi + 1], q_sq32[qi : qi + 1],
-                    self.codes_t, self.norms32, cand[None, :],
-                )[0]
-
-            # Select by *position* in the permuted layout; the id map is
-            # applied once, to the survivors.
-            take = min(shard_k, len(cand))
-            if take < len(cand):
-                if self.lut_dtype == "uint8" and use_rerank:
-                    # Quantization shifts each distance by at most M·scale/2
-                    # per table lookup times the factor 2 on the cross term,
-                    # so any true top-k candidate sits within 2·M·scale of
-                    # the k-th smallest quantized distance. Keeping that
-                    # whole band makes the float64 rerank exact within the
-                    # probed cells — uint8 trades rerank-pool size, not
-                    # recall, against the float32 reference.
-                    kth = np.partition(d, k - 1)[k - 1]
-                    margin = 2.0 * self.num_codebooks * scale
-                    keep = np.flatnonzero(d <= kth + margin)
-                else:
-                    keep = np.argpartition(d, take - 1)[:take]
-                cand, d = cand[keep], d[keep]
-            sel_pos = cand[None, :]
+            ends, used = block_ends[qi], nprobe
+            while ends[used - 1] < shard_k and used < self.num_cells:
+                used = min(self.num_cells, used * 2)
+            cells_used[qi] = used
+            # The probed cells are contiguous column ranges of the layout:
+            # their slices, concatenated in probe order, are this query's
+            # code block for the shared kernel.
+            cells, ends = probe_order[qi, :used], ends[:used]
+            his = self.cell_offsets[cells + 1]
+            spans = list(zip(self.cell_offsets[cells].tolist(), his.tolist()))
+            block = np.concatenate([self.codes_t[:, lo:hi] for lo, hi in spans], axis=1)
+            norms = np.concatenate([self.norms32[lo:hi] for lo, hi in spans])
+            row = slice(qi, qi + 1)
+            d, columns, _, _ = scan_topk(
+                *scan_tables(lut64[row], q_sq64[row], np.float32),
+                block, norms, 0, ends[-1], min(shard_k, ends[-1]),
+            )
+            # Block column -> layout position: a survivor sits in the first
+            # cell whose block range ends past it, as far from that cell's
+            # end in the layout as in the block. The id map is applied once,
+            # to the survivors.
+            cell = np.searchsorted(ends, columns, side="right")
+            sel_pos = columns + (his - ends)[cell]
             sel_ids = self.ids[sel_pos]
             if use_rerank:
-                sel_ids, sel_d = rerank_exact(
-                    lut64[qi : qi + 1], q_sq64[qi : qi + 1],
+                out_indices[row], out_values[row] = rerank_exact(
+                    lut64[row], q_sq64[row],
                     self.codes_t, self.norms64, sel_pos, sel_ids, k,
                 )
             else:
-                sel_ids, sel_d = merge_topk([d[None, :]], [sel_ids], k)
-            out_indices[qi] = sel_ids[0]
-            out_values[qi] = sel_d[0]
+                out_indices[row], out_values[row] = merge_topk([d], [sel_ids], k)
 
         if obs.enabled:
             registry = obs.registry
             elapsed = time.perf_counter() - scan_start
             registry.histogram(metric_names.IVF_SCAN_TIME).observe(elapsed)
-            if self.lut_dtype == "uint8":
-                registry.histogram(metric_names.IVF_LUT_QUANTIZE_TIME).observe(
-                    quantize_elapsed
-                )
             cells_hist = registry.histogram(metric_names.IVF_CELLS_PROBED)
             cand_hist = registry.histogram(metric_names.IVF_CANDIDATES_SCANNED)
             for qi in range(n_q):
-                cells_hist.observe(float(probed_counts[qi]))
-                cand_hist.observe(float(candidate_counts[qi]))
+                cells_hist.observe(float(cells_used[qi]))
+                cand_hist.observe(float(block_ends[qi, cells_used[qi] - 1]))
             registry.counter(metric_names.IVF_BATCHES_TOTAL).inc()
+            expansions = int((cells_used > nprobe).sum())
             if expansions:
                 registry.counter(metric_names.IVF_PROBES_EXPANDED).inc(expansions)
         return out_indices, out_values
-
-    def _gather_candidates(self, cell_order: np.ndarray, n_cells: int) -> np.ndarray:
-        """Column positions of every item in the first ``n_cells`` cells."""
-        parts = []
-        for cell in cell_order[:n_cells]:
-            lo, hi = self.cell_offsets[cell], self.cell_offsets[cell + 1]
-            if hi > lo:
-                parts.append(np.arange(lo, hi))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
 
 
 def _reconstruct_rows(index: QuantizedIndex, rows: np.ndarray | slice) -> np.ndarray:

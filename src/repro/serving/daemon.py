@@ -165,7 +165,8 @@ class ServingDaemon:
         all replicas share one :class:`ShardedIndex` — the database is
         materialised once — and scan in-process; pass ``engine_kwargs``
         to give each replica its own engine configuration (e.g. a worker
-        pool), at the cost of per-replica index copies.
+        pool), at the cost of per-replica index copies; an IVF layer
+        named there is still built once and shared.
     faults:
         Optional fault plan (duck-typed ``before_scan`` /
         ``transform_response`` hooks, e.g.
@@ -225,8 +226,13 @@ class ServingDaemon:
             # through one object keeps all replicas at the same generation.
             engines = [index for _ in range(num_replicas)]
         elif engine_kwargs:
-            engines = [
-                QueryEngine(index, **engine_kwargs) for _ in range(num_replicas)
+            # An ``ivf=<cells>`` count resolves to one IVFIndex in the first
+            # engine; every replica then scans that same read-only layout
+            # rather than training and laying out its own.
+            first = QueryEngine(index, **engine_kwargs)
+            shared_kwargs = {**engine_kwargs, "ivf": first.ivf}
+            engines = [first] + [
+                QueryEngine(index, **shared_kwargs) for _ in range(num_replicas - 1)
             ]
         else:
             shared = ShardedIndex(index, num_shards=1)

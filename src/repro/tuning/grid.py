@@ -4,7 +4,7 @@ A grid is a tuple of :class:`GridPoint` — one serving configuration each,
 spanning the knobs the calibrated cost model prices: codebook geometry
 (``M``, ``K`` — and through ``K`` the compact code dtype), the exhaustive
 engine's ``workers``/``num_shards``, the IVF coarse layer
-(``num_cells``/``nprobe``) and its LUT dtype, and the query-encoder mode
+(``num_cells``/``nprobe``), and the query-encoder mode
 (full backbone vs the distilled light projection of
 :mod:`repro.encoding`, measured with encode time included). Two stock
 grids ship: :func:`tiny_grid` (the CI smoke sweep — finishes in seconds
@@ -27,8 +27,7 @@ class GridPoint:
     """One serving configuration of the tune sweep.
 
     ``num_cells == 0`` (with ``nprobe == 0``) is the exhaustive sharded
-    engine; a positive pair routes queries through the IVF coarse layer,
-    where ``lut_dtype`` picks the scan lookup-table precision.
+    engine; a positive pair routes queries through the IVF coarse layer.
     ``query_encoder != "none"`` measures the point with query-side
     encoding included: the sweep embeds the database with a trained
     teacher, encodes each query through the named path (full backbone or
@@ -41,7 +40,6 @@ class GridPoint:
     num_shards: int = 1
     num_cells: int = 0
     nprobe: int = 0
-    lut_dtype: str = "float32"
     query_encoder: str = "none"
 
     @property
@@ -60,7 +58,6 @@ class GridPoint:
             num_shards=self.num_shards,
             num_cells=self.num_cells,
             nprobe=self.nprobe,
-            lut_dtype=self.lut_dtype,
             query_encoder=self.query_encoder,
         )
 
@@ -68,33 +65,27 @@ class GridPoint:
         return asdict(self)
 
 
-def _expand(pairs, *, cells: int, nprobes: tuple[int, ...],
-            uint8_nprobe: int, engine_shapes,
+def _expand(pairs, *, cells: int, nprobes: tuple[int, ...], engine_shapes,
             encoders: tuple[str, ...] = ("full", "light")) -> tuple[GridPoint, ...]:
     """The stock grid shape: per (M, K), exhaustive engine shapes plus an
-    IVF ``nprobe`` sweep, one quantized-LUT point, and one encode-inclusive
-    point per query-encoder mode (plain single-worker engine, so the
-    light-vs-full delta is pure encode cost)."""
+    IVF ``nprobe`` sweep and one encode-inclusive point per query-encoder
+    mode (plain single-worker engine, so the light-vs-full delta is pure
+    encode cost)."""
     points: list[GridPoint] = []
     for m, k in pairs:
         for workers, shards in engine_shapes:
             points.append(GridPoint(m, k, workers=workers, num_shards=shards))
         for nprobe in nprobes:
             points.append(GridPoint(m, k, num_cells=cells, nprobe=nprobe))
-        points.append(
-            GridPoint(
-                m, k, num_cells=cells, nprobe=uint8_nprobe, lut_dtype="uint8"
-            )
-        )
         for mode in encoders:
             points.append(GridPoint(m, k, query_encoder=mode))
     return tuple(points)
 
 
 def tiny_grid() -> tuple[GridPoint, ...]:
-    """The 22-point CI sweep (``tiny`` profile; K capped by its corpus).
+    """The 20-point CI sweep (``tiny`` profile; K capped by its corpus).
 
-    Deliberately over-determined — 16 fitted points against the model's 10
+    Deliberately over-determined — 15 fitted points against the model's 9
     feature columns even after the holdout split — so the CI fit-error
     gate measures the model, not an underdetermined solve.
     """
@@ -102,7 +93,6 @@ def tiny_grid() -> tuple[GridPoint, ...]:
         ((2, 8), (4, 16)),
         cells=8,
         nprobes=(1, 2, 3, 4, 6),
-        uint8_nprobe=2,
         engine_shapes=((1, 1), (1, 2), (2, 4)),
     )
 
@@ -119,6 +109,5 @@ def default_grid() -> tuple[GridPoint, ...]:
         ((4, 64), (8, 256), (4, 512)),
         cells=16,
         nprobes=(1, 4, 8),
-        uint8_nprobe=4,
         engine_shapes=((1, 1), (4, 8)),
     )

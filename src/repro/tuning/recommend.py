@@ -69,7 +69,9 @@ class Recommendation:
     and ``"interpolated"`` for a model-priced ``nprobe`` between two
     measured ones. ``feasible`` is False when no candidate met every
     stated budget — the returned config is then the nearest miss and
-    ``note`` says which budget broke.
+    ``note`` says which budget broke. ``note`` also reports measured points
+    of an older artifact that were skipped because this build cannot serve
+    them.
     """
 
     config: dict = field(compare=False)
@@ -90,10 +92,7 @@ class Recommendation:
             f"({config.get('code_dtype', '?')} codes)"
         )
         if config.get("nprobe", 0) > 0 and config.get("num_cells", 0) > 0:
-            shape += (
-                f", ivf {config['num_cells']} cells nprobe={config['nprobe']} "
-                f"{config.get('lut_dtype', 'float32')} LUT"
-            )
+            shape += f", ivf {config['num_cells']} cells nprobe={config['nprobe']}"
         else:
             shape += (
                 f", exhaustive {config.get('workers', 1)}w/"
@@ -108,6 +107,8 @@ class Recommendation:
         ]
         if not self.feasible:
             lines.append(f"  INFEASIBLE: {self.note}")
+        elif self.note:
+            lines.append(f"  note: {self.note}")
         return lines
 
 
@@ -116,7 +117,8 @@ def model_from_report(model_dict: dict) -> CostModel:
 
     Columns the artifact predates (the v7 ``encode_*`` terms) default to
     0.0 — an old sweep priced no query encoders, so the rebuilt model
-    prices them as free rather than refusing to load.
+    prices them as free rather than refusing to load — and coefficients
+    this build has no column for are ignored.
     """
     coefficients = model_dict["coefficients"]
     return CostModel(
@@ -146,7 +148,7 @@ def _family_key(config: dict) -> tuple:
     """
     return (
         config["num_codebooks"], config["num_codewords"],
-        config["num_cells"], config["lut_dtype"],
+        config["num_cells"],
         config["workers"], config["num_shards"],
         config.get("query_encoder", "none"),
     )
@@ -178,7 +180,6 @@ def _interpolated(points: list[dict], model: CostModel, k: int,
                 num_codewords=config["num_codewords"], k=k,
                 workers=config["workers"], num_shards=config["num_shards"],
                 num_cells=config["num_cells"], nprobe=nprobe,
-                lut_dtype=config["lut_dtype"],
                 query_encoder=config.get("query_encoder", "none"),
             )
             # Recall rises roughly linearly in log2(nprobe); interpolate
@@ -237,15 +238,26 @@ def recommend(
             "re-run the sweep with --k"
         )
     model = model_from_report(tune["model"])
+    # Artifacts written while the IVF scan had a uint8-LUT variant carry
+    # points measured under it; this build serves float32 tables only.
+    points = [
+        entry for entry in tune["points"]
+        if entry["config"].get("lut_dtype", "float32") == "float32"
+    ]
+    skipped = len(tune["points"]) - len(points)
+    skip_note = (
+        f"skipped {skipped} measured point(s) with a quantized LUT, which "
+        "this build does not serve"
+        if skipped else ""
+    )
     candidates = [
         {**{key: entry[key] for key in ("config", "latency_ms", "recall",
                                         "memory_mb")},
          "source": "measured"}
-        for entry in tune["points"]
+        for entry in points
     ]
     candidates.extend(
-        _interpolated(tune["points"], model, tune["k"],
-                      tune.get("n_queries", 1))
+        _interpolated(points, model, tune["k"], tune.get("n_queries", 1))
     )
     feasible = [c for c in candidates if _violation(c, request) <= 1.0]
     if feasible:
@@ -257,10 +269,16 @@ def recommend(
             memory_mb=best["memory_mb"],
             source=best["source"],
             feasible=True,
+            note=skip_note,
         )
     best = min(candidates, key=lambda c: (_violation(c, request),
                                           _sort_key(c)))
-    overrun = _violation(best, request)
+    note = (
+        f"no grid or interpolated point meets every budget; nearest "
+        f"miss overruns by x{_violation(best, request):.2f}"
+    )
+    if skip_note:
+        note += "; " + skip_note
     return Recommendation(
         config=dict(best["config"]),
         latency_ms=best["latency_ms"],
@@ -268,8 +286,5 @@ def recommend(
         memory_mb=best["memory_mb"],
         source=best["source"],
         feasible=False,
-        note=(
-            f"no grid or interpolated point meets every budget; nearest "
-            f"miss overruns by x{overrun:.2f}"
-        ),
+        note=note,
     )

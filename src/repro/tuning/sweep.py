@@ -226,7 +226,7 @@ def run_tune_sweep(
         )
 
     # One index per (M, K) and query space, one IVF layer per (M, K,
-    # cells, lut, space): grid points sharing geometry share the
+    # cells, space): grid points sharing geometry share the
     # expensive artefacts.
     indexes: dict[tuple, QuantizedIndex] = {}
     ivfs: dict[tuple, IVFIndex] = {}
@@ -258,13 +258,12 @@ def run_tune_sweep(
         index = indexes[index_key]
         config = point.search_config(n_db, space_dim, k)
         if point.uses_ivf:
-            ivf_key = index_key + (point.num_cells, point.lut_dtype)
+            ivf_key = index_key + (point.num_cells,)
             if ivf_key not in ivfs:
                 ivfs[ivf_key] = IVFIndex.build(
                     index,
                     num_cells=point.num_cells,
                     nprobe=point.nprobe,
-                    lut_dtype=point.lut_dtype,
                     seed=seed,
                 )
             engine = QueryEngine(

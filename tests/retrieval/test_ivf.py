@@ -10,7 +10,7 @@ from repro.retrieval import ivf as ivf_module
 from repro.retrieval.adc import compact_code_dtype
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.ivf import IVFIndex, default_num_cells, quantize_lut
+from repro.retrieval.ivf import IVFIndex, default_num_cells
 from repro.retrieval.metrics import recall_at_k
 from repro.retrieval.search import SearchRequest
 
@@ -42,22 +42,6 @@ class TestDefaultNumCells:
     def test_clamped(self):
         assert default_num_cells(0) == 1
         assert default_num_cells(10**9) == 4096
-
-
-class TestQuantizeLut:
-    def test_reconstruction_within_half_scale(self):
-        rng = np.random.default_rng(0)
-        lut = rng.normal(size=(4, 16)).astype(np.float32) * 37.0
-        q8, offsets, scale = quantize_lut(lut)
-        assert q8.dtype == np.uint8
-        recon = offsets[:, None] + scale * q8.astype(np.float32)
-        assert np.abs(recon - lut).max() <= scale / 2 + 1e-5
-
-    def test_constant_table(self):
-        lut = np.full((2, 4), 3.0, dtype=np.float32)
-        q8, offsets, scale = quantize_lut(lut)
-        assert np.all(q8 == 0)
-        assert np.allclose(offsets, 3.0)
 
 
 class TestBuildLayout:
@@ -97,6 +81,56 @@ class TestBuildLayout:
         index, _ = make_clustered_index(n_db=10, k_words=8)
         ivf = IVFIndex.build(index, num_cells=50)
         assert ivf.num_cells <= 10
+
+
+def _codes_out_of_range(layout):
+    layout["codes_t"] = layout["codes_t"].copy()
+    layout["codes_t"][0, 3] = layout["codebooks64"].shape[1]
+
+
+def _ids_short(layout):
+    layout["ids"] = layout["ids"][:-5]
+
+
+def _norms_short(layout):
+    layout["norms64"] = layout["norms64"][:-5]
+
+
+def _offsets_not_monotone(layout):
+    layout["cell_offsets"] = layout["cell_offsets"].copy()
+    layout["cell_offsets"][[1, 2]] = layout["cell_offsets"][[2, 1]]
+
+
+class TestConstructorValidation:
+    """Layouts the scan could not serve are refused at construction, not
+    discovered (or silently mis-answered) at query time."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_codes_out_of_range, _ids_short, _norms_short, _offsets_not_monotone],
+    )
+    def test_unservable_layout_rejected(self, corrupt):
+        index, _ = make_clustered_index()
+        good = IVFIndex.build(index, num_cells=8)
+        assert len(set(good.cell_offsets[:3].tolist())) == 3
+        layout = dict(
+            centroids=good.centroids,
+            cell_offsets=good.cell_offsets,
+            codes_t=good.codes_t,
+            ids=good.ids,
+            norms64=good.norms64,
+            codebooks64=good.codebooks64,
+        )
+        IVFIndex(**layout)  # the untouched arrays construct
+        corrupt(layout)
+        with pytest.raises(ValueError):
+            IVFIndex(**layout)
+
+    def test_codes_are_frozen(self):
+        index, _ = make_clustered_index()
+        ivf = IVFIndex.build(index, num_cells=8)
+        with pytest.raises(ValueError, match="read-only"):
+            ivf.codes_t[0, 0] = 0
 
 
 LAYOUT_ARRAYS = ("ids", "cell_offsets", "codes_t", "norms64")
@@ -248,41 +282,6 @@ class TestSearch:
         ivf = IVFIndex.build(index, num_cells=4)
         with pytest.raises(ValueError, match="queries"):
             ivf.search(np.zeros((2, index.dim + 3)), k=5)
-
-    def test_uint8_lut_matches_float_reference(self):
-        # The uint8 scan preselects every candidate within the quantization
-        # error bound and reranks in float64, so its final ranking is
-        # identical to the float32 reference path.
-        index, queries = make_clustered_index()
-        ivf32 = IVFIndex.build(index, num_cells=16, lut_dtype="float32")
-        ivf8 = IVFIndex.build(index, num_cells=16, lut_dtype="uint8")
-        for nprobe in (2, 4, 16):
-            want_i, want_d = ivf32.search_with_distances(
-                queries, k=10, nprobe=nprobe
-            )
-            got_i, got_d = ivf8.search_with_distances(
-                queries, k=10, nprobe=nprobe
-            )
-            np.testing.assert_array_equal(got_i, want_i)
-            np.testing.assert_allclose(got_d, want_d)
-
-    def test_uint8_without_rerank_close_to_reference(self):
-        # Without the rerank the quantization error reaches the output:
-        # distances may differ within the documented M*scale bound.
-        index, queries = make_clustered_index()
-        ivf8 = IVFIndex.build(
-            index, num_cells=16, lut_dtype="uint8", rerank=False
-        )
-        got_i, got_d = ivf8.search_with_distances(queries, k=10, nprobe=16)
-        want_i, want_d = QueryEngine(index).search_with_distances(queries, k=10)
-        # Bound check rather than equality: ranks can swap under error.
-        assert got_d.shape == want_d.shape
-        assert np.median(np.abs(got_d - want_d)) < 10.0
-
-    def test_bad_lut_dtype_rejected(self):
-        index, _ = make_clustered_index()
-        with pytest.raises(ValueError, match="lut_dtype"):
-            IVFIndex.build(index, num_cells=4, lut_dtype="float16")
 
     def test_recall_floor_on_longtail_profile(self):
         # A long-tail corpus (Zipf sizes) with class structure: moderate

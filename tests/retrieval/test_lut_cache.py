@@ -166,13 +166,12 @@ class TestEngineParity:
 
 
 class TestIVFParity:
-    """IVF probe scans with reuse, float32 and the uint8 LUT path."""
+    """IVF probe scans with reuse."""
 
-    @pytest.mark.parametrize("lut_dtype", ["float32", "uint8"])
-    def test_cached_matches_disabled(self, lut_dtype):
+    def test_cached_matches_disabled(self):
         index, rng = make_index(seed=11)
-        cached = IVFIndex.build(index, num_cells=8, lut_dtype=lut_dtype)
-        fresh = IVFIndex.build(index, num_cells=8, lut_dtype=lut_dtype)
+        cached = IVFIndex.build(index, num_cells=8)
+        fresh = IVFIndex.build(index, num_cells=8)
         fresh.lut_cache = None
         assert cached.lut_cache is not None
         queries = rng.normal(size=(10, index.dim))

@@ -594,6 +594,40 @@ class TestPerRequestNprobe:
         assert np.array_equal(pruned.indices, truths[1][0][0])
         assert np.array_equal(exact.indices, truths[0][0][0])
 
+    def test_cell_count_builds_one_layout_for_all_replicas(self, served_index):
+        """``engine_kwargs={"ivf": <int>}`` trains the coarse quantizer once:
+        every replica scans the same IVFIndex object, and answers equal a
+        daemon handed that layout prebuilt."""
+        from repro.retrieval.search import SearchRequest
+
+        index, pool = served_index
+        counted = ServingDaemon(
+            index,
+            num_replicas=3,
+            engine_kwargs={"ivf": 8, "nprobe": 4},
+            config=quiet_config(),
+        )
+        layouts = [replica.engine.ivf for replica in counted.replica_set.replicas]
+        assert layouts[0] is not None
+        assert all(layout is layouts[0] for layout in layouts)
+        prebuilt = ServingDaemon(
+            index,
+            num_replicas=3,
+            engine_kwargs={"ivf": layouts[0], "nprobe": 4},
+            config=quiet_config(),
+        )
+
+        async def run(daemon):
+            async with daemon:
+                return [
+                    await daemon.submit(SearchRequest(queries=pool[row : row + 1], k=5))
+                    for row in range(6)
+                ]
+
+        for got, want in zip(asyncio.run(run(counted)), asyncio.run(run(prebuilt))):
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.distances, want.distances)
+
     def test_nprobe_rejected_without_ivf(self, served_index):
         from repro.retrieval.search import SearchRequest
 

@@ -27,9 +27,8 @@ def sweep_results():
 class TestGrids:
     def test_tiny_grid_shape(self):
         grid = tiny_grid()
-        assert len(grid) == 22
+        assert len(grid) == 20
         assert len(set(grid)) == len(grid)  # no duplicate points
-        assert any(p.lut_dtype == "uint8" for p in grid)
         assert any(not p.uses_ivf for p in grid)
         assert any(p.uses_ivf for p in grid)
         # One encode-inclusive point per query-encoder mode and geometry.
@@ -46,11 +45,10 @@ class TestGrids:
         assert config.code_dtype == "uint16"
 
     def test_search_config_carries_point_fields(self):
-        point = GridPoint(4, 16, num_cells=8, nprobe=2, lut_dtype="uint8")
+        point = GridPoint(4, 16, num_cells=8, nprobe=2)
         config = point.search_config(n_db=500, dim=12, k=5)
         assert (config.num_codebooks, config.num_codewords) == (4, 16)
         assert (config.num_cells, config.nprobe) == (8, 2)
-        assert config.lut_dtype == "uint8"
         assert config.uses_ivf
 
 
@@ -154,7 +152,7 @@ class TestRecommend:
         coefficients = {name: 0.0 for name in COST_FEATURE_NAMES}
         coefficients["probe_cells"] = 1e-6
         base = dict(num_codebooks=4, num_codewords=16, workers=1,
-                    num_shards=1, num_cells=16, lut_dtype="float32",
+                    num_shards=1, num_cells=16,
                     n_db=1000, dim=16, code_dtype="uint8")
         points = [
             {"config": {**base, "nprobe": 1}, "latency_ms": 1e-3,
@@ -172,6 +170,60 @@ class TestRecommend:
         }
         return {"schema_version": 6, "seed": 0, "quick": True,
                 "profiles": {"tiny": {"phases": {"tune": tune}}}}
+
+    def _pre_removal_artifact(self):
+        """The synthetic artifact as written while the IVF scan still had a
+        uint8-LUT variant: every point names its LUT dtype, one was measured
+        under uint8 (and would win any budget), and the model carries that
+        arithmetic's coefficient."""
+        artifact = self._synthetic_artifact()
+        tune = artifact["profiles"]["tiny"]["phases"]["tune"]
+        for entry in tune["points"]:
+            entry["config"]["lut_dtype"] = "float32"
+        quantized = copy.deepcopy(tune["points"][1])
+        quantized["config"]["lut_dtype"] = "uint8"
+        quantized.update(latency_ms=1e-4, recall=0.99)
+        tune["points"].append(quantized)
+        tune["grid_points"] = 3
+        tune["model"]["coefficients"]["scan_uint8"] = 1e-9
+        return artifact
+
+    def test_old_artifact_replays_without_its_quantized_lut_points(self):
+        artifact = self._pre_removal_artifact()
+        tune = artifact["profiles"]["tiny"]["phases"]["tune"]
+        model = model_from_report(tune["model"])  # unknown coefficient ignored
+        assert model.coefficients.sum() == pytest.approx(1e-6)
+
+        feasible = recommend(artifact, TuneRequest(recall=0.5))
+        assert feasible.feasible
+        assert feasible.config.get("lut_dtype") == "float32"
+        assert (feasible.config["nprobe"], feasible.recall) == (8, 0.9)
+        assert "skipped 1 measured point" in feasible.note
+        assert any("skipped 1" in line for line in feasible.summary_lines())
+
+        # Only the skipped point could have met this floor.
+        missed = recommend(artifact, TuneRequest(recall=0.95))
+        assert not missed.feasible
+        assert "nearest" in missed.note and "skipped 1" in missed.note
+
+        # Interpolation still runs over the points that remain.
+        between = recommend(artifact, TuneRequest(latency_ms=6e-3, recall=0.5))
+        assert between.source == "interpolated"
+
+    def test_old_and_new_ivf_summaries_both_format(self):
+        from repro.obs.bench import format_summary
+
+        build = {"wall_time_s": 1.5, "num_cells": 64, "nbytes": 1000}
+        phase = {
+            "build": build,
+            "exhaustive": {"wall_time_s": 0.5, "qps": 100.0},
+            "curve": [], "best": None, "recall_floor": 0.95,
+        }
+        results = {"schema_version": 7, "seed": 0, "quick": True,
+                   "profiles": {"ivf-large": {"phases": {"ivf": phase}}}}
+        assert "64 cells, build 1.5s" in format_summary(results)
+        build["lut_dtype"] = "uint8"  # as artifacts used to record it
+        assert "64 cells, uint8 LUT, build 1.5s" in format_summary(results)
 
     def test_interpolates_between_measured_nprobes(self):
         """A budget no measured point satisfies is met by a model-priced

@@ -11,6 +11,9 @@ slow-worker stall — and asserts the resilience contract:
   never degrades quality silently: non-degraded results are bit-identical
   to ``QueryEngine`` outside degraded windows),
 - the crash actually fired (failover observed, crash event logged),
+- short scans ran inline on the event-loop thread once a replica had proven
+  fast (``counts["inline_scans"] > 0``), and the seeded stall — which an
+  inline scan cannot be hedged out of — fired and still failed no request,
 - batching is work-conserving: before the burst, a lone request on an idle
   daemon is answered without paying ``batch_delay_s``,
 - shutdown drains cleanly.
@@ -51,7 +54,9 @@ async def run() -> tuple:
     index = QuantizedIndex.build(
         codebooks, rng.normal(size=(n_db, dim)), codes=codes
     )
-    pool = rng.normal(size=(24, dim))
+    # Wider than the burst, so most requests miss the cache and replica 1
+    # scans often enough to reach its seeded stall.
+    pool = rng.normal(size=(96, dim))
 
     # An idle replica dispatches at once: batch_delay_s bounds the wait for
     # company only while every replica is busy.
@@ -98,10 +103,16 @@ def main() -> int:
     assert report.n_requests == 96 and report.n_ok == 96
 
     # The kill fault actually fired and the daemon failed over.
-    kill = faults.faults[0]
+    kill, stall = faults.faults
+    assert kill.fired, "the replica-kill fault never fired"
     assert daemon.replica_set.states[0] == "dead", daemon.replica_set.states
     assert daemon.counts["failovers"] >= 1, dict(daemon.counts)
     assert any("crashed" in event for event in daemon.events), daemon.events
+
+    # Replica 1 earned inline scans; its stall fired and cost no request
+    # (report.n_failed == 0 above), inline or not.
+    assert daemon.counts["inline_scans"] > 0, dict(daemon.counts)
+    assert stall.fired == [(1, 6)], stall.fired
 
     # Outside degraded windows answers equal the exact serial scan.
     engine = QueryEngine(index, parallel="never")
@@ -134,11 +145,13 @@ def main() -> int:
     ), stats
 
     elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"serve smoke took {elapsed:.2f}s (budget 5 s)"
     print(
         "serve smoke ok: 96/96 requests under replica-kill + slow-worker "
         f"faults, failovers={daemon.counts['failovers']}, "
         f"retries={daemon.counts['retries']}, "
-        f"hedges={daemon.counts['hedges']}, parity exact "
+        f"hedges={daemon.counts['hedges']}, "
+        f"inline_scans={daemon.counts['inline_scans']}, parity exact "
         f"({elapsed:.2f}s)"
     )
     return 0

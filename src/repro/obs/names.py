@@ -113,6 +113,7 @@ SERVE_CACHE_STALE_SERVED = "serve.cache.stale_served"
 SERVE_RETRIES_TOTAL = "serve.retries.total"
 SERVE_HEDGES_TOTAL = "serve.hedges.total"
 SERVE_FAILOVERS_TOTAL = "serve.failovers.total"
+SERVE_SCANS_INLINE = "serve.scans.inline"
 SERVE_BREAKER_OPENS = "serve.breaker.opens"
 SERVE_REPLICAS_HEALTHY = "serve.replicas.healthy"
 SERVE_DEGRADED_ACTIVE = "serve.degraded.active"
@@ -402,6 +403,15 @@ SPECS: tuple[MetricSpec, ...] = (
         "repro.serving.daemon.ServingDaemon",
         "Batches whose answer came from a different replica than the one "
         "first attempted.",
+    ),
+    MetricSpec(
+        SERVE_SCANS_INLINE,
+        COUNTER,
+        "scans",
+        "repro.serving.daemon.ServingDaemon",
+        "Replica scans run inline on the event-loop thread (no executor "
+        "hand-off) because the replica's recent scans at that batch width "
+        "finished under the inline bound.",
     ),
     MetricSpec(
         SERVE_BREAKER_OPENS,

@@ -9,6 +9,11 @@ request loop and owns every recovery decision between a client's
 - **Replication + failover** — each scan runs on one of ``num_replicas``
   replica engines (:mod:`repro.serving.replica`); a crash, corrupt
   response, or timeout moves the batch to the next healthy replica.
+- **Inline short scans** — a replica whose recent scans finished under a
+  tenth of the hedge trigger scans on the event-loop thread, skipping the
+  executor hand-off; its first scan, a wider batch than it has proven, and
+  every scan after a slow or failed one take an executor thread, where
+  hedging and attempt timeouts can act.
 - **Deadlines, retries, hedging** — every request carries an absolute
   deadline; failed attempts retry with exponential backoff and seeded
   jitter, and a straggling attempt is hedged once on a second replica
@@ -250,6 +255,16 @@ class ServingDaemon:
             for i in range(num_replicas)
         ]
         self.replica_set = ReplicaSet(replicas, breakers)
+        # Inline scans: a replica whose scans of up to ``_inline_rows[id]``
+        # rows have been finishing under the bound runs them on the loop
+        # thread. The bound is a tenth of the earliest the protocol could have
+        # reacted to a slow scan (the hedge trigger, else the attempt timeout)
+        # — what a synchronous scan, which the loop cannot time out, gives up.
+        react_s = cfg.attempt_timeout_s
+        if cfg.hedge_after_s is not None:
+            react_s = min(react_s, cfg.hedge_after_s)
+        self._inline_bound_s = 0.1 * react_s
+        self._inline_rows = {replica.replica_id: 0 for replica in replicas}
         self.cache = ResultCache(
             capacity=cfg.cache_capacity, ttl_s=cfg.cache_ttl_s
         )
@@ -704,7 +719,9 @@ class ServingDaemon:
         Returns ``(indices, distances, replica_id)`` from whichever task
         finished first with a valid answer; raises the primary's error (or
         a timeout) when nothing succeeded inside the budget. Late
-        finishers are detached, their outcome still feeding the breaker.
+        finishers are detached, their outcome still feeding the breaker. An
+        inline scan (see :meth:`_scan_task`) is already finished when it gets
+        here and is harvested without a wait; a late one is still used.
         """
         loop = asyncio.get_running_loop()
         cfg = self.config
@@ -722,16 +739,18 @@ class ServingDaemon:
         last_error: Exception | None = None
         hedged = False
         while running:
-            if hedge_wait is not None and not hedged:
-                timeout = min(hedge_wait, attempt_deadline - loop.time())
-            else:
-                timeout = attempt_deadline - loop.time()
-            if timeout <= 0:
-                break
-            done, _ = await asyncio.wait(
-                set(running), timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            done = {task for task in running if task.done()}
+            if not done:
+                if hedge_wait is not None and not hedged:
+                    timeout = min(hedge_wait, attempt_deadline - loop.time())
+                else:
+                    timeout = attempt_deadline - loop.time()
+                if timeout <= 0:
+                    break
+                done, _ = await asyncio.wait(
+                    set(running), timeout=timeout,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
             now = loop.time()
             if not done:
                 if hedge_wait is not None and not hedged:
@@ -750,14 +769,14 @@ class ServingDaemon:
                 break
             for task in done:
                 task_replica = running.pop(task)
-                breaker = self.replica_set.breaker_for(task_replica.replica_id)
                 error = task.exception()
                 if error is None:
-                    breaker.record_success(now)
-                    self.replica_set.mark_healthy(task_replica.replica_id)
+                    indices, distances, scan_s = task.result()
+                    self._record_scan_success(
+                        task_replica, now, len(queries), scan_s
+                    )
                     for straggler, straggler_replica in running.items():
                         self._detach(straggler, straggler_replica)
-                    indices, distances = task.result()
                     return indices, distances, task_replica.replica_id
                 last_error = error
                 self._record_scan_failure(task_replica, error, now)
@@ -782,10 +801,33 @@ class ServingDaemon:
         self, replica: Replica, queries: np.ndarray, k: int,
         rerank: bool | None, nprobe: int | None = None,
     ) -> asyncio.Future:
-        return asyncio.get_running_loop().run_in_executor(
-            None,
-            lambda: replica.search(queries, k, rerank=rerank, nprobe=nprobe),
-        )
+        """Start one ``Replica.search``; resolves to ``(indices, distances,
+        seconds)``, the scan timed on the thread it ran on.
+
+        A batch no wider than the replica has lately scanned under the inline
+        bound runs right here on the loop thread and comes back as a finished
+        future: no executor hand-off, nothing to wait on — and nothing that
+        can hedge or time it out, which is why the privilege is earned from
+        observed scans and dropped at the first slow or failed one.
+        """
+        loop = asyncio.get_running_loop()
+
+        def scan() -> tuple[np.ndarray, np.ndarray, float]:
+            start = time.perf_counter()
+            indices, distances = replica.search(
+                queries, k, rerank=rerank, nprobe=nprobe
+            )
+            return indices, distances, time.perf_counter() - start
+
+        if len(queries) > self._inline_rows[replica.replica_id]:
+            return loop.run_in_executor(None, scan)
+        self._count("inline_scans", metric_names.SERVE_SCANS_INLINE)
+        task = loop.create_future()
+        try:
+            task.set_result(scan())
+        except Exception as exc:
+            task.set_exception(exc)
+        return task
 
     def _pick_hedge(self, now: float, exclude: set[int]) -> Replica | None:
         candidates = self.replica_set.candidates(now, exclude=exclude)
@@ -806,18 +848,28 @@ class ServingDaemon:
                 now = asyncio.get_running_loop().time()
             except RuntimeError:  # pragma: no cover - loop already gone
                 return
-            breaker = self.replica_set.breaker_for(replica.replica_id)
             if error is None:
-                breaker.record_success(now)
-                self.replica_set.mark_healthy(replica.replica_id)
+                # rows=0: a straggler can lose the inline privilege, not widen it.
+                self._record_scan_success(replica, now, 0, finished.result()[2])
             else:
                 self._record_scan_failure(replica, error, now)
 
         task.add_done_callback(harvest)
 
+    def _record_scan_success(
+        self, replica: Replica, now: float, rows: int, scan_s: float
+    ) -> None:
+        self.replica_set.breaker_for(replica.replica_id).record_success(now)
+        self.replica_set.mark_healthy(replica.replica_id)
+        held = self._inline_rows[replica.replica_id]
+        self._inline_rows[replica.replica_id] = (
+            max(held, rows) if scan_s < self._inline_bound_s else 0
+        )
+
     def _record_scan_failure(
         self, replica: Replica, error: Exception, now: float
     ) -> None:
+        self._inline_rows[replica.replica_id] = 0
         breaker = self.replica_set.breaker_for(replica.replica_id)
         breaker.record_failure(now)
         if type(error).__name__ == "ReplicaCrash":

@@ -90,9 +90,11 @@ def validate_response(
         return
     if indices.min() < 0 or indices.max() >= bound:
         raise ResponseValidationError(f"response ids outside [0, {bound})")
-    if not np.isfinite(distances).all() or distances.min() < 0:
+    # Two reductions cover finite *and* non-negative: min/max propagate a NaN
+    # (which fails both comparisons), and +-inf falls outside [0, inf).
+    if not (distances.min() >= 0 and distances.max() < np.inf):
         raise ResponseValidationError("response distances non-finite or negative")
-    if np.any(np.diff(distances, axis=1) < 0):
+    if (distances[:, 1:] < distances[:, :-1]).any():
         raise ResponseValidationError("response distances not sorted per row")
 
 
@@ -100,7 +102,8 @@ class Replica:
     """One engine copy plus its fault hooks and call counter.
 
     Scan calls are numbered 1.. per replica under a lock (scans run on
-    executor threads), giving fault plans their deterministic
+    executor threads and, for a replica the daemon has seen to be fast, on
+    the event-loop thread), giving fault plans their deterministic
     ``(replica, call)`` coordinates.
     """
 
@@ -189,6 +192,9 @@ class ReplicaSet:
             raise ValueError("one breaker per replica")
         self.replicas = list(replicas)
         self.breakers = list(breakers)
+        self._breaker_by_id = {
+            r.replica_id: breaker for r, breaker in zip(self.replicas, self.breakers)
+        }
         self.states = {r.replica_id: HEALTHY for r in self.replicas}
         self._rotation = 0
         self._publish_health()
@@ -197,10 +203,7 @@ class ReplicaSet:
         return len(self.replicas)
 
     def breaker_for(self, replica_id: int) -> CircuitBreaker:
-        for replica, breaker in zip(self.replicas, self.breakers):
-            if replica.replica_id == replica_id:
-                return breaker
-        raise KeyError(replica_id)
+        return self._breaker_by_id[replica_id]
 
     def healthy_count(self) -> int:
         return sum(1 for state in self.states.values() if state == HEALTHY)

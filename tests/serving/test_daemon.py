@@ -6,6 +6,7 @@ guarantees no daemon state leaks between tests.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -546,6 +547,223 @@ class TestShutdown:
 
         results = asyncio.run(run())
         assert any(isinstance(r, Exception) for r in results)
+
+
+class _ScanThreads:
+    """A fault-plan hook that only watches: the thread each scan ran on."""
+
+    def __init__(self):
+        self.seen: dict[tuple[int, int], int] = {}
+
+    def before_scan(self, replica, call):
+        self.seen[(replica, call)] = threading.get_ident()
+
+
+class TestInlineScans:
+    """A replica that has proven fast scans on the loop thread; its first
+    scan, a wider batch than it has proven, and every scan after a slow or
+    failed one take an executor thread, where hedges and timeouts work."""
+
+    #: Inline bound 0.1 s (a tenth of the hedge trigger): a loaded CI box
+    #: cannot push a 200-row scan past it, so the paths below are exact.
+    ROOMY = dict(hedge_after_s=1.0, attempt_timeout_s=2.0, request_timeout_s=5.0)
+
+    @staticmethod
+    async def _warm(daemon, pool, rounds=3):
+        """``rounds`` single-row scans per replica (rotation alternates)."""
+        for row in range(rounds * len(daemon.replica_set)):
+            await daemon.submit(pool[row], k=9)
+
+    def test_first_scan_and_wider_batches_take_a_thread_then_run_inline(
+        self, served_index
+    ):
+        index, pool = served_index
+        threads = _ScanThreads()
+
+        async def wide(daemon, k):
+            burst = await asyncio.gather(
+                *(daemon.submit(pool[row], k=k) for row in range(4))
+            )
+            return burst[0].replica
+
+        async def run():
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config(**self.ROOMY),
+                faults=ServingFaults(threads),
+            ) as daemon:
+                await self._warm(daemon, pool)
+                served_by = [await wide(daemon, k) for k in (5, 4, 3)]
+                return daemon, threading.get_ident(), served_by
+
+        daemon, loop_thread, served_by = asyncio.run(run())
+        for replica in (0, 1):
+            assert threads.seen[(replica, 1)] != loop_thread  # fresh replica
+            assert threads.seen[(replica, 2)] == loop_thread
+            assert threads.seen[(replica, 3)] == loop_thread
+        # Four rows is wider than either replica has proven: each one's first
+        # such batch takes a thread, the next runs inline.
+        assert served_by == [0, 1, 0]
+        assert threads.seen[(0, 4)] != loop_thread
+        assert threads.seen[(1, 4)] != loop_thread
+        assert threads.seen[(0, 5)] == loop_thread
+        assert daemon.counts["inline_scans"] == 5
+        assert daemon.counts["retries"] == daemon.counts["hedges"] == 0
+
+    def test_bound_below_the_scan_time_means_no_inline_scan(self, served_index):
+        index, pool = served_index
+        want_i, _ = exact_answers(index, pool, k=9)
+
+        async def run():
+            # A tenth of a 1 us hedge trigger: no real scan is that fast.
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config(hedge_after_s=1e-6)
+            ) as daemon:
+                results = [await daemon.submit(pool[row], k=9) for row in range(8)]
+                return daemon, results
+
+        daemon, results = asyncio.run(run())
+        assert daemon.counts["inline_scans"] == 0
+        for row, result in enumerate(results):
+            assert np.array_equal(result.indices, want_i[row])
+
+    @pytest.mark.parametrize(
+        "fault, state_after",
+        [
+            (ReplicaKillFault(replica=0, at_call=4), "dead"),
+            (CorruptResponseFault(replica=0, at=[4], seed=7), "healthy"),
+        ],
+        ids=["kill", "corrupt"],
+    )
+    def test_fault_on_an_inline_replica_fails_over_as_before(
+        self, served_index, fault, state_after
+    ):
+        index, pool = served_index
+        want_i, want_d = exact_answers(index, pool[6:7], k=9)
+        threads = _ScanThreads()
+        fault.fired.clear()  # parametrize shares the instance across runs
+
+        async def run():
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config(**self.ROOMY),
+                faults=ServingFaults(threads, fault),
+            ) as daemon:
+                await self._warm(daemon, pool)
+                daemon.replica_set._rotation = 0  # replica 0, call 4, inline
+                result = await daemon.submit(pool[6], k=9)
+                return daemon, threading.get_ident(), result
+
+        daemon, loop_thread, result = asyncio.run(run())
+        assert fault.fired == [(0, 4)]
+        assert threads.seen[(0, 4)] == loop_thread  # it fired on the loop
+        assert np.array_equal(result.indices, want_i[0])
+        assert np.array_equal(result.distances, want_d[0])
+        assert result.replica == 1 and result.attempts == 2
+        assert daemon.counts["failovers"] == 1
+        assert daemon.counts["retries"] == 1
+        assert daemon.counts["failed"] == 0
+        assert daemon.replica_set.breaker_for(0).consecutive_failures == 1
+        assert daemon.replica_set.states[0] == state_after
+        assert daemon._inline_rows[0] == 0  # and the privilege went with it
+
+    def test_stall_on_an_inline_replica_is_served_then_sent_back_to_a_thread(
+        self, served_index
+    ):
+        index, pool = served_index
+        want_i, _ = exact_answers(index, pool[6:8], k=9)
+        threads = _ScanThreads()
+        stall = SlowReplicaFault(replica=0, delay_s=0.3, at={4, 5})
+
+        async def run():
+            # Inline bound 10 ms; the stalls are 30x that.
+            async with ServingDaemon(
+                index, num_replicas=2,
+                config=quiet_config(
+                    hedge_after_s=0.1, attempt_timeout_s=2.0, request_timeout_s=5.0
+                ),
+                faults=ServingFaults(threads, stall),
+            ) as daemon:
+                await self._warm(daemon, pool)
+                daemon.replica_set._rotation = 0
+                late = await daemon.submit(pool[6], k=9)
+                hedges_after_late = daemon.counts["hedges"]
+                daemon.replica_set._rotation = 0
+                hedged = await daemon.submit(pool[7], k=9)
+                return daemon, threading.get_ident(), late, hedges_after_late, hedged
+
+        daemon, loop_thread, late, hedges_after_late, hedged = asyncio.run(run())
+        # Call 4 stalled on the loop: nothing could hedge it, the late answer
+        # is used and is right.
+        assert threads.seen[(0, 4)] == loop_thread
+        assert np.array_equal(late.indices, want_i[0])
+        assert late.replica == 0 and late.attempts == 1 and late.latency_s >= 0.3
+        assert hedges_after_late == 0
+        # Call 5 is back on a thread, where the second stall is hedged.
+        assert threads.seen[(0, 5)] != loop_thread
+        assert np.array_equal(hedged.indices, want_i[1])
+        assert hedged.replica == 1 and hedged.attempts == 1
+        assert daemon.counts["hedges"] == 1
+        assert daemon.counts["failed"] == 0 and daemon.counts["retries"] == 0
+
+    def test_inline_and_executor_answers_are_bit_equal(self, served_index):
+        index, pool = served_index
+        threads = _ScanThreads()
+
+        async def run():
+            async with ServingDaemon(
+                index, num_replicas=1, config=quiet_config(**self.ROOMY),
+                faults=ServingFaults(threads),
+            ) as daemon:
+                def batch():
+                    return asyncio.gather(
+                        *(daemon.submit(pool[row], k=9) for row in range(4))
+                    )
+
+                on_thread = await batch()
+                daemon.cache.clear()
+                inline = await batch()
+                return threading.get_ident(), on_thread, inline
+
+        loop_thread, on_thread, inline = asyncio.run(run())
+        assert threads.seen[(0, 1)] != loop_thread
+        assert threads.seen[(0, 2)] == loop_thread
+        for a, b in zip(on_thread, inline):
+            assert a.source == b.source == "engine"
+            assert a.distances.dtype == np.float64
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.distances, b.distances)
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_stop_with_inline_traffic_in_flight_resolves_every_future(
+        self, served_index, drain
+    ):
+        index, pool = served_index
+
+        async def run():
+            daemon = ServingDaemon(
+                index, num_replicas=2,
+                config=quiet_config(max_batch_size=2, **self.ROOMY),
+            )
+            await daemon.start()
+            await self._warm(daemon, pool)
+            pending = [
+                asyncio.create_task(daemon.submit(pool[row % len(pool)], k=1 + row))
+                for row in range(24)
+            ]
+            await asyncio.sleep(0)  # let the submits enqueue
+            await daemon.stop(drain=drain)
+            results = await asyncio.wait_for(
+                asyncio.gather(*pending, return_exceptions=True), timeout=5.0
+            )
+            return daemon, results
+
+        daemon, results = asyncio.run(run())
+        assert len(results) == 24
+        assert daemon.counts["inline_scans"] > 0
+        failures = [r for r in results if isinstance(r, Exception)]
+        if drain:
+            assert not failures, failures
+        else:
+            assert all(isinstance(f, RuntimeError) for f in failures), failures
 
 
 class TestPerRequestNprobe:

@@ -13,6 +13,9 @@ asserts the layer's serving contract end to end:
   while scanning a fraction of the database,
 - the ``QueryEngine(ivf=...)`` integration routes through the layer and
   ``nprobe=0`` bypasses it back to the exhaustive scan,
+- a two-replica ``ServingDaemon`` built either way (``ivf=<cells>`` or a
+  prebuilt ``IVFIndex``) scans one flat and one IVF layout, the flat one
+  being the index's own code store (resident vs accounted B/item printed),
 - a quick ``ivf-large``-shaped bench invocation (tiny corpus) produces a
   schema-v4 ``phases.ivf`` subtree with a recall-vs-speedup curve.
 
@@ -38,6 +41,7 @@ from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex
 from repro.retrieval.search import SearchRequest
+from repro.serving import ServingDaemon
 
 
 def build_clustered_index(rng, n_db=2000, num_classes=16, m=4, k_words=16, dim=12):
@@ -55,6 +59,39 @@ def build_clustered_index(rng, n_db=2000, num_classes=16, m=4, k_words=16, dim=1
         size=(24, dim)
     ) * 0.5
     return index, queries
+
+
+def check_shared_layouts(index, ivf) -> str:
+    """Both daemon construction paths share layouts; resident vs accounted."""
+    lines = []
+    for how, layer in (("ivf=<cells>", ivf.num_cells), ("prebuilt", ivf)):
+        daemon = ServingDaemon(
+            index, num_replicas=2, engine_kwargs={"ivf": layer, "nprobe": 8}
+        )
+        first, second = (r.engine for r in daemon.replica_set.replicas)
+        assert second.sharded is first.sharded, "replicas laid the index out twice"
+        assert second.ivf is first.ivf, "replicas hold separate IVF layouts"
+        assert not first.sharded.fused  # a pair-fused layout is different data
+        assert np.shares_memory(first.sharded.codes_t, index.codes), (
+            "the flat layout is a copy of the code store"
+        )
+        # Distinct buffers behind the served arrays, each counted once.
+        arrays = [index.codes, index.db_sq_norms]
+        for engine in (first, second):
+            sharded, layer = engine.sharded, engine.ivf
+            arrays += [sharded.codes_t, sharded.norms, sharded.norms64,
+                       layer.codes_t, layer.ids, layer.norms32, layer.norms64,
+                       layer.centroids]
+        owners = {}
+        for array in arrays:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            owners[id(array)] = array.nbytes
+        resident = sum(owners.values()) / len(index)
+        accounted = (first.sharded.nbytes + first.ivf.nbytes) / len(index)
+        assert resident <= 2 * accounted, f"{resident:.1f} B/item resident"
+        lines.append(f"{how}: {resident:.1f} resident / {accounted:.1f} accounted B/item")
+    return "; ".join(lines)
 
 
 def main() -> int:
@@ -106,6 +143,12 @@ def main() -> int:
         bypass = engine.search(SearchRequest(queries, k=10, nprobe=0)).indices
         assert np.array_equal(bypass, oracle), "nprobe=0 bypass is not exact"
 
+    # Half the rows: under the 4·K² a flat layout needs to pair-fuse.
+    half = QuantizedIndex(
+        index.codebooks, index.codes[:1000], index.db_sq_norms[:1000].copy()
+    )
+    layouts = check_shared_layouts(half, IVFIndex.build(half, num_cells=16, seed=0))
+
     # Tiny ivf-large bench run: schema v4 subtree with a curve.
     from repro.obs.bench import bench_ivf_profile
 
@@ -123,6 +166,7 @@ def main() -> int:
         f"smoke_ivf: ok (recall@10 {recall:.3f} at nprobe=8/32, "
         f"bench curve {['%.2f' % r for r in recalls]})"
     )
+    print(f"smoke_ivf: shared layouts ok ({layouts})")
     return 0
 
 

@@ -96,8 +96,10 @@ FUSED_WIDTH_MAX = 4096
 
 
 def validate_codes(codes: np.ndarray, num_codebooks: int, num_codewords: int) -> np.ndarray:
-    """Check code array shape/dtype/range and return it as int64.
+    """Check code array shape/dtype/range and return it in the storage dtype.
 
+    That is :func:`compact_code_dtype`, which every index, segment, layout
+    and archive keeps codes in; an array already in it is not copied.
     Float arrays are accepted only when every value sits exactly on the
     integer lattice (e.g. a float64 array of whole numbers out of a generic
     pipeline); fractional or non-finite values would previously be floored
@@ -120,7 +122,7 @@ def validate_codes(codes: np.ndarray, num_codebooks: int, num_codewords: int) ->
             )
     if codes.size and (codes.min() < 0 or codes.max() >= num_codewords):
         raise ValueError("code ids out of codebook range")
-    return codes.astype(np.int64)
+    return codes.astype(compact_code_dtype(num_codewords), copy=False)
 
 
 #: Float64 cells :func:`reconstruct` gathers at a time (2 MB).
@@ -255,7 +257,9 @@ def scan_codes(
 ) -> np.ndarray:
     """The frozen ``(columns, n)`` scan layout of ``(n, M)`` codeword ids.
 
-    Unfused, column ``j`` is codebook ``j`` in :func:`compact_code_dtype`.
+    Unfused, column ``j`` is codebook ``j`` in :func:`compact_code_dtype` —
+    the code store itself: the ``(n, M)`` view of a frozen layout (what
+    ``QuantizedIndex.codes`` is) comes back as that layout, not a copy.
     With ``fuse`` (``M`` even), column ``j`` holds the joint code
     ``c_{2j}·K + c_{2j+1}`` in the unsigned dtype twice as wide — the same
     bytes as the pair it replaces; the per-codebook ids are recovered with
@@ -268,14 +272,18 @@ def scan_codes(
         raise ValueError("code ids out of codebook range")
     dtype = compact_code_dtype(num_codewords)
     if fuse:
-        # Built in place in one array: no (n, M/2) int64 temporaries.
+        # Built in place in one array, the arithmetic in *its* dtype: the
+        # input's would wrap c·K for codes that are already compact.
         codes_t = np.empty(
             (codes.shape[1] // 2, len(codes)), dtype=f"u{2 * dtype.itemsize}"
         )
-        np.multiply(codes[:, 0::2].T, num_codewords, out=codes_t, casting="unsafe")
-        np.add(codes_t, codes[:, 1::2].T, out=codes_t, casting="unsafe")
+        wide = {"out": codes_t, "dtype": codes_t.dtype, "casting": "unsafe"}
+        np.multiply(codes[:, 0::2].T, num_codewords, **wide)
+        np.add(codes_t, codes[:, 1::2].T, **wide)
     else:
-        codes_t = np.ascontiguousarray(codes.T.astype(dtype))
+        codes_t = np.ascontiguousarray(codes.T, dtype=dtype)
+        if codes_t.flags.writeable and np.may_share_memory(codes_t, codes):
+            codes_t = codes_t.copy()  # the caller can still write to theirs
     codes_t.setflags(write=False)
     return codes_t
 

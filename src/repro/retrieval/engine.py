@@ -4,15 +4,16 @@
 one process, and a full ``(n_q, n_db)`` temporary per codebook. This module
 is the deployable version of the same Eqn. 24 arithmetic:
 
-- :class:`ShardedIndex` re-lays a :class:`~repro.retrieval.index.QuantizedIndex`
-  for scanning (:func:`repro.retrieval.adc.scan_codes`): codes transposed to
-  ``(columns, n_db)`` — one column per codebook in the narrowest unsigned
-  dtype ``K`` permits (uint8 for K ≤ 256, uint16 for K ≤ 65 536), or, where
-  :func:`~repro.retrieval.adc.fuses_pairs` says the shape pays for it, one
-  column per codebook *pair* holding the joint code ``c_{2j}·K + c_{2j+1}``
-  in the dtype twice as wide (the same bytes per item) — range-checked once
-  and frozen, norms kept in both the scan dtype and float64, and the rows
-  split into contiguous shards.
+- :class:`ShardedIndex` is a :class:`~repro.retrieval.index.QuantizedIndex`
+  laid out for scanning (:func:`repro.retrieval.adc.scan_codes`): a
+  ``(columns, n_db)`` code array — the index's own code store, not a copy
+  (one column per codebook in the narrowest unsigned dtype ``K`` permits:
+  uint8 for K ≤ 256, uint16 for K ≤ 65 536), or, where
+  :func:`~repro.retrieval.adc.fuses_pairs` says the shape pays for it, a new
+  array with one column per codebook *pair* holding the joint code
+  ``c_{2j}·K + c_{2j+1}`` in the dtype twice as wide (the same bytes per
+  item) — range-checked once and frozen, norms kept in both the scan dtype
+  and float64, and the rows split into contiguous shards.
 - :class:`QueryEngine` is the flat block provider of the shared ADC stages
   (:mod:`repro.retrieval.adc`): it lays the batch's lookup tables out for
   the layout (:func:`~repro.retrieval.adc.scan_tables`: scan dtype,
@@ -24,7 +25,8 @@ is the deployable version of the same Eqn. 24 arithmetic:
   matrix produces).
 - Shards can be scanned by a ``multiprocessing`` pool whose workers attach to
   shared-memory code/norm buffers (re-verifying the code range as they do),
-  so the database is materialised once per machine, not once per worker.
+  so the database is materialised once per machine, not once per worker
+  (the buffers are the :class:`ShardedIndex`'s, whatever engines scan it).
   The pool engages only when it can pay:
   ``min(workers, cpu_count, num_shards) > 1`` and the batch clears
   ``min_parallel_codes`` of scan work (``parallel="force"`` overrides, which
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from multiprocessing import get_context
 from multiprocessing import shared_memory
@@ -152,8 +155,10 @@ class ShardedIndex:
     here from ``(scan_dtype, M, K, n_db)`` by
     :func:`~repro.retrieval.adc.fuses_pairs` and by nothing else —
     ``(M/2, n_db)`` joint pair codes indexing ``table_width = K²``-entry
-    fused tables. Norms are kept in the scan dtype and, for the exact
-    rerank, float64. ``bounds`` are the contiguous row shards.
+    fused tables; an unfused layout is the index's code store itself, not a
+    copy. Norms are kept in the scan dtype and, for the exact rerank,
+    float64. ``bounds`` are the contiguous row shards. Read-only once
+    built, so any number of engines may scan one layout.
     """
 
     def __init__(
@@ -177,9 +182,42 @@ class ShardedIndex:
         self.norms = self.norms64.astype(scan_dtype)
         self.codebooks64 = np.ascontiguousarray(index.codebooks, dtype=np.float64)
         self.bounds = shard_bounds(self.codes_t.shape[1], num_shards)
+        # The shared-memory copy pool workers attach to: made for the first
+        # engine that pools, unlinked when the last one closes.
+        self._shms: list[shared_memory.SharedMemory] = []
+        self._sharers = 0
+        self._share_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.codes_t.shape[1]
+
+    def share(self) -> tuple:
+        """:func:`_init_worker`'s arguments for the layout's shared-memory
+        copy, made on the first call; pair each call with an :meth:`unshare`."""
+        with self._share_lock:
+            if not self._shms:
+                for array in (self.codes_t, self.norms):
+                    shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
+                    np.ndarray(array.shape, array.dtype, buffer=shm.buf)[:] = array
+                    self._shms.append(shm)
+            self._sharers += 1
+            codes_shm, norms_shm = self._shms
+            return (
+                codes_shm.name, self.codes_t.shape, self.codes_t.dtype,
+                self.table_width, norms_shm.name, self.norms.dtype,
+            )
+
+    def unshare(self) -> None:
+        """Drop one :meth:`share`; the last one out frees the buffers."""
+        with self._share_lock:
+            self._sharers -= 1
+            while self._shms and not self._sharers:
+                shm = self._shms.pop()
+                shm.close()
+                try:
+                    shm.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
 
     @property
     def num_shards(self) -> int:
@@ -312,7 +350,7 @@ class QueryEngine(SearchSurface):
         # "in-process" | "process-pool" | "in-process-fallback" | "ivf"
         self.last_dispatch = "in-process"
         self._pool = None
-        self._shms: list[shared_memory.SharedMemory] = []
+        self._worker_args: tuple | None = None  # set once this engine pools
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -331,7 +369,7 @@ class QueryEngine(SearchSurface):
             pass
 
     def close(self) -> None:
-        """Terminate the worker pool and free shared-memory buffers."""
+        """Terminate the worker pool and let go of the shared-memory buffers."""
         if self._closed:
             return
         self._closed = True
@@ -339,13 +377,9 @@ class QueryEngine(SearchSurface):
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        for shm in self._shms:
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._shms = []
+        if self._worker_args is not None:
+            self._worker_args = None
+            self.sharded.unshare()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -389,9 +423,8 @@ class QueryEngine(SearchSurface):
     def _abandon_pool(self) -> None:
         """Terminate a misbehaving pool without touching shared memory.
 
-        The parent's ``codes_t``/``norms`` arrays stay valid (they view the
-        shared buffers, which only :meth:`close` unlinks), so the in-process
-        fallback scan and any later pool rebuild reuse them as-is.
+        The in-process fallback scans the layout's own arrays; a later pool
+        rebuild attaches to the same buffers (only :meth:`close` drops them).
         """
         if self._pool is None:
             return
@@ -405,42 +438,15 @@ class QueryEngine(SearchSurface):
     def _ensure_pool(self):
         if self._pool is not None:
             return self._pool
-        sharded = self.sharded
         ctx = get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        if not self._shms:
-            codes_shm = shared_memory.SharedMemory(
-                create=True, size=sharded.codes_t.nbytes
-            )
-            norms_shm = shared_memory.SharedMemory(
-                create=True, size=sharded.norms.nbytes
-            )
-            self._shms = [codes_shm, norms_shm]
-            codes_view = np.ndarray(
-                sharded.codes_t.shape, sharded.codes_t.dtype, buffer=codes_shm.buf
-            )
-            norms_view = np.ndarray(
-                sharded.norms.shape, sharded.norms.dtype, buffer=norms_shm.buf
-            )
-            codes_view[:] = sharded.codes_t
-            norms_view[:] = sharded.norms
-            # Scan from the shared buffers in-parent too, so both paths read
-            # the same memory and the per-worker copies never exist.
-            sharded.codes_t = seal_scan_codes(codes_view, sharded.table_width)
-            sharded.norms = norms_view
-        codes_shm, norms_shm = self._shms
+        if self._worker_args is None:
+            self._worker_args = self.sharded.share()
         self._pool = ctx.Pool(
             min(self.workers, self.num_shards),
             initializer=_init_worker,
-            initargs=(
-                codes_shm.name,
-                sharded.codes_t.shape,
-                sharded.codes_t.dtype,
-                sharded.table_width,
-                norms_shm.name,
-                sharded.norms.dtype,
-            ),
+            initargs=self._worker_args,
         )
         return self._pool
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
-from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct, validate_codes
+from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct
+from repro.retrieval.adc import scan_codes, validate_codes
 from repro.retrieval.search import (
     SearchRequest,
     SearchResult,
@@ -39,7 +40,10 @@ class QuantizedIndex(SearchSurface):
     codebooks:
         ``(M, K, d)`` codeword tables.
     codes:
-        ``(n_db, M)`` codeword ids per database item.
+        ``(n_db, M)`` codeword ids per database item: the read-only view of
+        the code store, a frozen ``(M, n_db)`` array in
+        :func:`~repro.retrieval.adc.compact_code_dtype` (``codes.T``, the
+        layout an unfused scan reads as it is).
     db_sq_norms:
         ``(n_db,)`` stored ``‖Σ_j o^j‖²`` values (Eqn. 24's middle term).
     labels:
@@ -56,7 +60,7 @@ class QuantizedIndex(SearchSurface):
         if self.codebooks.ndim != 3:
             raise ValueError("codebooks must be (M, K, d)")
         m, k, _ = self.codebooks.shape
-        self.codes = validate_codes(self.codes, m, k)
+        self.codes = scan_codes(validate_codes(self.codes, m, k), k).T
         self.db_sq_norms = np.asarray(self.db_sq_norms, dtype=np.float64)
         if len(self.db_sq_norms) != len(self.codes):
             raise ValueError("db_sq_norms and codes disagree on database size")

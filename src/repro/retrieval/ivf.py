@@ -43,7 +43,6 @@ from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
-    compact_code_dtype,
     merge_topk,
     query_tables,
     reconstruct,
@@ -220,9 +219,8 @@ class IVFIndex(SearchSurface):
         counts = np.bincount(assignments, minlength=n_cells)
         cell_offsets = np.zeros(n_cells + 1, dtype=np.int64)
         np.cumsum(counts, out=cell_offsets[1:])
-        # Narrow before permuting: the gather moves 1/8 of the bytes.
-        code_dtype = compact_code_dtype(index.num_codewords)
-        codes_t = np.ascontiguousarray(index.codes.astype(code_dtype)[order].T)
+        # The permuted layout is different data from the store: one gather.
+        codes_t = np.take(index.codes.T, order, axis=1)
         assign_elapsed = time.perf_counter() - assign_start
 
         ivf = cls(

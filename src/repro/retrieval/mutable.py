@@ -162,18 +162,19 @@ class Segment:
     index) breaks them by external id — the invariant the cross-segment
     merge and the rebuild-parity contract rest on. ``dead`` is the
     tombstone mask; ``scan_norms`` bakes it in as ``+inf`` norms so the
-    scan itself needs no masking pass. ``codes_t`` is the frozen
-    :func:`~repro.retrieval.adc.scan_codes` layout of ``codes`` — unfused,
-    since segments scan in float64 — laid out once at seal time and shared
-    by every copy-on-write tombstoning of the segment.
+    scan itself needs no masking pass. ``codes_t`` is the segment's one
+    code array: the frozen :func:`~repro.retrieval.adc.scan_codes` layout —
+    unfused, since segments scan in float64 — laid out once at seal time,
+    shared by every copy-on-write tombstoning of the segment and, for a
+    base, by its engine's index and flat layout. ``codes`` is its
+    ``(n, M)`` view.
     """
 
-    codes: np.ndarray
+    codes_t: np.ndarray = field(repr=False)
     norms: np.ndarray
     ids: np.ndarray
     labels: np.ndarray | None
     dead: np.ndarray
-    codes_t: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     scan_norms: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     n_dead: int = 0
 
@@ -195,7 +196,8 @@ class Segment:
         """
         ids = np.asarray(ids, dtype=np.int64)
         order = np.argsort(ids, kind="stable")
-        codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64)[order])
+        codes_t = np.take(scan_codes(codes, num_codewords), order, axis=1)
+        codes_t.setflags(write=False)
         norms = np.ascontiguousarray(np.asarray(norms, dtype=np.float64)[order])
         ids = np.ascontiguousarray(ids[order])
         if labels is not None:
@@ -204,20 +206,17 @@ class Segment:
             dead = np.zeros(len(ids), dtype=bool)
         else:
             dead = np.asarray(dead, dtype=bool)[order]
-        return cls._assemble(
-            codes, norms, ids, labels, dead, scan_codes(codes, num_codewords)
-        )
+        return cls._assemble(codes_t, norms, ids, labels, dead)
 
     @classmethod
-    def _assemble(cls, codes, norms, ids, labels, dead, codes_t) -> "Segment":
+    def _assemble(cls, codes_t, norms, ids, labels, dead) -> "Segment":
         scan_norms = np.where(dead, np.inf, norms)
         return cls(
-            codes=codes,
+            codes_t=codes_t,
             norms=norms,
             ids=ids,
             labels=labels,
             dead=dead,
-            codes_t=codes_t,
             scan_norms=scan_norms,
             n_dead=int(dead.sum()),
         )
@@ -227,15 +226,20 @@ class Segment:
         dead = self.dead.copy()
         dead[rows] = True
         return type(self)._assemble(
-            self.codes, self.norms, self.ids, self.labels, dead, self.codes_t
+            self.codes_t, self.norms, self.ids, self.labels, dead
         )
 
+    @property
+    def codes(self) -> np.ndarray:
+        """``(n, M)`` codeword ids: a view of ``codes_t``."""
+        return self.codes_t.T
+
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.ids)
 
     @property
     def n_live(self) -> int:
-        return len(self.codes) - self.n_dead
+        return len(self) - self.n_dead
 
 
 @dataclass(frozen=True)
@@ -620,15 +624,10 @@ class MutableIndex(SearchSurface):
         and what compaction installs as the new base.
         """
         merged = self._merged_live_segment(self._gen)
-        return (
-            QuantizedIndex(
-                codebooks=self.codebooks,
-                codes=merged.codes,
-                db_sq_norms=merged.norms,
-                labels=merged.labels,
-            ),
-            merged.ids,
+        index = QuantizedIndex(
+            self.codebooks, merged.codes, merged.norms, merged.labels
         )
+        return index, merged.ids
 
     # ------------------------------------------------------------------
     # Search
@@ -767,13 +766,9 @@ class MutableIndex(SearchSurface):
             base = gen.segments[0]
             new_engine = None
             if len(base):
+                # The engine's index and flat layout are views of base.codes_t.
                 new_engine = QueryEngine(
-                    QuantizedIndex(
-                        codebooks=self.codebooks,
-                        codes=base.codes,
-                        db_sq_norms=base.norms,
-                        labels=base.labels,
-                    ),
+                    QuantizedIndex(self.codebooks, base.codes, base.norms, base.labels),
                     **self._engine_kwargs,
                 )
             if self._engine is not None:

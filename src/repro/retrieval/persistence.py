@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.resilience.artifacts import read_archive, write_archive
 from repro.resilience.errors import CorruptArtifactError, IncompatibleStateError
+from repro.retrieval.adc import validate_codes
 from repro.retrieval.index import QuantizedIndex
 
 _FORMAT_VERSION = 1
@@ -36,19 +37,14 @@ MUTABLE_INDEX_KIND = "mutable-index"
 def save_index(index: QuantizedIndex, path: str) -> None:
     """Write an index to ``path`` as a durable compressed ``.npz`` archive.
 
-    Codes are stored in the smallest unsigned integer dtype that fits the
-    codebook size, mirroring the ``M·log2(K)/8`` bytes-per-item budget.
+    Codes are archived as the index keeps them — the smallest unsigned
+    integer dtype that fits the codebook size, mirroring the
+    ``M·log2(K)/8`` bytes-per-item budget.
     """
-    if index.num_codewords <= 256:
-        code_dtype = np.uint8
-    elif index.num_codewords <= 65536:
-        code_dtype = np.uint16
-    else:
-        code_dtype = np.uint32
     payload = {
         "version": np.array([_FORMAT_VERSION]),
         "codebooks": index.codebooks.astype(np.float32),
-        "codes": index.codes.astype(code_dtype),
+        "codes": index.codes,
         "db_sq_norms": index.db_sq_norms.astype(np.float32),
     }
     if index.labels is not None:
@@ -89,20 +85,13 @@ def _validate_index_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
             f"got shape {codebooks.shape}"
         )
     m, k, _ = codebooks.shape
-    if codes.ndim != 2 or codes.shape[1] != m:
+    try:
+        validate_codes(codes, m, k)
+    except ValueError as exc:
         raise CorruptArtifactError(
-            f"index archive {path!r}: codes shape {codes.shape} disagrees with "
-            f"{m} codebooks (expected (n, {m}))"
-        )
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise CorruptArtifactError(
-            f"index archive {path!r}: codes must be integer, got {codes.dtype}"
-        )
-    if codes.size and (codes.min() < 0 or codes.max() >= k):
-        raise CorruptArtifactError(
-            f"index archive {path!r}: codes reference codewords outside "
-            f"[0, {k}) — archive and codebooks disagree"
-        )
+            f"index archive {path!r}: codes do not fit {m} codebooks of "
+            f"{k} codewords: {exc}"
+        ) from exc
     if norms.ndim != 1 or len(norms) != len(codes):
         raise CorruptArtifactError(
             f"index archive {path!r}: db_sq_norms shape {norms.shape} disagrees "
@@ -123,7 +112,7 @@ def load_index(path: str) -> QuantizedIndex:
     _validate_index_arrays(path, arrays)
     return QuantizedIndex(
         codebooks=arrays["codebooks"].astype(np.float64),
-        codes=arrays["codes"].astype(np.int64),
+        codes=arrays["codes"],
         db_sq_norms=arrays["db_sq_norms"].astype(np.float64),
         labels=arrays["labels"] if "labels" in arrays else None,
     )
@@ -227,18 +216,13 @@ def load_mutable_index(path: str, *, engine_kwargs: dict | None = None):
                     f"mutable-index archive {path!r} is missing {key!r}"
                 )
             members[member] = arrays[key]
-        codes = np.asarray(members["codes"], dtype=np.int64)
+        try:
+            codes = validate_codes(members["codes"], m, k)
+        except ValueError as exc:
+            raise CorruptArtifactError(
+                f"mutable-index archive {path!r}: segment {i} codes: {exc}"
+            ) from exc
         n = len(codes)
-        if codes.ndim != 2 or codes.shape[1] != m:
-            raise CorruptArtifactError(
-                f"mutable-index archive {path!r}: segment {i} codes shape "
-                f"{codes.shape} disagrees with {m} codebooks"
-            )
-        if codes.size and (codes.min() < 0 or codes.max() >= k):
-            raise CorruptArtifactError(
-                f"mutable-index archive {path!r}: segment {i} codes reference "
-                f"codewords outside [0, {k})"
-            )
         for member in ("norms", "ids", "dead"):
             if len(members[member]) != n:
                 raise CorruptArtifactError(

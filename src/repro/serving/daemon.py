@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
-from repro.retrieval.engine import QueryEngine, ShardedIndex
+from repro.retrieval.engine import QueryEngine
 from repro.retrieval.mutable import MutationRequest, MutationResult
 from repro.retrieval.search import SearchRequest, validate_query_batch
 from repro.rng import make_rng
@@ -166,12 +166,14 @@ class ServingDaemon:
         that safe), :meth:`mutate` routes add/remove/compact through it,
         and ``engine_kwargs`` must be configured on the index itself.
     num_replicas:
-        Replica engines to spread scans (and failures) over. By default
-        all replicas share one :class:`ShardedIndex` — the database is
-        materialised once — and scan in-process; pass ``engine_kwargs``
-        to give each replica its own engine configuration (e.g. a worker
-        pool), at the cost of per-replica index copies; an IVF layer
-        named there is still built once and shared.
+        Replica engines to spread scans (and failures) over. Every
+        replica scans the same read-only layouts — one flat
+        :class:`~repro.retrieval.engine.ShardedIndex` (the index's code
+        store unless pair-fused) and, if configured, one IVF layout — so
+        the database is materialised once however many replicas serve it.
+        ``engine_kwargs`` configures the engines (a worker pool, an IVF
+        layer — trained once if named by cell count); the default is an
+        unsharded in-process scan.
     faults:
         Optional fault plan (duck-typed ``before_scan`` /
         ``transform_response`` hooks, e.g.
@@ -230,20 +232,16 @@ class ServingDaemon:
             # snapshots make concurrent scans safe, and routing mutations
             # through one object keeps all replicas at the same generation.
             engines = [index for _ in range(num_replicas)]
-        elif engine_kwargs:
-            # An ``ivf=<cells>`` count resolves to one IVFIndex in the first
-            # engine; every replica then scans that same read-only layout
-            # rather than training and laying out its own.
+        else:
+            # The first engine lays the index out (and resolves an
+            # ``ivf=<cells>`` count to one IVFIndex); every other replica
+            # scans those same read-only layouts.
+            engine_kwargs = engine_kwargs or {"num_shards": 1, "parallel": "never"}
             first = QueryEngine(index, **engine_kwargs)
             shared_kwargs = {**engine_kwargs, "ivf": first.ivf}
             engines = [first] + [
-                QueryEngine(index, **shared_kwargs) for _ in range(num_replicas - 1)
-            ]
-        else:
-            shared = ShardedIndex(index, num_shards=1)
-            engines = [
-                QueryEngine(shared, parallel="never")
-                for _ in range(num_replicas)
+                QueryEngine(first.sharded, **shared_kwargs)
+                for _ in range(num_replicas - 1)
             ]
         replicas = [Replica(i, engine, faults=faults) for i, engine in enumerate(engines)]
         breakers = [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.retrieval.adc import (
     adc_distances,
     build_lookup_tables,
+    compact_code_dtype,
     encode_nearest,
     reconstruct,
     validate_codes,
@@ -52,8 +53,12 @@ class TestReconstruct:
             reconstruct(np.array([[0, 1, 99]]), codebooks)  # out of range
 
     def test_validate_codes_casts(self):
+        # Every input lands in the one storage dtype...
         codes = validate_codes(np.array([[0.0, 1.0]]), 2, 4)
-        assert codes.dtype == np.int64
+        assert codes.dtype == compact_code_dtype(4) == np.uint8
+        assert validate_codes(np.array([[0, 299]]), 2, 300).dtype == np.uint16
+        # ... and what is already there is handed back, not copied.
+        assert validate_codes(codes, 2, 4) is codes
 
     def test_validate_codes_rejects_fractional_floats(self):
         # Regression: fractional codeword ids were silently floored, hiding

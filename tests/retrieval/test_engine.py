@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.retrieval.adc import adc_distances
+from repro.retrieval.adc import adc_distances, scan_codes
 from repro.retrieval.engine import (
     QueryEngine,
     ShardedIndex,
@@ -123,12 +123,19 @@ class TestShardedIndex:
 
     @pytest.mark.parametrize("k_words", [4, 16], ids=["fused", "unfused"])
     def test_out_of_range_code_is_rejected_at_construction(self, k_words):
-        # The scan gathers without a per-call range check; an index whose
-        # codes were damaged after validation must not get a layout.
+        # The scan gathers without a per-call range check, so a validated
+        # index cannot be damaged afterwards: its code store is frozen...
         index, _ = make_index(m=4, k_words=k_words)
-        index.codes[7, 2] = k_words
+        with pytest.raises(ValueError, match="read-only"):
+            index.codes[7, 2] = k_words
+        assert not index.codes.T.flags.writeable
+        # ... and a raw array that was damaged never becomes a layout.
+        damaged = index.codes.copy()
+        damaged[7, 2] = k_words
         with pytest.raises(ValueError, match="out of codebook range"):
-            ShardedIndex(index, num_shards=1)
+            scan_codes(damaged, k_words, fuse=k_words == 4)
+        with pytest.raises(ValueError, match="out of codebook range"):
+            QuantizedIndex(index.codebooks, damaged, index.db_sq_norms)
 
     def test_out_of_range_code_is_rejected_at_worker_attach(self):
         from multiprocessing import shared_memory

@@ -6,7 +6,17 @@ import pytest
 from repro.resilience.errors import CorruptArtifactError, IncompatibleStateError
 from repro.resilience.faults import flip_bytes, truncate_file
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.persistence import index_file_size, load_index, save_index
+from repro.resilience.artifacts import read_archive, write_archive
+from repro.retrieval.mutable import MutableIndex
+from repro.retrieval.persistence import (
+    INDEX_KIND,
+    MUTABLE_INDEX_KIND,
+    index_file_size,
+    load_index,
+    load_mutable_index,
+    save_index,
+    save_mutable_index,
+)
 
 
 def build_index(seed: int = 0, k: int = 16, with_labels: bool = True):
@@ -111,6 +121,45 @@ class TestCodeDtypeBoundaries:
             assert np.array_equal(restored.labels, index.labels)
         else:
             assert restored.labels is None
+
+
+class TestWiderCodeArchives:
+    """Archives whose codes are wider than the store keeps them still load:
+    mutable archives written before the store was compact (int64
+    ``segment{i}_codes``), index archives from any writer that did not
+    narrow. New archives carry the in-memory dtype."""
+
+    @pytest.mark.parametrize("kind", [INDEX_KIND, MUTABLE_INDEX_KIND])
+    @pytest.mark.parametrize("k", [16, 300])
+    def test_int64_codes_load_and_search_identically(self, tmp_path, kind, k):
+        index = build_index(k=k)
+        queries = np.random.default_rng(1).normal(size=(7, 8))
+        if kind == MUTABLE_INDEX_KIND:
+            index = MutableIndex.from_index(index)
+            index.add(np.random.default_rng(2).normal(size=(9, 8)), labels=np.zeros(9))
+            index.remove(index.live_ids()[::5])
+            save, load = save_mutable_index, load_mutable_index
+        else:
+            save, load = save_index, load_index
+        path = str(tmp_path / "compact.npz")
+        save(index, path)
+        arrays, meta, _ = read_archive(path, kind=kind)
+        code_keys = [key for key in arrays if key.endswith("codes")]
+        compact = np.uint8 if k == 16 else np.uint16
+        assert code_keys and all(arrays[key].dtype == compact for key in code_keys)
+        for key in code_keys:
+            arrays[key] = arrays[key].astype(np.int64)
+        wide_path = str(tmp_path / "wide.npz")
+        write_archive(wide_path, arrays, kind=kind, meta=meta)
+        narrow, wide = load(path), load(wide_path)
+        for a, b in zip(
+            narrow.search_with_distances(queries, 10),
+            wide.search_with_distances(queries, 10),
+        ):
+            assert np.array_equal(a, b)
+        if kind == INDEX_KIND:
+            assert wide.codes.dtype == index.codes.dtype
+            assert np.array_equal(wide.codes, index.codes)
 
 
 class TestCorruptionAndValidation:

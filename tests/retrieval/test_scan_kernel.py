@@ -5,8 +5,9 @@ top-k they end in) are checked against ``adc_distances`` + a stable argsort
 over the shapes where the kernel changes behaviour: one query vs a chunk vs
 more than a chunk, odd and even ``M``, every ``K`` class, row counts on both
 sides of the block, lane-group and fusion thresholds, sub-ranges, ``+inf``
-norms (tombstones) and duplicated rows (ties inside, at and across the k-th
-value). The block and top-k thresholds are lowered so small inputs cross
+norms (tombstones), duplicated rows (ties inside, at and across the k-th
+value) and the dtype the codes arrive in (an index's compact store, a wider
+archive's, an encoder's int64). The block and top-k thresholds are lowered so small inputs cross
 them; the fusion threshold is the real one.
 """
 
@@ -62,8 +63,13 @@ def oracle(queries, index, norms, lo, hi, k):
     return order + lo, np.take_along_axis(distances, order, axis=1), distances
 
 
-def kernel(queries, index, norms, dtype, fuse, lo, hi, k):
-    codes_t = adc.scan_codes(index.codes, index.num_codewords, fuse)
+def kernel(queries, index, norms, dtype, fuse, lo, hi, k, code_dtype):
+    codes = index.codes.astype(code_dtype)
+    codes_t = adc.scan_codes(codes, index.num_codewords, fuse)
+    # The layout is a function of the ids, not of the dtype they came in.
+    assert np.array_equal(
+        codes_t, adc.scan_codes(codes.astype(np.int64), index.num_codewords, fuse)
+    )
     tables, q_sq = adc.scan_tables(
         *adc.query_tables(queries, index.codebooks), dtype, fuse
     )
@@ -85,19 +91,23 @@ shapes = dict(
     k_mode=st.sampled_from(["one", "ten", "all-but-one", "all"]),
     dup_fraction=st.sampled_from([0.0, 0.2, 0.9]),
     dead_fraction=st.sampled_from([0.0, 0.1, 0.97]),
+    code_dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(**shapes)
 def test_float64_scan_is_the_reference_bit_for_bit(
-    seed, n_q, m, k_words, n, lo_fraction, k_mode, dup_fraction, dead_fraction
+    seed, n_q, m, k_words, n, lo_fraction, k_mode, dup_fraction, dead_fraction,
+    code_dtype,
 ):
     rng, index, norms = make_case(seed, m, k_words, n, dup_fraction, dead_fraction)
     queries = rng.normal(size=(n_q, DIM))
     lo = int(lo_fraction * n)
     k = pick_k(k_mode, n - lo)
-    columns, values = kernel(queries, index, norms, np.float64, False, lo, n, k)
+    columns, values = kernel(
+        queries, index, norms, np.float64, False, lo, n, k, code_dtype
+    )
     want_columns, want_values, _ = oracle(queries, index, norms, lo, n, k)
     assert np.array_equal(columns, want_columns)
     assert np.array_equal(values, want_values)
@@ -107,7 +117,7 @@ def test_float64_scan_is_the_reference_bit_for_bit(
 @given(fuse=st.booleans(), **shapes)
 def test_float32_scan_is_a_tie_stable_preselect(
     fuse, seed, n_q, m, k_words, n, lo_fraction, k_mode, dup_fraction,
-    dead_fraction,
+    dead_fraction, code_dtype,
 ):
     """Fused or not: values within float32 tolerance of the reference at the
     returned columns, sorted on (value, column), and nothing closer left out."""
@@ -117,7 +127,9 @@ def test_float32_scan_is_a_tie_stable_preselect(
     queries = rng.normal(size=(n_q, DIM))
     lo = int(lo_fraction * n)
     k = pick_k(k_mode, n - lo)
-    columns, values = kernel(queries, index, norms, np.float32, fuse, lo, n, k)
+    columns, values = kernel(
+        queries, index, norms, np.float32, fuse, lo, n, k, code_dtype
+    )
     _, _, distances = oracle(queries, index, norms, lo, n, k)
     assert columns.shape == values.shape == (n_q, k)
     assert values.dtype == np.float32

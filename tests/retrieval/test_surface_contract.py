@@ -3,7 +3,8 @@
 ``QuantizedIndex``, ``QueryEngine`` (float32+rerank, float64, with an IVF
 layer, and over a pair-fused layout both in-process and through the
 shared-memory pool), ``IVFIndex`` and ``MutableIndex`` (bare and
-engine-backed) all
+engine-backed) — the four kinds over uint8 codes (K = 16) and again over
+uint16 codes (K = 300) — all
 run the same validate → LUT → scan → rerank → merge stages, so the same
 inputs must give the same shapes, dtypes and exception types whichever
 surface and whichever form — ``search_with_distances(queries, k, ...)`` or
@@ -30,25 +31,31 @@ from repro.retrieval import (
 DIM = 8
 CELLS = 6
 FORMS = ("array", "request")
+#: The four kinds of surface again over a K = 300 index: its code store,
+#: layouts and segments are uint16 where the K = 16 ones are uint8.
+WIDE = "-u16"
+WIDE_K = 300
 #: Surfaces with an IVF layer to probe; ``nprobe`` is an error elsewhere.
 WITH_IVF = {"engine+ivf", "ivf", "mutable+engine"}
+WITH_IVF |= {name + WIDE for name in WITH_IVF}
 #: Of those, the ones whose engine can bypass the layer with ``nprobe=0``.
 WITH_BYPASS = {"engine+ivf", "mutable+engine"}
+WITH_BYPASS |= {name + WIDE for name in WITH_BYPASS}
 SURFACES = (
     "index", "engine", "engine-f64", "engine+ivf", "ivf", "mutable",
     "mutable+engine", "engine-fused", "engine-fused-pool",
+    "index" + WIDE, "engine+ivf" + WIDE, "ivf" + WIDE, "mutable+engine" + WIDE,
 )
 #: K of the fused surfaces' own index: ``4·K²`` = 64 rows already fuse.
 FUSED_K = 4
 
 
-@pytest.fixture(scope="module")
-def world():
-    rng = np.random.default_rng(14)
-    codebooks = rng.normal(size=(3, 16, DIM))
+def build_surfaces(rng, k_words):
+    """Every surface over one index whose codes are ``k_words`` wide."""
+    codebooks = rng.normal(size=(3, k_words, DIM))
     index = QuantizedIndex.build(codebooks, rng.normal(size=(150, DIM)))
     ivf = IVFIndex.build(index, num_cells=CELLS)
-    surfaces = {
+    return {
         "index": index,
         "engine": QueryEngine(index, parallel="never"),
         "engine-f64": QueryEngine(index, parallel="never", dtype=np.float64),
@@ -59,6 +66,13 @@ def world():
             index, engine_kwargs={"ivf": CELLS, "parallel": "never"}
         ),
     }
+
+
+@pytest.fixture(scope="module")
+def world():
+    rng = np.random.default_rng(14)
+    surfaces = build_surfaces(rng, 16)
+    assert surfaces["index"].codes.dtype == surfaces["ivf"].codes_t.dtype == np.uint8
     # A pair-fused layout needs an even M and 4·K² rows; K=4 keeps it cheap
     # (and 150 rows over 256 possible codes plant duplicate rows, i.e. ties).
     fused_index = QuantizedIndex.build(
@@ -72,9 +86,12 @@ def world():
     for name in ("engine-fused", "engine-fused-pool"):
         assert surfaces[name].sharded.fused
         assert surfaces[name].sharded.codes_t.dtype == np.uint16
+    wide = build_surfaces(rng, WIDE_K)
+    surfaces.update((name + WIDE, surface) for name, surface in wide.items())
+    assert wide["index"].codes.dtype == wide["ivf"].codes_t.dtype == np.uint16
     # Give the mutable surfaces something to merge and something to mask.
     extra = rng.normal(size=(20, DIM))
-    for name in ("mutable", "mutable+engine"):
+    for name in ("mutable", "mutable+engine", "mutable+engine" + WIDE):
         surfaces[name].add(extra)
         surfaces[name].remove(np.arange(0, 30, 3))
     yield surfaces, rng.normal(size=(7, DIM))
@@ -96,7 +113,10 @@ def oracle(surfaces, name, queries, k):
     if name.startswith("mutable"):
         index, ids = surfaces[name].rebuild()
     else:
-        index = surfaces["fused-index" if "fused" in name else "index"]
+        index = surfaces[
+            "fused-index" if "fused" in name
+            else "index" + WIDE if name.endswith(WIDE) else "index"
+        ]
         ids = np.arange(len(index))
     distances = adc_distances(
         queries, index.codes, index.codebooks, db_sq_norms=index.db_sq_norms

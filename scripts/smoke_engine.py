@@ -7,7 +7,9 @@ batch this small in-process), and checks the pool-served rankings against
 the serial reference scan — plus the in-process fast path and the empty /
 k-edge cases — then does the same over a pair-fused layout: fused
 in-process == fused pool == the float64 (never fused) scan on one batch.
-Budget: well under 5 seconds.
+It prints which scan kernel served (``adc.SCAN_KERNEL``) and, where the
+compiled kernel loaded, re-runs every path on the NumPy kernel and asserts
+the answers are the same bits. Budget: well under 5 seconds.
 
 Run from the repository root::
 
@@ -26,33 +28,31 @@ if _SRC not in sys.path:
 
 import numpy as np
 
+from repro.retrieval import IVFIndex, adc, native
 from repro.retrieval.adc import adc_distances
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import SearchRequest, rank_by_distance
 
 
-def main() -> int:
-    start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    n_db, n_q, m, k_words, dim = 400, 32, 4, 16, 8
-    codebooks = rng.normal(size=(m, k_words, dim))
-    codes = rng.integers(0, k_words, size=(n_db, m))
-    index = QuantizedIndex.build(codebooks, rng.normal(size=(n_db, dim)), codes=codes)
-    queries = rng.normal(size=(n_q, dim))
+def check_paths(index, fused_index, queries) -> dict:
+    """Every path's ids and distances, after checking each against the
+    serial reference: unfused and fused, in-process and pool, and IVF."""
     reference = rank_by_distance(
         adc_distances(queries, index.codes, index.codebooks,
                       db_sq_norms=index.db_sq_norms),
         k=10,
     )
+    answers = {}
 
     # The headline path: shards scanned by pool workers over shared memory.
     with QueryEngine(index, workers=2, num_shards=4, parallel="force") as engine:
         ranked = index.search(SearchRequest(queries, k=10, engine=engine)).indices
         assert engine.last_dispatch == "process-pool", engine.last_dispatch
         assert np.array_equal(ranked, reference), "pool rankings diverge from serial"
+        answers["unfused pool"] = engine.search_with_distances(queries, 10)
         # Pool stays warm across batches; edge k values go through it too.
-        for k in (1, n_db):
+        for k in (1, len(index)):
             got = engine.search(queries, k=k)
             want = rank_by_distance(
                 adc_distances(queries, index.codes, index.codebooks,
@@ -66,30 +66,72 @@ def main() -> int:
         ranked = engine.search(queries, k=10)
         assert engine.last_dispatch == "in-process", engine.last_dispatch
         assert np.array_equal(ranked, reference)
-        empty = engine.search(np.empty((0, dim)), k=5)
+        answers["unfused in-process"] = engine.search_with_distances(queries, 10)
+        answers["unfused no rerank"] = engine.search_with_distances(queries, 10, rerank=False)
+        empty = engine.search(np.empty((0, index.dim)), k=5)
         assert empty.shape == (0, 5), empty.shape
 
     # Pair-fused layout (even M, 4·K² = 1024 rows): the joint-code scan,
     # its shared-memory attach, and the divmod decode in the rerank must all
     # land on the float64 scan's ids and distances.
-    fused_codes = rng.integers(0, k_words, size=(1200, m))
-    fused_index = QuantizedIndex.build(
-        codebooks, np.zeros((len(fused_codes), dim)), codes=fused_codes
-    )
     with QueryEngine(fused_index, parallel="never", dtype=np.float64) as engine:
         assert not engine.sharded.fused
         want = engine.search_with_distances(queries, 10)
     with QueryEngine(fused_index, parallel="never") as engine:
         assert engine.sharded.fused
-        in_process = engine.search_with_distances(queries, 10)
+        answers["fused in-process"] = engine.search_with_distances(queries, 10)
+        answers["fused no rerank"] = engine.search_with_distances(queries, 10, rerank=False)
     with QueryEngine(fused_index, workers=2, num_shards=4, parallel="force") as engine:
-        pooled = engine.search_with_distances(queries, 10)
+        answers["fused pool"] = engine.search_with_distances(queries, 10)
         assert engine.last_dispatch == "process-pool", engine.last_dispatch
-    for name, got in (("in-process", in_process), ("pool", pooled)):
-        assert np.array_equal(got[0], want[0]), f"fused {name} ids diverge"
-        assert np.array_equal(got[1], want[1]), f"fused {name} distances diverge"
+    for name in ("fused in-process", "fused pool"):
+        got = answers[name]
+        assert np.array_equal(got[0], want[0]), f"{name} ids diverge"
+        assert np.array_equal(got[1], want[1]), f"{name} distances diverge"
+
+    # IVF probes: a full probe is the exhaustive answer.
+    ivf = IVFIndex.build(fused_index, num_cells=12, seed=0)
+    for nprobe in (1, 3, 12):
+        answers[f"ivf nprobe {nprobe}"] = ivf.search_with_distances(queries, 10, nprobe=nprobe)
+    full = answers["ivf nprobe 12"]
+    assert np.array_equal(full[0], want[0]) and np.array_equal(full[1], want[1]), (
+        "a full IVF probe diverges from the exhaustive scan"
+    )
+    return answers
+
+
+def main() -> int:
+    start = time.perf_counter()
+    rng = np.random.default_rng(0)
+    n_db, n_q, m, k_words, dim = 400, 32, 4, 16, 8
+    codebooks = rng.normal(size=(m, k_words, dim))
+    codes = rng.integers(0, k_words, size=(n_db, m))
+    index = QuantizedIndex.build(codebooks, rng.normal(size=(n_db, dim)), codes=codes)
+    fused_codes = rng.integers(0, k_words, size=(1200, m))
+    fused_index = QuantizedIndex.build(
+        codebooks, np.zeros((len(fused_codes), dim)), codes=fused_codes
+    )
+    queries = rng.normal(size=(n_q, dim))
+
+    kernel = adc.SCAN_KERNEL
+    answers = check_paths(index, fused_index, queries)
+    if kernel == "c":
+        # The same paths on the NumPy kernel (pool workers fork with it).
+        compiled, native.load = native.load, lambda: None
+        try:
+            fallback = check_paths(index, fused_index, queries)
+        finally:
+            native.load = compiled
+        for name, (ids, distances) in answers.items():
+            want_ids, want_distances = fallback[name]
+            assert ids.tobytes() == want_ids.tobytes(), f"{name}: kernels' ids differ"
+            assert distances.tobytes() == want_distances.tobytes(), (
+                f"{name}: kernels' distances differ"
+            )
 
     elapsed = time.perf_counter() - start
+    compared = " (compiled == numpy on every path)" if kernel == "c" else ""
+    print(f"scan kernel: {kernel}{compared}")
     print(f"smoke engine OK in {elapsed:.2f}s")
     if elapsed > 5.0:
         print(f"WARNING: smoke engine took {elapsed:.2f}s (budget 5s)",

@@ -227,8 +227,10 @@ SPECS: tuple[MetricSpec, ...] = (
         "repro.retrieval.adc.adc_distances, "
         "repro.retrieval.engine.QueryEngine.scan",
         "Time to score every database item against the lookup tables "
-        "(excludes ranking; the engine counts gather + distance assembly, "
-        "summed over shards in-process, phase wall under the pool).",
+        "(excludes ranking; the engine counts lookups + distance assembly, "
+        "summed over shards in-process, phase wall under the pool; the "
+        "compiled kernel selects its top-k as it scans, so its figure "
+        "includes that).",
     ),
     MetricSpec(
         ADC_SCAN_CODES_PER_S,

@@ -20,10 +20,10 @@ blocks they hand to it:
 - :func:`query_tables` — the per-batch float64 tables plus ``‖q‖²``
   (through a :class:`~repro.retrieval.lut_cache.LUTCache` when one is
   attached);
-- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the flat
-  scan: a sealed ``(columns, n)`` code layout, the batch's tables laid out
-  query-minor for it, and the gather-accumulate kernel with its tie-stable
-  top-k (see "The flat scan kernel" below);
+- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the scan:
+  a sealed ``(columns, n)`` code layout, the batch's tables laid out for
+  it, and the kernel that walks ``[lo, hi)`` column ranges of the layout
+  and keeps each query's tie-stable top-k (see "The scan kernel" below);
 - :func:`rerank_exact` — the same arithmetic in float64 at the scattered
   *positions* of a float32 scan's survivors;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
@@ -31,24 +31,40 @@ blocks they hand to it:
 :func:`adc_distances` stays the float64 reference every one of them is
 tested against.
 
-The flat scan kernel. A NumPy gather costs per *call element*, not per
-byte, so the kernel is shaped to gather as few, as wide elements as it can:
+The scan kernel. :func:`scan_topk` takes ranges — one for a flat layout,
+the probed cells in probe order for an IVF one — and returns layout
+positions. It is served by one of two kernels with one contract:
 
-- *query-minor tables*: a chunk of up to :data:`QUERY_CHUNK` queries has its
-  tables transposed once to ``(columns, width, n_q)``, so one code gathers
-  ``n_q`` contiguous floats (a lone query gathers from the 1-D table);
-  larger batches are scanned chunk by chunk, which keeps a chunk's tables
-  and distance rows cache-resident;
+- *compiled* (``adc_scan.c``, built and bound by
+  :mod:`repro.retrieval.native`): one ``ctypes`` call scans the whole
+  batch with the GIL released, query by query and row by row with the
+  columns unrolled, and keeps a running top-k heap per query, testing each
+  row against the current k-th value before the heap is touched. The float64
+  rerank is a second call in the same library.
+- *NumPy*: the reference, and the fallback where no compiler exists or the
+  build fails. A chunk of up to :data:`QUERY_CHUNK` queries has its tables
+  transposed to query-minor ``(columns, width, n_q)``, so one code gathers
+  ``n_q`` contiguous floats (a lone query gathers from its 1-D tables);
+  each block of rows (:data:`BLOCK_ELEMENTS` floats) is gathered,
+  accumulated and turned into distances while cache-resident; a
+  tie-stable top-k (:func:`~repro.retrieval.search.topk_tie_stable`)
+  selects; several ranges are gathered into one block in walk order.
+
+One rule dispatches: the compiled kernel if it loaded, NumPy otherwise
+(:data:`SCAN_KERNEL` says which). Both compute the same float operations in
+the same order — a row's entries summed left to right, then ``−2·cross +
+(‖q‖² + ‖o‖²)`` clamped at 0 — and break ties the same way, toward the row
+walked first, so they return the same bits. Shared by both:
+
 - *pair-fused tables*: where :func:`fuses_pairs` says so the layout stores
   the joint code ``c_{2j}·K + c_{2j+1}`` of each codebook pair and the
   float32 tables are summed pairwise to ``M/2`` tables of ``K²`` entries —
-  half the gathers for ``M/2·K²`` extra adds per query;
-- *in-cache assembly*: each block of rows (:data:`BLOCK_ELEMENTS` floats)
-  is gathered, accumulated and turned into distances in place before the
-  next block is touched;
+  half the lookups for ``M/2·K²`` extra adds per query;
 - *range check hoisted*: :func:`scan_codes` / :func:`seal_scan_codes`
-  verify ``codes < width`` once and freeze the array, so the gathers run
-  ``mode="clip"`` (no per-call check, no buffered ``out=``).
+  verify ``codes < width`` once and freeze the array, so lookups trust it
+  (NumPy gathers run ``mode="clip"``; the compiled kernel checks only the
+  ranges). Building a layout is also where the compiled kernel is built or
+  loaded, once per process, so no request waits on a compiler.
 
 A float64 scan is never fused and reproduces :func:`adc_distances`'
 left-to-right summation and ``(‖q‖² + ‖o‖²) − 2·cross`` order bit for
@@ -74,7 +90,17 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
+from repro.retrieval import native
 from repro.retrieval.search import topk_tie_stable
+
+
+def __getattr__(name: str):
+    # SCAN_KERNEL: "c" or "numpy", whichever serves scan_topk. Read-only,
+    # and resolved on first read, so importing this module builds nothing.
+    if name == "SCAN_KERNEL":
+        return "numpy" if native.load() is None else "c"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Extra candidates every scanned block carries into the float64 rerank.
 RERANK_PAD = 8
@@ -249,6 +275,7 @@ def seal_scan_codes(codes_t: np.ndarray, width: int) -> np.ndarray:
             f"scan codes out of range for a {width}-entry lookup table"
         )
     codes_t.setflags(write=False)
+    native.load()  # a layout exists: build the kernel now, not in a request
     return codes_t
 
 
@@ -285,59 +312,53 @@ def scan_codes(
         if codes_t.flags.writeable and np.may_share_memory(codes_t, codes):
             codes_t = codes_t.copy()  # the caller can still write to theirs
     codes_t.setflags(write=False)
+    native.load()  # a layout exists: build the kernel now, not in a request
     return codes_t
 
 
 def scan_tables(
     lut64: np.ndarray, q_sq64: np.ndarray, dtype: np.dtype, fuse: bool = False
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The batch's tables as :func:`scan_topk` gathers them.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's tables as :func:`scan_topk` reads them.
 
-    Returns ``(chunks, q_sq)``: one contiguous query-minor ``(columns,
-    width, n_c)`` array per :data:`QUERY_CHUNK` queries, in the scan
-    ``dtype`` and pre-scaled by −2 (exact: a power of two), so accumulating
-    gathered entries yields Eqn. 24's ``−2·cross`` term directly — and
-    ``‖q‖²`` in the same dtype. With ``fuse`` consecutive table pairs are
-    summed to ``(M/2, K², n_c)`` — entry ``a·K + b`` of pair ``j`` is
-    ``lut[2j, a] + lut[2j+1, b]``, matching the joint codes of
-    :func:`scan_codes`.
+    Returns ``(tables, q_sq)``: one fresh, contiguous, query-major
+    ``(n_q, columns, width)`` array in the scan ``dtype``, pre-scaled by −2
+    (exact: a power of two), so accumulating looked-up entries yields
+    Eqn. 24's ``−2·cross`` term directly — and ``‖q‖²`` in the same dtype.
+    With ``fuse`` consecutive table pairs are summed to ``(n_q, M/2, K²)`` —
+    entry ``a·K + b`` of pair ``j`` is ``lut[2j, a] + lut[2j+1, b]``,
+    matching the joint codes of :func:`scan_codes`.
     """
     n_q, m, width = lut64.shape
-    chunks = []
-    for lo in range(0, n_q, QUERY_CHUNK):
-        chunk = lut64[lo : lo + QUERY_CHUNK].transpose(1, 2, 0)
-        # Always a fresh array: a one-query float64 chunk is already
-        # contiguous, and scaling a view would corrupt the caller's tables.
-        tables = np.empty(chunk.shape, dtype=dtype)
-        np.multiply(chunk, -2.0, out=tables, casting="same_kind")
-        if fuse:
-            # Row a of the even table K times, plus the whole odd table:
-            # both operands stream whole (K·n_c)-float rows.
-            n_c = tables.shape[2]
-            fused = np.repeat(tables[0::2], width, axis=1)
-            fused.reshape(m // 2, width, width * n_c)[...] += tables[
-                1::2
-            ].reshape(m // 2, 1, width * n_c)
-            tables = fused
-        chunks.append(tables)
-    return chunks, q_sq64.astype(dtype, copy=False)
+    # Always a fresh array: scaling a view of a float64 batch would corrupt
+    # the caller's tables (the LUT cache's rows and the rerank's input).
+    tables = np.empty(lut64.shape, dtype=dtype)
+    np.multiply(lut64, -2.0, out=tables, casting="same_kind")
+    if fuse:
+        tables = (tables[:, 0::2, :, None] + tables[:, 1::2, None, :]).reshape(
+            n_q, m // 2, width * width
+        )
+    return tables, np.ascontiguousarray(q_sq64, dtype=dtype)
 
 
 def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
-    """``(n_c, hi - lo)`` distances of one query chunk over columns ``[lo, hi)``.
+    """``(n_c, hi - lo)`` distances of a query chunk over columns ``[lo, hi)``.
 
-    Per block of rows: gather table 0 into a query-minor accumulator and add
-    the other tables left to right (``0 + x == x`` in IEEE, so this is
-    :func:`adc_distances`' accumulation, of entries :func:`scan_tables`
-    already scaled by −2); then ``(‖q‖² + ‖o‖²) − 2·cross`` is one
-    transposing add into the block's slab of the output — as ``−2·cross +
-    (‖q‖² + ‖o‖²)``, the same float operations with commuted operands,
+    ``tables`` is the chunk's ``(n_c, columns, width)`` slice of
+    :func:`scan_tables`, transposed here to query-minor ``(columns, width,
+    n_c)`` so one code gathers ``n_c`` contiguous floats (a lone query
+    gathers from its own 1-D tables). Per block of rows: gather table 0 into
+    a query-minor accumulator and add the other tables left to right
+    (``0 + x == x`` in IEEE, so this is :func:`adc_distances`' accumulation,
+    of entries already scaled by −2); then ``(‖q‖² + ‖o‖²) − 2·cross`` is
+    one transposing add into the block's slab of the output — as ``−2·cross
+    + (‖q‖² + ‖o‖²)``, the same float operations with commuted operands,
     hence the same bits — clamped at 0 while the slab is cache-resident.
     """
-    columns, _, n_c = tables.shape
+    n_c, columns = tables.shape[:2]
     single = n_c == 1
-    if single:
-        tables = tables[:, :, 0]  # 1-D gathers: faster than (width, 1) rows
+    # 1-D gathers for a lone query: faster than (width, 1) rows.
+    tables = tables[0] if single else np.ascontiguousarray(tables.transpose(1, 2, 0))
     out = np.empty((n_c, hi - lo), dtype=tables.dtype)
     rows = max(BLOCK_ELEMENTS // n_c, 1)
     block = None if single else np.empty((min(rows, hi - lo), n_c), out.dtype)
@@ -353,34 +374,85 @@ def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
     return out
 
 
-def scan_topk(tables, q_sq, codes_t, norms, lo, hi, k):
-    """Distances + tie-stable top-k of one code block, in the tables' dtype.
+def scan_topk(tables, q_sq, codes_t, norms, ranges, k):
+    """Distances + tie-stable top-k over column ranges of one layout.
 
     ``tables`` / ``q_sq`` come from :func:`scan_tables` and ``codes_t`` from
-    :func:`scan_codes` (or :func:`seal_scan_codes`): the gathers trust its
-    range. Returns ``(values, columns, scan_seconds, block_seconds)`` with
-    columns counted from 0 across the whole of ``codes_t`` (``lo``
-    included). ``scan_seconds`` covers the table gather and distance
-    assembly — the work ``adc.scan.time_s`` measures — and
-    ``block_seconds`` adds the top-k selection. A ``+inf`` norm (a
-    tombstoned row) scans at ``+inf``.
+    :func:`scan_codes` (or :func:`seal_scan_codes`): the lookups trust its
+    range. ``ranges`` holds ``[lo, hi)`` column ranges — ``(R, 2)`` walked
+    by every query, or ``(n_q, R, 2)``, one list per query (an IVF probe
+    order) — in any order, empty ones included. A query's candidates are
+    its ranges' columns in walk order; it keeps the ``min(k, fewest
+    candidates of any query)`` smallest, sorted on (value, walk order), so a
+    tie goes to the row walked first. A ``+inf`` norm (a tombstoned row)
+    scans at ``+inf``.
+
+    Returns ``(values, columns, scan_seconds, block_seconds)``: values in
+    the tables' dtype, columns as positions in ``codes_t``.
+    ``scan_seconds`` covers the lookups and distance assembly — the work
+    ``adc.scan.time_s`` measures — and ``block_seconds`` adds the top-k
+    selection; the compiled kernel selects as it scans, so there the two
+    are one figure.
     """
     start = time.perf_counter()
+    ranges = np.ascontiguousarray(ranges, dtype=np.int64)
+    kk = max(0, min(k, int((ranges[..., 1] - ranges[..., 0]).sum(axis=-1).min())))
+    if kk == 0:
+        return (
+            np.empty((len(tables), 0), dtype=tables.dtype),
+            np.empty((len(tables), 0), dtype=np.int64),
+            0.0,
+            time.perf_counter() - start,
+        )
+    kernel = native.load()
+    if kernel is not None:
+        values, columns = kernel.scan_topk(tables, q_sq, codes_t, norms, ranges, kk)
+        elapsed = time.perf_counter() - start
+        return values, columns, elapsed, elapsed
+    return _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start)
+
+
+def _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start):
+    """:func:`scan_topk` in NumPy: the reference, and the no-compiler path.
+
+    One range is scanned in place; several are gathered into one block in
+    walk order, whose columns map back to layout positions.
+    """
+    if (ranges < 0).any() or (ranges[..., 1] > codes_t.shape[1]).any() or (
+        ranges[..., 0] > ranges[..., 1]
+    ).any():
+        raise ValueError("scan ranges fall outside the layout")
+    if ranges.ndim == 2:
+        groups = [(slice(None), ranges)]
+    else:
+        groups = [(slice(q, q + 1), spans) for q, spans in enumerate(ranges)]
     scan_seconds = 0.0
     values, columns = [], []
-    first = 0
-    for chunk in tables:
-        chunk_start = time.perf_counter()
-        last = first + chunk.shape[2]
-        d = _scan_distances(chunk, q_sq[first:last], codes_t, norms, lo, hi)
-        scan_seconds += time.perf_counter() - chunk_start
-        local, vals = topk_tie_stable(d, k)
-        values.append(vals)
-        columns.append(local)
-        first = last
+    for rows, spans in groups:
+        group_tables, group_q_sq, spans = tables[rows], q_sq[rows], spans.tolist()
+        if len(spans) == 1:
+            (lo, hi), block, block_norms, positions = spans[0], codes_t, norms, None
+        else:
+            positions = np.concatenate(
+                [np.arange(lo, hi, dtype=np.int64) for lo, hi in spans]
+            )
+            block = np.concatenate([codes_t[:, lo:hi] for lo, hi in spans], axis=1)
+            block_norms = np.concatenate([norms[lo:hi] for lo, hi in spans])
+            lo, hi = 0, len(positions)
+        for first in range(0, len(group_tables), QUERY_CHUNK):
+            last = first + QUERY_CHUNK
+            chunk_start = time.perf_counter()
+            d = _scan_distances(
+                group_tables[first:last], group_q_sq[first:last],
+                block, block_norms, lo, hi,
+            )
+            scan_seconds += time.perf_counter() - chunk_start
+            local, vals = topk_tie_stable(d, kk)
+            values.append(vals)
+            columns.append(local + lo if positions is None else positions[local])
     return (
         np.concatenate(values),
-        np.concatenate(columns) + lo,
+        np.concatenate(columns),
         scan_seconds,
         time.perf_counter() - start,
     )
@@ -418,8 +490,14 @@ def rerank_exact(lut64, q_sq64, codes_t, norms64, positions, ids, k):
     ``(n_q, M, K)`` table block; a ``codes_t`` with ``M/2`` columns is a
     pair-fused layout (:func:`scan_codes`), whose joint codes are decoded
     here, at these few positions only. Cost is ``O(n_q · c · M)`` —
-    negligible next to the scan.
+    negligible next to the scan. The compiled kernel, where it loaded,
+    does the same arithmetic and the same (distance, id) selection in one
+    call; the NumPy body below is the reference and the no-compiler path.
     """
+    kernel = native.load()
+    kk = min(k, positions.shape[1])
+    if kernel is not None and kk > 0:
+        return kernel.rerank(lut64, q_sq64, codes_t, norms64, positions, ids, kk)
     rows = np.arange(len(positions))[:, None]
     m, num_codewords = lut64.shape[1:]
     if len(codes_t) == m:

@@ -17,8 +17,9 @@ is the deployable version of the same Eqn. 24 arithmetic:
 - :class:`QueryEngine` is the flat block provider of the shared ADC stages
   (:mod:`repro.retrieval.adc`): it lays the batch's lookup tables out for
   the layout (:func:`~repro.retrieval.adc.scan_tables`: scan dtype,
-  query-minor, pair-summed for a fused layout), scans each shard with the
-  one gather-accumulate kernel (:func:`~repro.retrieval.adc.scan_topk`),
+  pair-summed for a fused layout), scans each shard's column range with
+  the one scan kernel (:func:`~repro.retrieval.adc.scan_topk`: compiled,
+  or NumPy where no compiler exists),
   reduces every shard to tie-stable top-k candidates, and merges candidates
   across shards with the tie-stable reduction (distance first, global index
   second — exactly the order a full stable argsort of the serial distance
@@ -144,7 +145,7 @@ def _pool_scan_shard(args):
     lut, q_sq, lo, hi, k = args
     codes_t = _WORKER["codes_t"]
     tables, q_sq = scan_tables(lut, q_sq, lut.dtype, len(codes_t) < lut.shape[1])
-    return scan_topk(tables, q_sq, codes_t, _WORKER["norms"], lo, hi, k)
+    return scan_topk(tables, q_sq, codes_t, _WORKER["norms"], [(lo, hi)], k)
 
 
 class ShardedIndex:
@@ -578,7 +579,7 @@ class QueryEngine(SearchSurface):
             results = [
                 scan_topk(
                     *scan_tables(lut64, q_sq64, sharded.scan_dtype, sharded.fused),
-                    sharded.codes_t, sharded.norms, 0, n_db, shard_k,
+                    sharded.codes_t, sharded.norms, [(0, n_db)], shard_k,
                 )
             ]
         served_by_pool = use_pool and not fell_back

@@ -12,16 +12,17 @@ lookups plus one tiny ``(n_q, num_cells)`` centroid scan.
 
 Layout. Database rows are permuted so each cell is one contiguous column
 range of the transposed code matrix (``codes_t``), exactly the layout the
-sharded engine scans — a probe is a cheap contiguous slice, and ``ids``
+sharded engine scans — a probe is a ``[lo, hi)`` column range, and ``ids``
 maps positions back to global row numbers so returned indices match the
 exhaustive paths.
 
 Accuracy. Like the flat engine and the mutable segments, this layer only
-provides blocks to the one scan kernel: a query's probed cells are
-concatenated into one ``(M, candidates)`` code block, scanned in float32 by
-:func:`repro.retrieval.adc.scan_topk`, and the ``k + RERANK_PAD`` survivors
-are re-scored in float64 (:func:`repro.retrieval.adc.rerank_exact`) at their
-layout *positions*, so rankings among candidates are the serial reference's.
+provides column ranges to the one scan kernel: each query's probed cells,
+in probe order, are the ranges :func:`repro.retrieval.adc.scan_topk` walks
+in float32 for the whole batch in one call, returning layout positions; the
+``k + RERANK_PAD`` survivors are re-scored in float64
+(:func:`repro.retrieval.adc.rerank_exact`) at those positions, so rankings
+among candidates are the serial reference's.
 Recall is lost only to *pruning* — a true neighbour whose cell was not
 probed. That trade is measured, not asserted: ``repro bench --profile
 ivf-large`` sweeps ``nprobe`` and records recall@k against speedup over the
@@ -135,8 +136,10 @@ class IVFIndex(SearchSurface):
             raise ValueError("cell_offsets do not cover the code matrix")
         if (self.cell_sizes() < 0).any():
             raise ValueError("cell_offsets must be non-decreasing")
-        # Cached centroid norms for the probe scan.
+        # Cached centroid norms for the probe scan, and each cell's
+        # [lo, hi) column range for the scan kernel.
         self._centroid_sq = (self.centroids**2).sum(axis=1)
+        self._cell_ranges = np.stack((self.cell_offsets[:-1], self.cell_offsets[1:]), axis=1)
         #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
         self.lut_cache: LUTCache | None = LUTCache()
 
@@ -357,9 +360,6 @@ class IVFIndex(SearchSurface):
         # What a query's first c cells hold, in probe order, as a running sum.
         block_ends = np.cumsum(self.cell_sizes()[probe_order], axis=1)
         cells_used = np.empty(n_q, dtype=np.int64)
-
-        out_indices = np.empty((n_q, k), dtype=np.int64)
-        out_values = np.empty((n_q, k), dtype=np.float64)
         for qi in range(n_q):
             # Widen past nprobe only if the probed cells cannot fill k —
             # empty cells make this reachable even at moderate nprobe.
@@ -367,33 +367,24 @@ class IVFIndex(SearchSurface):
             while ends[used - 1] < shard_k and used < self.num_cells:
                 used = min(self.num_cells, used * 2)
             cells_used[qi] = used
-            # The probed cells are contiguous column ranges of the layout:
-            # their slices, concatenated in probe order, are this query's
-            # code block for the shared kernel.
-            cells, ends = probe_order[qi, :used], ends[:used]
-            his = self.cell_offsets[cells + 1]
-            spans = list(zip(self.cell_offsets[cells].tolist(), his.tolist()))
-            block = np.concatenate([self.codes_t[:, lo:hi] for lo, hi in spans], axis=1)
-            norms = np.concatenate([self.norms32[lo:hi] for lo, hi in spans])
-            row = slice(qi, qi + 1)
-            d, columns, _, _ = scan_topk(
-                *scan_tables(lut64[row], q_sq64[row], np.float32),
-                block, norms, 0, ends[-1], min(shard_k, ends[-1]),
+
+        # Each query walks its probed cells' column ranges in probe order;
+        # the cells past its own probe width pad its list as empty ranges.
+        width = cells_used.max()
+        ranges = self._cell_ranges[probe_order[:, :width]]
+        ranges[np.arange(width) >= cells_used[:, None]] = 0
+        d, positions, _, _ = scan_topk(
+            *scan_tables(lut64, q_sq64, np.float32),
+            self.codes_t, self.norms32, ranges, shard_k,
+        )
+        # The id map is applied once, to the survivors.
+        ids = self.ids[positions]
+        if use_rerank:
+            out_indices, out_values = rerank_exact(
+                lut64, q_sq64, self.codes_t, self.norms64, positions, ids, k
             )
-            # Block column -> layout position: a survivor sits in the first
-            # cell whose block range ends past it, as far from that cell's
-            # end in the layout as in the block. The id map is applied once,
-            # to the survivors.
-            cell = np.searchsorted(ends, columns, side="right")
-            sel_pos = columns + (his - ends)[cell]
-            sel_ids = self.ids[sel_pos]
-            if use_rerank:
-                out_indices[row], out_values[row] = rerank_exact(
-                    lut64[row], q_sq64[row],
-                    self.codes_t, self.norms64, sel_pos, sel_ids, k,
-                )
-            else:
-                out_indices[row], out_values[row] = merge_topk([d], [sel_ids], k)
+        else:
+            out_indices, out_values = merge_topk([d.astype(np.float64)], [ids], k)
 
         if obs.enabled:
             registry = obs.registry

@@ -695,7 +695,7 @@ class MutableIndex(SearchSurface):
                     segment_tables = scan_tables(*tables, np.float64)
                 dists, rows, _, _ = scan_topk(
                     *segment_tables, segment.codes_t, segment.scan_norms,
-                    0, len(segment), min(k_eff, len(segment)),
+                    [(0, len(segment))], k_eff,
                 )
             id_blocks.append(segment.ids[rows])
             dist_blocks.append(dists)

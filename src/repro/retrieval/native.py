@@ -1,0 +1,231 @@
+"""Build, cache and bind the compiled ADC scan (``adc_scan.c``).
+
+:func:`load` is the one entry: on first use in a process it compiles the
+kernel with the system C compiler into a per-user cache directory — or
+finds it already there — and loads it through :mod:`ctypes`, which releases
+the GIL for the length of each call. Whatever goes wrong — no compiler, a
+compile error, an unwritable cache directory, a library that will not load
+— it logs one warning and returns ``None``, and :mod:`repro.retrieval.adc`
+scans with NumPy. Nothing selects between the two but that outcome.
+
+The artifact is named by a hash of the source, the compiler's identity and
+the flags, so an edit, a compiler upgrade or a flag change builds a new one
+and a cached build costs a ``stat`` and a ``dlopen``. It is compiled to a
+temporary file in the cache directory and moved into place with
+:func:`os.replace`, so processes racing the first build all succeed.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["FLAGS", "SOURCE", "ScanKernel", "build", "cache_dir", "find_compiler", "load"]
+
+log = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("adc_scan.c")
+
+#: No ``-ffast-math`` and no contraction into fused multiply-adds: the
+#: kernel must round exactly as the NumPy kernel does. (``-march=native``
+#: measured no faster.)
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: Seconds a first build may take before it counts as failed.
+COMPILE_TIMEOUT_S = 120
+
+_REALS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_CODES = {np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16", np.dtype(np.uint32): "u32"}
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+_SCAN_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _P, _P, _I, _I, _I, _P, _P]
+_RERANK_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _I, _P, _P, _P, _I, _I, _P, _P]
+
+
+def find_compiler() -> str | None:
+    """Path of the system C compiler, or ``None`` when ``PATH`` has none."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro``, or ``~/.cache/repro``."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "repro"
+
+
+def artifact_name(compiler: str) -> str:
+    """The library's file name: a hash of source, compiler and flags.
+
+    The compiler is identified by its resolved path, size and modification
+    time — a new compiler version is a new binary — so naming an artifact
+    never runs the compiler.
+    """
+    resolved = os.path.realpath(compiler)
+    stat = os.stat(resolved)
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update(f"{resolved}\0{stat.st_size}\0{stat.st_mtime_ns}".encode())
+    digest.update("\0".join(FLAGS).encode())
+    return f"adc_scan-{digest.hexdigest()[:20]}.so"
+
+
+def build(compiler: str, directory: Path) -> Path:
+    """The compiled library in ``directory``, compiling it if it is missing.
+
+    Raises ``OSError`` (no such compiler, unwritable directory),
+    ``subprocess.CalledProcessError`` (a compile error) or
+    ``subprocess.TimeoutExpired``.
+    """
+    target = Path(directory) / artifact_name(compiler)
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".adc_scan-", suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *FLAGS, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+class ScanKernel:
+    """The ``ctypes`` binding of one loaded ``adc_scan`` library."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        self._lib = ctypes.CDLL(str(path))  # kept: the functions live in it
+        self._scans, self._reranks = {}, {}
+        for code, c in _CODES.items():
+            for real, r in _REALS.items():
+                self._scans[real, code] = self._bind(f"scan_topk_{r}_{c}", _SCAN_ARGS)
+            self._reranks[code] = self._bind(f"rerank_f64_{c}", _RERANK_ARGS)
+
+    def _bind(self, name: str, argtypes: list):
+        function = getattr(self._lib, name)
+        function.argtypes = argtypes
+        function.restype = _I
+        return function
+
+    def scan_topk(self, tables, q_sq, codes_t, norms, ranges, kk):
+        """``(values, columns)``: each query's ``kk`` best, in one call.
+
+        The arguments are :func:`repro.retrieval.adc.scan_topk`'s; this
+        checks what the C code would otherwise read out of bounds (shapes,
+        dtypes, contiguity) — the ranges themselves it checks in C.
+        """
+        n_q, cols, width = tables.shape
+        real, code = tables.dtype, codes_t.dtype
+        if not (
+            (real, code) in self._scans
+            and tables.flags.c_contiguous and q_sq.flags.c_contiguous
+            and norms.flags.c_contiguous and ranges.flags.c_contiguous
+            and q_sq.dtype == real and norms.dtype == real
+            and ranges.dtype == np.int64 and q_sq.shape == (n_q,)
+            and codes_t.shape[0] == cols and norms.shape == codes_t.shape[1:]
+            and codes_t.strides[1] == code.itemsize and ranges.shape[-1] == 2
+            and ranges.ndim in (2, 3) and (ranges.ndim == 2 or len(ranges) == n_q)
+        ):
+            raise ValueError("scan inputs do not match the compiled kernel's layout")
+        values = np.empty((n_q, kk), dtype=real)
+        columns = np.empty(n_q * kk + kk, dtype=np.int64)  # + the heap's scratch
+        status = self._scans[real, code](
+            _address(tables), _address(q_sq), n_q, cols, width,
+            _address(codes_t), codes_t.strides[0] // code.itemsize, codes_t.shape[1],
+            _address(norms), _address(ranges), ranges.shape[-2],
+            ranges.shape[-2] * 2 if ranges.ndim == 3 else 0, kk,
+            _address(values), _address(columns),
+        )
+        if status:
+            raise ValueError("scan ranges fall outside the layout or hold fewer than k rows")
+        return values, columns[: n_q * kk].reshape(n_q, kk)
+
+    def rerank(self, lut64, q_sq64, codes_t, norms64, positions, ids, kk):
+        """``(ids, distances)``: :func:`repro.retrieval.adc.rerank_exact`'s
+        answer, ``kk`` per query, in one call; positions are checked in C."""
+        lut64, q_sq64, norms64, positions, ids = (
+            np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+                (lut64, np.float64), (q_sq64, np.float64), (norms64, np.float64),
+                (positions, np.int64), (ids, np.int64),
+            )
+        )
+        n_q, m, k_words = lut64.shape
+        code, cols = codes_t.dtype, len(codes_t)
+        n_cand = positions.shape[1]
+        if not (
+            code in self._reranks and (cols == m or 2 * cols == m)
+            and codes_t.strides[1] == code.itemsize
+            and q_sq64.shape == (n_q,) and norms64.shape == codes_t.shape[1:]
+            and positions.shape == ids.shape == (n_q, n_cand) and 0 < kk <= n_cand
+        ):
+            raise ValueError("rerank inputs do not match the compiled kernel's layout")
+        values = np.empty((n_q, kk))
+        out_ids = np.empty(n_q * kk + kk, dtype=np.int64)  # + the heap's scratch
+        status = self._reranks[code](
+            _address(lut64), _address(q_sq64), n_q, m, k_words,
+            _address(codes_t), cols, codes_t.strides[0] // code.itemsize,
+            codes_t.shape[1], _address(norms64), _address(positions),
+            _address(ids), n_cand, kk, _address(values), _address(out_ids),
+        )
+        if status:
+            raise ValueError("rerank positions fall outside the layout")
+        return out_ids[: n_q * kk].reshape(n_q, kk), values
+
+
+def _address(array: np.ndarray) -> int:
+    """Data pointer of a contiguous, non-empty array.
+
+    Through the buffer protocol where the array is writable — a third of
+    the cost of ``array.ctypes.data``, which a read-only array still needs.
+    """
+    if array.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
+_LOCK = threading.Lock()
+_LOADED: list = []  # [ScanKernel | None] once resolved
+
+
+def load() -> ScanKernel | None:
+    """The process's compiled kernel, built or found on the first call.
+
+    ``None`` — after one logged warning — when it cannot be had; every later
+    call returns the same answer without retrying.
+    """
+    if not _LOADED:
+        with _LOCK:
+            if not _LOADED:
+                _LOADED.append(_resolve())
+    return _LOADED[0]
+
+
+def _resolve() -> ScanKernel | None:
+    compiler = find_compiler()
+    if compiler is None:
+        log.warning("no C compiler on PATH; the ADC scan runs on NumPy")
+        return None
+    try:
+        return ScanKernel(build(compiler, cache_dir()))
+    except subprocess.CalledProcessError as exc:
+        detail = (exc.stderr or "").strip().splitlines()[-1:] or [f"exit {exc.returncode}"]
+        log.warning("compiling %s failed (%s); the ADC scan runs on NumPy", SOURCE.name, detail[0])
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        log.warning("cannot build or load %s (%s); the ADC scan runs on NumPy", SOURCE.name, exc)
+    return None

@@ -1,13 +1,15 @@
 """The IVF probe scan against its definition, as a property.
 
-``IVFIndex`` hands the shared scan kernel one block per query — the probed
-cells' column ranges, concatenated — and maps the survivors back. The
-oracle below never touches that layout: it ranks centroids, widens the
-probe set by the documented rule, collects the database rows whose nearest
-centroid is a probed cell, and sorts the reference ``adc_distances`` of
-those rows on (distance, id). Layouts are small, with far-away centroids
-(empty cells) and centroids sitting on single rows (thin cells), so probe
-widening happens at most ``nprobe``; batches straddle ``QUERY_CHUNK``.
+``IVFIndex`` hands the shared scan kernel, per query, the probed cells'
+column ranges in probe order, and gets layout positions back. The oracle
+below never touches that layout: it ranks centroids, widens the probe set
+by the documented rule, collects the database rows whose nearest centroid
+is a probed cell, and sorts the reference ``adc_distances`` of those rows
+on (distance, id). Layouts are small, with far-away centroids (empty cells)
+and centroids sitting on single rows (thin cells), so probe widening
+happens at most ``nprobe``; batches straddle ``QUERY_CHUNK``; codes are
+uint8 and, at K = 300, uint16. Every search runs under both scan kernels
+(the ``scan_kernels`` fixture), whose answers must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -72,17 +74,17 @@ def oracle(index, centroids, assignments, queries, k, nprobe, rerank):
     seed=st.integers(0, 2**16),
     n=st.integers(1, 150),
     m=st.integers(1, 4),
-    k_words=st.sampled_from([2, 16, 64]),
+    k_words=st.sampled_from([2, 16, 64, 300]),
     num_cells=st.integers(1, 12),
     empty_fraction=st.sampled_from([0.0, 0.3, 0.8]),
-    n_q=st.sampled_from([1, 8, 9]),
+    n_q=st.sampled_from([1, 2, 8, 9, 64]),
     nprobe_fraction=st.floats(0.0, 1.0),
     k_mode=st.sampled_from(["one", "five", "nearest-cell", "all-but-one", "past-all"]),
     rerank=st.booleans(),
 )
 def test_probe_scan_is_the_reference_over_the_probed_cells(
-    seed, n, m, k_words, num_cells, empty_fraction, n_q, nprobe_fraction, k_mode,
-    rerank,
+    scan_kernels, seed, n, m, k_words, num_cells, empty_fraction, n_q,
+    nprobe_fraction, k_mode, rerank,
 ):
     rng, index, centroids, assignments = make_layout(
         seed, n, m, k_words, num_cells, empty_fraction
@@ -101,16 +103,24 @@ def test_probe_scan_is_the_reference_over_the_probed_cells(
     }[k_mode]
     k_eff = min(k, n)
     want = oracle(index, centroids, assignments, queries, k, nprobe, rerank)
+    ivf = IVFIndex.build(index, centroids=centroids)
 
-    with obs.observed() as handle:
-        ivf = IVFIndex.build(index, centroids=centroids)
-        got_ids, got_d = ivf.search_with_distances(
-            queries, k, rerank=rerank, nprobe=nprobe
-        )
+    def search():
+        with obs.observed() as handle:
+            got_ids, got_d = ivf.search_with_distances(
+                queries, k, rerank=rerank, nprobe=nprobe
+            )
         registry = handle.registry
-        cells_hist = registry.histogram(names.IVF_CELLS_PROBED)
-        cand_hist = registry.histogram(names.IVF_CANDIDATES_SCANNED)
-        expanded = registry.counter(names.IVF_PROBES_EXPANDED).value
+        return got_ids, got_d, registry
+
+    # Without the rerank the answer is the kernel's float32 preselect, so
+    # both kernels' values and columns are compared bit for bit here.
+    runs = scan_kernels.each(search)
+    got_ids, got_d = scan_kernels.agree({name: run[:2] for name, run in runs.items()})
+    registry = runs["numpy"][2]
+    cells_hist = registry.histogram(names.IVF_CELLS_PROBED)
+    cand_hist = registry.histogram(names.IVF_CANDIDATES_SCANNED)
+    expanded = registry.counter(names.IVF_PROBES_EXPANDED).value
 
     assert got_ids.shape == got_d.shape == (n_q, k_eff)
     assert got_ids.dtype == np.int64 and got_d.dtype == np.float64

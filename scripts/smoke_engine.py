@@ -9,7 +9,10 @@ k-edge cases — then does the same over a pair-fused layout: fused
 in-process == fused pool == the float64 (never fused) scan on one batch.
 It prints which scan kernel served (``adc.SCAN_KERNEL``) and, where the
 compiled kernel loaded, re-runs every path on the NumPy kernel and asserts
-the answers are the same bits. Budget: well under 5 seconds.
+the answers are the same bits — and that the one compiled call of
+``adc.search_ranges`` equals the NumPy stages it stands for (``scan_tables``
+→ ``scan_topk`` → ``rerank_exact`` / ``merge_topk``) on the fused, unfused,
+IVF and daemon paths. Budget: well under 5 seconds.
 
 Run from the repository root::
 
@@ -18,6 +21,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import asyncio
 import os
 import sys
 import time
@@ -29,10 +33,79 @@ if _SRC not in sys.path:
 import numpy as np
 
 from repro.retrieval import IVFIndex, adc, native
-from repro.retrieval.adc import adc_distances
-from repro.retrieval.engine import QueryEngine
+from repro.retrieval.adc import RERANK_PAD, adc_distances
+from repro.retrieval.engine import QueryEngine, ShardedIndex
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import SearchRequest, rank_by_distance
+from repro.serving import ServingConfig, ServingDaemon
+
+
+def composition(lut64, q_sq64, layout, ranges, k, ids=None, rerank=True):
+    """``adc.search_ranges`` as the NumPy stages it stands for, one by one."""
+    tables, q_sq = adc.scan_tables(lut64, q_sq64, np.float32, layout.fused)
+    values, positions, _, _ = adc.scan_topk(
+        tables, q_sq, layout.codes_t, layout.norms, ranges, k + RERANK_PAD if rerank else k
+    )
+    found = positions if ids is None else ids[positions]
+    if rerank:
+        return adc.rerank_exact(
+            lut64, q_sq64, layout.codes_t, layout.norms64, positions, found, k
+        )
+    return adc.merge_topk([values.astype(np.float64)], [found], k)
+
+
+def check_search_ranges(index, fused_index, queries) -> int:
+    """Compiled ``search_ranges`` == the NumPy composition, bit for bit, on
+    an unfused and a fused flat layout and an IVF layout's per-query cell
+    lists through its id map, rerank on and off. Returns the cases run."""
+    rng = np.random.default_rng(1)
+    ivf = IVFIndex.build(fused_index, num_cells=12, seed=0)
+    cells = np.stack((ivf.cell_offsets[:-1], ivf.cell_offsets[1:]), axis=1)
+    probes = np.stack([rng.permutation(len(cells))[:5] for _ in queries])
+    cases = [
+        ("unfused", ShardedIndex(index, 1), None, None),
+        ("fused", ShardedIndex(fused_index, 1), None, None),
+        ("IVF", ivf, cells[probes], ivf.ids),
+    ]
+    for name, surface, ranges, ids in cases:
+        assert surface.layout.fused == (name == "fused"), name
+        if ranges is None:
+            ranges = surface.full_range
+        lut64, q_sq64 = adc.query_tables(queries, surface.codebooks64)
+        for rerank in (True, False):
+            got = adc.search_ranges(lut64, q_sq64, surface.layout, ranges, 10,
+                                    ids=ids, rerank=rerank)
+            compiled, native.load = native.load, lambda: None
+            try:
+                want = composition(lut64, q_sq64, surface.layout, ranges, 10, ids, rerank)
+            finally:
+                native.load = compiled
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    f"{name} (rerank={rerank}): search_ranges != the NumPy composition"
+                )
+    return 2 * len(cases)
+
+
+def daemon_answers(index, queries, engine_kwargs=None):
+    """A 2-replica daemon's answers, one request at a time: the first scans
+    run on the executor, later ones inline on the event loop."""
+
+    async def serve():
+        daemon = ServingDaemon(
+            index, num_replicas=2, engine_kwargs=engine_kwargs,
+            config=ServingConfig(heartbeat_interval_s=None),
+        )
+        async with daemon:
+            results = [await daemon.submit(SearchRequest(q, k=10)) for q in queries]
+        assert daemon.counts["inline_scans"] > 0, dict(daemon.counts)
+        return results
+
+    results = asyncio.run(serve())
+    return (
+        np.stack([r.indices for r in results]),
+        np.stack([r.distances for r in results]),
+    )
 
 
 def check_paths(index, fused_index, queries) -> dict:
@@ -97,6 +170,16 @@ def check_paths(index, fused_index, queries) -> dict:
     assert np.array_equal(full[0], want[0]) and np.array_equal(full[1], want[1]), (
         "a full IVF probe diverges from the exhaustive scan"
     )
+
+    # The daemon, flat (fused) and IVF: what one engine answers, inline or not.
+    answers["daemon fused"] = daemon_answers(fused_index, queries[:12])
+    for got, expected in zip(answers["daemon fused"], want):
+        assert np.array_equal(got, expected[:12]), "daemon answers diverge"
+    answers["daemon IVF"] = daemon_answers(
+        fused_index, queries[:12], {"ivf": ivf, "nprobe": 3}
+    )
+    for got, expected in zip(answers["daemon IVF"], answers["ivf nprobe 3"]):
+        assert np.array_equal(got, expected[:12]), "daemon IVF answers diverge"
     return answers
 
 
@@ -116,6 +199,7 @@ def main() -> int:
     kernel = adc.SCAN_KERNEL
     answers = check_paths(index, fused_index, queries)
     if kernel == "c":
+        cases = check_search_ranges(index, fused_index, queries)
         # The same paths on the NumPy kernel (pool workers fork with it).
         compiled, native.load = native.load, lambda: None
         try:
@@ -130,7 +214,10 @@ def main() -> int:
             )
 
     elapsed = time.perf_counter() - start
-    compared = " (compiled == numpy on every path)" if kernel == "c" else ""
+    compared = (
+        f" (compiled == numpy on every path; search_ranges == the NumPy"
+        f" composition in {cases} cases)" if kernel == "c" else ""
+    )
     print(f"scan kernel: {kernel}{compared}")
     print(f"smoke engine OK in {elapsed:.2f}s")
     if elapsed > 5.0:

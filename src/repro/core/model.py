@@ -118,14 +118,22 @@ class LightLT(Module):
     # Inference API
     # ------------------------------------------------------------------
     def embed(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
-        """Continuous embeddings ``f(x)`` without autograd overhead."""
-        self.eval()
-        blocks = []
-        with no_grad():
-            for start in range(0, len(features), batch_size):
-                batch = Tensor(features[start : start + batch_size])
-                blocks.append(self.backbone(batch).data)
+        """Continuous embeddings ``f(x)``: the backbone's eval-mode forward.
+
+        Runs the tape-free ``backbone.infer`` in ``batch_size``-row chunks
+        (a GEMM's rounding depends on its row count, so the chunking is part
+        of the answer). The model's mode is neither read nor changed.
+        """
+        blocks = list(self._backbone_chunks(features, batch_size))
+        if len(blocks) == 1:
+            return blocks[0]
         return np.concatenate(blocks, axis=0) if blocks else np.empty((0, self.config.embed_dim))
+
+    def _backbone_chunks(self, features: np.ndarray, batch_size: int):
+        """``backbone.infer`` of each ``batch_size``-row chunk, in order."""
+        features = np.asarray(features, dtype=np.float64)
+        for start in range(0, len(features), batch_size):
+            yield self.backbone.infer(features[start : start + batch_size])
 
     def encode(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Discrete codes ``b_i`` (Eqn. 1) for raw feature rows.
@@ -141,14 +149,10 @@ class LightLT(Module):
         self, features: np.ndarray, codebooks: np.ndarray, batch_size: int = 512
     ) -> np.ndarray:
         """:meth:`encode` against already-resolved ``codebooks``."""
-        self.eval()
-        blocks = []
-        with no_grad():
-            for start in range(0, len(features), batch_size):
-                batch = Tensor(features[start : start + batch_size])
-                blocks.append(
-                    self.dsq.encode(self.backbone(batch).data, _stacked=codebooks)
-                )
+        blocks = [
+            self.dsq.encode(embedded, _stacked=codebooks)
+            for embedded in self._backbone_chunks(features, batch_size)
+        ]
         if not blocks:
             return np.empty((0, self.config.num_codebooks), dtype=np.int64)
         return np.concatenate(blocks, axis=0)

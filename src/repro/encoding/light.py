@@ -63,9 +63,9 @@ class LightQueryEncoder(Module):
     def embed(self, features: np.ndarray) -> np.ndarray:
         """No-tape batched projection — the serving fast path.
 
-        Mirrors the layer op order (``x @ W + b``, ``pre * (pre > 0)``) so
-        values are bit-identical to :meth:`forward`. A single ``(d,)`` row
-        is promoted and returned as ``(embed_dim,)``.
+        The layers' own tape-free ``infer`` (``x @ W + b``, ``pre * (pre >
+        0)``), so values are bit-identical to :meth:`forward`. A single
+        ``(d,)`` row is promoted and returned as ``(embed_dim,)``.
         """
         feats = np.asarray(features, dtype=np.float64)
         single = feats.ndim == 1
@@ -76,18 +76,7 @@ class LightQueryEncoder(Module):
                 f"features must be (n, {self.input_dim}), got shape "
                 f"{np.asarray(features).shape}"
             )
-        if isinstance(self.net, Linear):
-            out = feats @ self.net.weight.data
-            out = out + self.net.bias.data
-        else:
-            out = feats
-            for layer in self.net.net:
-                if isinstance(layer, Linear):
-                    out = out @ layer.weight.data
-                    if layer.bias is not None:
-                        out = out + layer.bias.data
-                else:  # ReLU
-                    out = out * (out > 0)
+        out = self.net.infer(feats)
         return out[0] if single else out
 
 

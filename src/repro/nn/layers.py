@@ -42,6 +42,11 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a bare array, no tape: the same ops, the same bits."""
+        out = x @ self.weight.data
+        return out if self.bias is None else out + self.bias.data
+
 
 class ReLU(Module):
     """Rectified linear activation."""
@@ -187,6 +192,20 @@ class MLP(Module):
             return Tensor._from_op(out, (x, *self._fused_params()), backward)
         return self.net(x)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode forward on a bare float64 array, with no tape.
+
+        The fused op order (``x @ W + b``, then ``pre * (pre > 0)``) with
+        ``Dropout`` as the identity, so the values are the eval-mode
+        :meth:`forward`'s bit for bit. It reads no mode flag and sets none.
+        """
+        for layer in self.net:
+            if isinstance(layer, Linear):
+                x = layer.infer(x)
+            elif isinstance(layer, ReLU):
+                x = x * (x > 0)
+        return x
+
     def _stack_forward(self, data: np.ndarray) -> tuple[np.ndarray, list]:
         """Run the Linear/ReLU stack in plain NumPy, caching for backward.
 
@@ -254,6 +273,11 @@ class ResidualMLP(Module):
                 out, (x, self.gate, *self.inner._fused_params()), backward
             )
         return x + self.inner(x) * self.gate
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode ``x + inner(x) · gate`` on a bare array, no tape
+        (:meth:`MLP.infer`): the same bits as :meth:`forward`."""
+        return x + self.inner.infer(x) * self.gate.data
 
 
 class Embedding(Module):

@@ -20,16 +20,38 @@ blocks they hand to it:
 - :func:`query_tables` — the per-batch float64 tables plus ``‖q‖²``
   (through a :class:`~repro.retrieval.lut_cache.LUTCache` when one is
   attached);
-- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the scan:
-  a sealed ``(columns, n)`` code layout, the batch's tables laid out for
-  it, and the kernel that walks ``[lo, hi)`` column ranges of the layout
-  and keeps each query's tie-stable top-k (see "The scan kernel" below);
+- :func:`search_ranges` — everything after the tables for a float32
+  layout (:class:`ScanLayout`), the flat engine's and the IVF probes'
+  stage: a float32 preselect over ``[lo, hi)`` column ranges, the float64
+  rerank of its survivors, the id map, the answer (see "One call per
+  batch" below);
+- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the scan
+  on its own: a sealed ``(columns, n)`` code layout, the batch's tables
+  laid out for it, and the kernel that walks column ranges of the layout
+  and keeps each query's tie-stable top-k. Float64 scans (float64 engines,
+  the mutable index's sealed segments) and pool workers use it directly;
 - :func:`rerank_exact` — the same arithmetic in float64 at the scattered
   *positions* of a float32 scan's survivors;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
 
 :func:`adc_distances` stays the float64 reference every one of them is
 tested against.
+
+One call per batch. A float32 layout is bound once, when it is built:
+:class:`ScanLayout` takes the compiled kernel's view of its codes and
+norms — addresses, stride, length, fused flag — and holds the arrays. A
+batch then costs the table build and one GIL-free call
+(:meth:`~repro.retrieval.native.ScanKernel.search`) that, query by query,
+builds the float32 tables from the float64 ones (the operations of
+:func:`scan_tables`), scans the query's ranges, reranks its survivors in
+float64 (those of :func:`rerank_exact`) and maps them through the id map;
+only the batch's own arrays are marshalled. :func:`search_ranges` without
+the compiled kernel is the composition :func:`scan_tables` →
+:func:`scan_topk` → :func:`rerank_exact` / :func:`merge_topk`, which is
+also its reference. What stays in NumPy, and why: the float64 table build
+(:func:`build_lookup_tables`' einsum fixes the summation order every
+answer is defined by, and the LUT cache reuses its rows), query validation,
+and the multiprocessing pool's merge and rerank across shards.
 
 The scan kernel. :func:`scan_topk` takes ranges — one for a flat layout,
 the probed cells in probe order for an IVF one — and returns layout
@@ -39,8 +61,8 @@ positions. It is served by one of two kernels with one contract:
   :mod:`repro.retrieval.native`): one ``ctypes`` call scans the whole
   batch with the GIL released, query by query and row by row with the
   columns unrolled, and keeps a running top-k heap per query, testing each
-  row against the current k-th value before the heap is touched. The float64
-  rerank is a second call in the same library.
+  row against the current k-th value before the heap is touched. The same
+  loop is the scan inside :func:`search_ranges`' one call.
 - *NumPy*: the reference, and the fallback where no compiler exists or the
   build fails. A chunk of up to :data:`QUERY_CHUNK` queries has its tables
   transposed to query-minor ``(columns, width, n_q)``, so one code gathers
@@ -69,8 +91,8 @@ walked first, so they return the same bits. Shared by both:
 A float64 scan is never fused and reproduces :func:`adc_distances`'
 left-to-right summation and ``(‖q‖² + ‖o‖²) − 2·cross`` order bit for
 bit. A float32 scan — fused or not — is only ever a preselect: its
-``k + RERANK_PAD`` survivors are re-scored by :func:`rerank_exact` in
-float64, decoding joint codes with ``divmod(code, K)`` at those few
+``k + RERANK_PAD`` survivors are re-scored in float64 (:func:`rerank_exact`'s
+arithmetic), decoding joint codes with ``divmod(code, K)`` at those few
 positions.
 
 The two stages are observable separately (:mod:`repro.obs`): with
@@ -95,8 +117,9 @@ from repro.retrieval.search import topk_tie_stable
 
 
 def __getattr__(name: str):
-    # SCAN_KERNEL: "c" or "numpy", whichever serves scan_topk. Read-only,
-    # and resolved on first read, so importing this module builds nothing.
+    # SCAN_KERNEL: "c" or "numpy", whichever serves scan_topk and
+    # search_ranges. Read-only, and resolved on first read, so importing
+    # this module builds nothing.
     if name == "SCAN_KERNEL":
         return "numpy" if native.load() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -316,6 +339,28 @@ def scan_codes(
     return codes_t
 
 
+class ScanLayout:
+    """A float32 scan layout bound once for :func:`search_ranges`.
+
+    ``codes_t`` comes from :func:`scan_codes` or :func:`seal_scan_codes`
+    (pair-fused when ``fused``, over ``num_codewords``-entry codebooks);
+    ``norms`` / ``norms64`` are its float32 and float64 ``‖o‖²``. The
+    compiled kernel's view of them — addresses, stride, length, fused flag
+    (:func:`~repro.retrieval.native.layout_args`) — is taken here, once,
+    and the layout holds the arrays it points into, so they live as long as
+    it does. No copy is made: the arrays are the owner's (a
+    :class:`~repro.retrieval.engine.ShardedIndex`, an
+    :class:`~repro.retrieval.ivf.IVFIndex`).
+    """
+
+    __slots__ = ("codes_t", "norms", "norms64", "num_codewords", "fused", "binding")
+
+    def __init__(self, codes_t, norms, norms64, num_codewords: int, fused: bool) -> None:
+        self.codes_t, self.norms, self.norms64 = codes_t, norms, norms64
+        self.num_codewords, self.fused = int(num_codewords), bool(fused)
+        self.binding = native.layout_args(codes_t, norms, norms64, self.fused)
+
+
 def scan_tables(
     lut64: np.ndarray, q_sq64: np.ndarray, dtype: np.dtype, fuse: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -397,15 +442,8 @@ def scan_topk(tables, q_sq, codes_t, norms, ranges, k):
     start = time.perf_counter()
     ranges = np.ascontiguousarray(ranges, dtype=np.int64)
     kk = max(0, min(k, int((ranges[..., 1] - ranges[..., 0]).sum(axis=-1).min())))
-    if kk == 0:
-        return (
-            np.empty((len(tables), 0), dtype=tables.dtype),
-            np.empty((len(tables), 0), dtype=np.int64),
-            0.0,
-            time.perf_counter() - start,
-        )
     kernel = native.load()
-    if kernel is not None:
+    if kernel is not None and kk:
         values, columns = kernel.scan_topk(tables, q_sq, codes_t, norms, ranges, kk)
         elapsed = time.perf_counter() - start
         return values, columns, elapsed, elapsed
@@ -422,6 +460,13 @@ def _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start):
         ranges[..., 0] > ranges[..., 1]
     ).any():
         raise ValueError("scan ranges fall outside the layout")
+    if kk == 0:
+        return (
+            np.empty((len(tables), 0), dtype=tables.dtype),
+            np.empty((len(tables), 0), dtype=np.int64),
+            0.0,
+            time.perf_counter() - start,
+        )
     if ranges.ndim == 2:
         groups = [(slice(None), ranges)]
     else:
@@ -490,14 +535,12 @@ def rerank_exact(lut64, q_sq64, codes_t, norms64, positions, ids, k):
     ``(n_q, M, K)`` table block; a ``codes_t`` with ``M/2`` columns is a
     pair-fused layout (:func:`scan_codes`), whose joint codes are decoded
     here, at these few positions only. Cost is ``O(n_q · c · M)`` —
-    negligible next to the scan. The compiled kernel, where it loaded,
-    does the same arithmetic and the same (distance, id) selection in one
-    call; the NumPy body below is the reference and the no-compiler path.
+    negligible next to the scan. The compiled :func:`search_ranges` runs
+    the same arithmetic and the same (distance, id) selection in C; this is
+    its reference, and the pool path's rerank after the shards merge.
     """
-    kernel = native.load()
-    kk = min(k, positions.shape[1])
-    if kernel is not None and kk > 0:
-        return kernel.rerank(lut64, q_sq64, codes_t, norms64, positions, ids, kk)
+    if positions.size and (positions.min() < 0 or positions.max() >= codes_t.shape[1]):
+        raise ValueError("rerank positions fall outside the layout")
     rows = np.arange(len(positions))[:, None]
     m, num_codewords = lut64.shape[1:]
     if len(codes_t) == m:
@@ -514,6 +557,45 @@ def rerank_exact(lut64, q_sq64, codes_t, norms64, positions, ids, k):
     d = q_sq64[:, None] + norms64[positions] - 2.0 * cross
     np.maximum(d, 0.0, out=d)
     return merge_topk([d], [ids], k)
+
+
+def search_ranges(lut64, q_sq64, layout, ranges, k, *, ids=None, rerank=True):
+    """A float32 layout's answer: each query's top-``k`` over its ranges.
+
+    The one stage between :func:`query_tables` and an answer, for the flat
+    engine and the IVF probes. ``lut64`` / ``q_sq64`` are a non-empty
+    batch's float64 tables, ``layout`` a :class:`ScanLayout` and ``ranges``
+    :func:`scan_topk`'s ``[lo, hi)`` column ranges. Each query keeps the
+    ``k + RERANK_PAD`` survivors of its float32 scan (as :func:`scan_topk`
+    does, no more than the fewest candidates of any query) and returns the
+    ``k`` best of them on (distance, id): re-scored in float64
+    (``rerank``), or their float32 values read as float64. Ids are layout
+    positions, or their image under the id map ``ids`` (an IVF
+    permutation). Returns ``(ids, distances)``, ``(n_q, min(k, fewest
+    candidates))``.
+
+    With the compiled kernel it is one call per batch — tables, scan,
+    rerank and id map in C, over the addresses the layout bound when it was
+    built. Otherwise it is the composition below, which is also the
+    reference: :func:`scan_tables` → :func:`scan_topk` → :func:`rerank_exact`
+    or :func:`merge_topk`. Both do the same float operations in the same
+    order and return the same bits.
+    """
+    ranges = np.ascontiguousarray(ranges, dtype=np.int64)
+    k_scan = k + RERANK_PAD if rerank else k
+    kernel = native.load()
+    if kernel is not None:
+        return kernel.search(lut64, q_sq64, layout, ranges, ids, k_scan, k, rerank)
+    tables, q_sq = scan_tables(lut64, q_sq64, np.float32, layout.fused)
+    values, positions, _, _ = scan_topk(
+        tables, q_sq, layout.codes_t, layout.norms, ranges, k_scan
+    )
+    found = positions if ids is None else ids[positions]
+    if rerank:
+        return rerank_exact(
+            lut64, q_sq64, layout.codes_t, layout.norms64, positions, found, k
+        )
+    return merge_topk([values.astype(np.float64)], [found], k)
 
 
 def adc_distances(

@@ -13,17 +13,19 @@ is the deployable version of the same Eqn. 24 arithmetic:
   array with one column per codebook *pair* holding the joint code
   ``c_{2j}·K + c_{2j+1}`` in the dtype twice as wide (the same bytes per
   item) — range-checked once and frozen, norms kept in both the scan dtype
-  and float64, and the rows split into contiguous shards.
-- :class:`QueryEngine` is the flat block provider of the shared ADC stages
-  (:mod:`repro.retrieval.adc`): it lays the batch's lookup tables out for
-  the layout (:func:`~repro.retrieval.adc.scan_tables`: scan dtype,
-  pair-summed for a fused layout), scans each shard's column range with
-  the one scan kernel (:func:`~repro.retrieval.adc.scan_topk`: compiled,
-  or NumPy where no compiler exists),
-  reduces every shard to tie-stable top-k candidates, and merges candidates
-  across shards with the tie-stable reduction (distance first, global index
-  second — exactly the order a full stable argsort of the serial distance
-  matrix produces).
+  and float64, bound once for the compiled search (float32), and the rows
+  split into contiguous shards.
+- :class:`QueryEngine` is the flat range provider of the shared ADC stages
+  (:mod:`repro.retrieval.adc`). In-process, a float32 layout is one range
+  handed to :func:`~repro.retrieval.adc.search_ranges` with the layout's
+  :class:`~repro.retrieval.adc.ScanLayout` (bound once, when the
+  :class:`ShardedIndex` is built): tables, scan, float64 rerank and answer
+  in one compiled call, or its NumPy composition where no compiler exists;
+  a float64 layout's tie-stable scan (:func:`~repro.retrieval.adc.scan_topk`)
+  is its answer. Under the pool each shard is scanned by a worker and the
+  candidates are merged across shards with the tie-stable reduction
+  (distance first, global index second — exactly the order a full stable
+  argsort of the serial distance matrix produces), then reranked.
 - Shards can be scanned by a ``multiprocessing`` pool whose workers attach to
   shared-memory code/norm buffers (re-verifying the code range as they do),
   so the database is materialised once per machine, not once per worker
@@ -69,6 +71,7 @@ from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
+    ScanLayout,
     cast_tables,
     compact_code_dtype,
     fuses_pairs,
@@ -78,6 +81,7 @@ from repro.retrieval.adc import (
     scan_codes,
     scan_tables,
     scan_topk,
+    search_ranges,
     seal_scan_codes,
 )
 from repro.retrieval.index import QuantizedIndex
@@ -158,8 +162,11 @@ class ShardedIndex:
     ``(M/2, n_db)`` joint pair codes indexing ``table_width = K²``-entry
     fused tables; an unfused layout is the index's code store itself, not a
     copy. Norms are kept in the scan dtype and, for the exact rerank,
-    float64. ``bounds`` are the contiguous row shards. Read-only once
-    built, so any number of engines may scan one layout.
+    float64. A float32 layout is bound here, once, for the compiled search
+    (``layout``, an :class:`~repro.retrieval.adc.ScanLayout`); a float64
+    one has ``layout = None`` and is scanned by ``scan_topk``. ``bounds``
+    are the contiguous row shards. Read-only once built, so any number of
+    engines may scan one layout.
     """
 
     def __init__(
@@ -183,6 +190,14 @@ class ShardedIndex:
         self.norms = self.norms64.astype(scan_dtype)
         self.codebooks64 = np.ascontiguousarray(index.codebooks, dtype=np.float64)
         self.bounds = shard_bounds(self.codes_t.shape[1], num_shards)
+        # The in-process scan's one range. Pool workers scan their
+        # shared-memory copies unbound; the parent scans these arrays.
+        self.full_range = np.array([(0, len(self))], dtype=np.int64)
+        self.layout = None
+        if scan_dtype == np.dtype(np.float32):
+            self.layout = ScanLayout(
+                self.codes_t, self.norms, self.norms64, self.num_codewords, self.fused
+            )
         # The shared-memory copy pool workers attach to: made for the first
         # engine that pools, unlinked when the last one closes.
         self._shms: list[shared_memory.SharedMemory] = []
@@ -540,13 +555,13 @@ class QueryEngine(SearchSurface):
         use_rerank = self.rerank if rerank is None else (
             bool(rerank) and sharded.scan_dtype == np.dtype(np.float32)
         )
-        shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
         use_pool = self._use_pool(n_q)
         self.last_dispatch = "process-pool" if use_pool else "in-process"
         fell_back = False
         if use_pool:
             # Tasks carry the compact row-major tables; each worker lays
             # them out for the scan itself (fused tables are K/2 times the bytes).
+            shard_k = min(k + (RERANK_PAD if use_rerank else 0), n_db)
             lut, q_sq = cast_tables(lut64, q_sq64, sharded.scan_dtype)
             tasks = [
                 (lut, q_sq, lo, hi, min(shard_k, hi - lo))
@@ -569,57 +584,62 @@ class QueryEngine(SearchSurface):
                     raise  # KeyboardInterrupt and friends propagate
                 fell_back = True
                 self.last_dispatch = "in-process-fallback"
-        if not use_pool or fell_back:
-            # Sharding exists to feed pool workers. In-process, splitting
-            # work one process does serially only adds per-shard top-k
-            # overhead, so the scan is one full-range block (the kernel's
-            # query chunks already bound peak memory). Results are identical
-            # either way: row accumulation is independent of shard
-            # boundaries, and the merge is tie-stable.
-            results = [
-                scan_topk(
-                    *scan_tables(lut64, q_sq64, sharded.scan_dtype, sharded.fused),
-                    sharded.codes_t, sharded.norms, [(0, n_db)], shard_k,
-                )
-            ]
         served_by_pool = use_pool and not fell_back
-        scan_elapsed = time.perf_counter() - scan_start if obs.enabled else 0.0
-
-        merge_start = time.perf_counter() if obs.enabled else 0.0
-        indices, values = merge_topk(
-            [r[0] for r in results], [r[1] for r in results], shard_k
-        )
-        if use_rerank:
-            indices, values = rerank_exact(
-                lut64, q_sq64, sharded.codes_t, sharded.norms64,
-                indices, indices, k,
+        if served_by_pool:
+            scan_elapsed = time.perf_counter() - scan_start if obs.enabled else 0.0
+            merge_start = time.perf_counter() if obs.enabled else 0.0
+            indices, values = merge_topk(
+                [r[0] for r in results], [r[1] for r in results], shard_k
             )
+            if use_rerank:
+                indices, values = rerank_exact(
+                    lut64, q_sq64, sharded.codes_t, sharded.norms64,
+                    indices, indices, k,
+                )
+            else:
+                indices, values = indices[:, :k], values[:, :k].astype(np.float64)
+            merge_elapsed = time.perf_counter() - merge_start if obs.enabled else 0.0
+            shard_seconds = [r[3] for r in results]
         else:
-            indices, values = indices[:, :k], values[:, :k].astype(np.float64)
-        merge_elapsed = time.perf_counter() - merge_start if obs.enabled else 0.0
+            # Sharding exists to feed pool workers. In-process the whole
+            # layout is one range — row accumulation is independent of
+            # shard boundaries and the selection is tie-stable, so the
+            # answer is the same — scanned, reranked and mapped in one call.
+            call_start = time.perf_counter() if obs.enabled else 0.0
+            if sharded.layout is not None:
+                indices, values = search_ranges(
+                    lut64, q_sq64, sharded.layout, sharded.full_range, k,
+                    rerank=use_rerank,
+                )
+            else:  # a float64 scan is the answer: one range sorts on (distance, id)
+                values, indices, _, _ = scan_topk(
+                    *scan_tables(lut64, q_sq64, sharded.scan_dtype),
+                    sharded.codes_t, sharded.norms, sharded.full_range, k,
+                )
+            merge_elapsed = 0.0
+            if obs.enabled:
+                shard_seconds = [time.perf_counter() - call_start]
+                # A fallback batch keeps the phase wall: the stall was real.
+                scan_elapsed = (
+                    time.perf_counter() - scan_start if fell_back else shard_seconds[0]
+                )
 
         if obs.enabled:
             registry = obs.registry
-            # Like the serial path, adc.scan.* excludes ranking work: it
-            # counts gather + distance assembly only. In-process that is the
-            # summed per-shard scan time; under the pool per-shard clocks
-            # overlap, so the phase wall (including dispatch) is the honest
-            # figure.
-            adc_scan_seconds = (
-                scan_elapsed if use_pool else sum(r[2] for r in results)
-            )  # a fallback batch keeps the phase wall: the stall was real
-            registry.histogram(metric_names.ADC_SCAN_TIME).observe(
-                adc_scan_seconds
-            )
-            if adc_scan_seconds > 0:
+            # adc.scan.* counts the scan phase. In-process that is the one
+            # call (its top-k and, for a float32 layout, its rerank ride
+            # inside it); under the pool per-shard clocks overlap, so the
+            # phase wall (including dispatch) is the honest figure.
+            registry.histogram(metric_names.ADC_SCAN_TIME).observe(scan_elapsed)
+            if scan_elapsed > 0:
                 registry.histogram(metric_names.ADC_SCAN_CODES_PER_S).observe(
-                    n_q * n_db * sharded.num_codebooks / adc_scan_seconds
+                    n_q * n_db * sharded.num_codebooks / scan_elapsed
                 )
             shard_hist = registry.histogram(metric_names.ENGINE_SHARD_SCAN_TIME)
-            for result in results:
-                shard_hist.observe(result[3])
+            for seconds in shard_seconds:
+                shard_hist.observe(seconds)
             registry.histogram(metric_names.ENGINE_MERGE_TIME).observe(merge_elapsed)
-            registry.counter(metric_names.ENGINE_SHARDS_SCANNED).inc(len(results))
+            registry.counter(metric_names.ENGINE_SHARDS_SCANNED).inc(len(shard_seconds))
             registry.counter(metric_names.ENGINE_BATCHES_TOTAL).inc()
             if served_by_pool:
                 registry.counter(metric_names.ENGINE_PARALLEL_BATCHES).inc()

@@ -16,13 +16,12 @@ sharded engine scans — a probe is a ``[lo, hi)`` column range, and ``ids``
 maps positions back to global row numbers so returned indices match the
 exhaustive paths.
 
-Accuracy. Like the flat engine and the mutable segments, this layer only
-provides column ranges to the one scan kernel: each query's probed cells,
-in probe order, are the ranges :func:`repro.retrieval.adc.scan_topk` walks
-in float32 for the whole batch in one call, returning layout positions; the
-``k + RERANK_PAD`` survivors are re-scored in float64
-(:func:`repro.retrieval.adc.rerank_exact`) at those positions, so rankings
-among candidates are the serial reference's.
+Accuracy. Like the flat engine, this layer only provides column ranges to
+the shared search stage: each query's probed cells, in probe order, are the
+ranges :func:`repro.retrieval.adc.search_ranges` walks in float32 for the
+whole batch in one call; each query's ``k + RERANK_PAD`` survivors are
+re-scored in float64 at their layout positions and mapped through ``ids``
+inside that call, so rankings among candidates are the serial reference's.
 Recall is lost only to *pruning* — a true neighbour whose cell was not
 probed. That trade is measured, not asserted: ``repro bench --profile
 ivf-large`` sweeps ``nprobe`` and records recall@k against speedup over the
@@ -44,13 +43,11 @@ from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
     RERANK_PAD,
-    merge_topk,
+    ScanLayout,
     query_tables,
     reconstruct,
-    rerank_exact,
-    scan_tables,
-    scan_topk,
     seal_scan_codes,
+    search_ranges,
 )
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import LUTCache
@@ -97,6 +94,9 @@ class IVFIndex(SearchSurface):
         ``(M, n_db)`` compact-dtype codes, columns permuted cell-by-cell.
     ids:
         ``(n_db,)`` global database row of each permuted column.
+    layout:
+        ``codes_t`` with its float32 and float64 norms, bound once for
+        :func:`repro.retrieval.adc.search_ranges`.
     nprobe:
         Default number of cells probed per query.
     """
@@ -117,9 +117,9 @@ class IVFIndex(SearchSurface):
             raise ValueError("nprobe must be at least 1")
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.cell_offsets = np.asarray(cell_offsets, dtype=np.int64)
-        self.codes_t = np.asarray(codes_t)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.norms64 = np.asarray(norms64, dtype=np.float64)
+        self.codes_t = np.ascontiguousarray(codes_t)
+        self.ids = np.ascontiguousarray(ids, dtype=np.int64)
+        self.norms64 = np.ascontiguousarray(norms64, dtype=np.float64)
         self.norms32 = self.norms64.astype(np.float32)
         self.codebooks64 = np.asarray(codebooks64, dtype=np.float64)
         self.nprobe = int(nprobe)
@@ -140,6 +140,9 @@ class IVFIndex(SearchSurface):
         # [lo, hi) column range for the scan kernel.
         self._centroid_sq = (self.centroids**2).sum(axis=1)
         self._cell_ranges = np.stack((self.cell_offsets[:-1], self.cell_offsets[1:]), axis=1)
+        self.layout = ScanLayout(
+            self.codes_t, self.norms32, self.norms64, self.num_codewords, fused=False
+        )
         #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
         self.lut_cache: LUTCache | None = LUTCache()
 
@@ -373,18 +376,10 @@ class IVFIndex(SearchSurface):
         width = cells_used.max()
         ranges = self._cell_ranges[probe_order[:, :width]]
         ranges[np.arange(width) >= cells_used[:, None]] = 0
-        d, positions, _, _ = scan_topk(
-            *scan_tables(lut64, q_sq64, np.float32),
-            self.codes_t, self.norms32, ranges, shard_k,
+        # The id map is applied to the survivors only, inside the search.
+        out_indices, out_values = search_ranges(
+            lut64, q_sq64, self.layout, ranges, k, ids=self.ids, rerank=use_rerank
         )
-        # The id map is applied once, to the survivors.
-        ids = self.ids[positions]
-        if use_rerank:
-            out_indices, out_values = rerank_exact(
-                lut64, q_sq64, self.codes_t, self.norms64, positions, ids, k
-            )
-        else:
-            out_indices, out_values = merge_topk([d.astype(np.float64)], [ids], k)
 
         if obs.enabled:
             registry = obs.registry

@@ -8,6 +8,14 @@ compile error, an unwritable cache directory, a library that will not load
 — it logs one warning and returns ``None``, and :mod:`repro.retrieval.adc`
 scans with NumPy. Nothing selects between the two but that outcome.
 
+A float32 search is one call per batch (:meth:`ScanKernel.search`): tables,
+scan, rerank and id map all run in C. Its arguments come in two halves. A
+layout's — code and norm addresses, stride, length, fused flag — are taken
+once, when the layout is built (:func:`layout_args`, held by
+:class:`repro.retrieval.adc.ScanLayout` together with the arrays they point
+into, so the memory outlives every call). A call marshals only the batch's
+own arrays: its tables, ``‖q‖²``, ranges, id map and outputs.
+
 The artifact is named by a hash of the source, the compiler's identity and
 the flags, so an edit, a compiler upgrade or a flag change builds a new one
 and a cached build costs a ``stat`` and a ``dlopen``. It is compiled to a
@@ -29,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["FLAGS", "SOURCE", "ScanKernel", "build", "cache_dir", "find_compiler", "load"]
+__all__ = [
+    "FLAGS", "SOURCE", "ScanKernel", "build", "cache_dir", "find_compiler", "layout_args", "load",
+]
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +55,14 @@ COMPILE_TIMEOUT_S = 120
 
 _REALS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _CODES = {np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16", np.dtype(np.uint32): "u32"}
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SCAN_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _P, _P, _I, _I, _I, _P, _P]
-_RERANK_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _I, _P, _P, _P, _I, _I, _P, _P]
+#: search_<code>: the batch's tables, the layout's :func:`layout_args`, then
+#: the batch's ranges, id map, widths and outputs.
+_SEARCH_ARGS = [
+    _P, _P, _I, _I, _I, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _I, _I, _I, _P, _P,
+]
 
 
 def find_compiler() -> str | None:
@@ -105,17 +120,41 @@ def build(compiler: str, directory: Path) -> Path:
     return target
 
 
+def layout_args(codes_t, norms, norms64, fused: bool) -> tuple:
+    """A layout's half of a ``search_<code>`` call, taken once per layout.
+
+    ``codes_t`` is a sealed ``(columns, n)`` layout, ``norms`` and
+    ``norms64`` its float32 and float64 norms. Checked here, once, for what
+    the C code reads: the codes' dtype and row stride, the norms' dtypes,
+    lengths and contiguity. Addresses need no loaded library, so a layout
+    built where the kernel is missing binds all the same.
+    """
+    n = codes_t.shape[1]
+    if not (
+        codes_t.ndim == 2 and codes_t.dtype in _CODES and not codes_t.flags.writeable
+        and (n == 0 or codes_t.strides[1] == codes_t.itemsize)
+        and norms.dtype == np.float32 and norms64.dtype == _F64
+        and norms.shape == norms64.shape == (n,)
+        and norms.flags.c_contiguous and norms64.flags.c_contiguous
+    ):
+        raise ValueError("the layout does not match the compiled kernel's")
+    return (
+        codes_t.ctypes.data, len(codes_t), codes_t.strides[0] // codes_t.itemsize, n,
+        norms.ctypes.data, norms64.ctypes.data, int(fused),
+    )
+
+
 class ScanKernel:
     """The ``ctypes`` binding of one loaded ``adc_scan`` library."""
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))  # kept: the functions live in it
-        self._scans, self._reranks = {}, {}
+        self._scans, self._searches = {}, {}
         for code, c in _CODES.items():
             for real, r in _REALS.items():
                 self._scans[real, code] = self._bind(f"scan_topk_{r}_{c}", _SCAN_ARGS)
-            self._reranks[code] = self._bind(f"rerank_f64_{c}", _RERANK_ARGS)
+            self._searches[code] = self._bind(f"search_{c}", _SEARCH_ARGS)
 
     def _bind(self, name: str, argtypes: list):
         function = getattr(self._lib, name)
@@ -156,36 +195,46 @@ class ScanKernel:
             raise ValueError("scan ranges fall outside the layout or hold fewer than k rows")
         return values, columns[: n_q * kk].reshape(n_q, kk)
 
-    def rerank(self, lut64, q_sq64, codes_t, norms64, positions, ids, kk):
-        """``(ids, distances)``: :func:`repro.retrieval.adc.rerank_exact`'s
-        answer, ``kk`` per query, in one call; positions are checked in C."""
-        lut64, q_sq64, norms64, positions, ids = (
-            np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
-                (lut64, np.float64), (q_sq64, np.float64), (norms64, np.float64),
-                (positions, np.int64), (ids, np.int64),
-            )
-        )
+    def search(self, lut64, q_sq64, layout, ranges, ids, k_scan, k, rerank):
+        """``(ids, distances)``: :func:`repro.retrieval.adc.search_ranges`'
+        answer, in one call from the float64 tables on.
+
+        Only the batch's arrays are marshalled; the layout's were bound when
+        it was built (:func:`layout_args`). This checks the batch against the
+        layout — dtypes, contiguity, ``M``, ``K`` and the id map's length —
+        and the C code checks the ranges.
+        """
         n_q, m, k_words = lut64.shape
-        code, cols = codes_t.dtype, len(codes_t)
-        n_cand = positions.shape[1]
+        codes_t = layout.codes_t
+        cols, n = codes_t.shape
         if not (
-            code in self._reranks and (cols == m or 2 * cols == m)
-            and codes_t.strides[1] == code.itemsize
-            and q_sq64.shape == (n_q,) and norms64.shape == codes_t.shape[1:]
-            and positions.shape == ids.shape == (n_q, n_cand) and 0 < kk <= n_cand
+            lut64.dtype == _F64 and q_sq64.dtype == _F64 and ranges.dtype == _I64
+            and lut64.flags.c_contiguous and q_sq64.flags.c_contiguous
+            and ranges.flags.c_contiguous and q_sq64.shape == (n_q,)
+            and k_words == layout.num_codewords and m == cols * (2 if layout.fused else 1)
+            and ranges.ndim in (2, 3) and ranges.shape[-1] == 2
+            and (ranges.ndim == 2 or len(ranges) == n_q)
+            and (ids is None or (
+                ids.dtype == _I64 and ids.flags.c_contiguous and ids.shape == (n,)
+            ))
         ):
-            raise ValueError("rerank inputs do not match the compiled kernel's layout")
-        values = np.empty((n_q, kk))
-        out_ids = np.empty(n_q * kk + kk, dtype=np.int64)  # + the heap's scratch
-        status = self._reranks[code](
-            _address(lut64), _address(q_sq64), n_q, m, k_words,
-            _address(codes_t), cols, codes_t.strides[0] // code.itemsize,
-            codes_t.shape[1], _address(norms64), _address(positions),
-            _address(ids), n_cand, kk, _address(values), _address(out_ids),
+            raise ValueError("search inputs do not match the bound layout")
+        values = np.empty((n_q, k))
+        found = np.empty((n_q, k), dtype=np.int64)
+        count = self._searches[codes_t.dtype](
+            _address(lut64), _address(q_sq64), n_q, m, k_words, *layout.binding,
+            _address(ranges), ranges.shape[-2],
+            ranges.shape[-2] * 2 if ranges.ndim == 3 else 0,
+            None if ids is None else _address(ids), k_scan, k, int(rerank),
+            _address(values), _address(found),
         )
-        if status:
-            raise ValueError("rerank positions fall outside the layout")
-        return out_ids[: n_q * kk].reshape(n_q, kk), values
+        if count == -2:
+            raise MemoryError("no scratch for the compiled search")
+        if count < 0:
+            raise ValueError("scan ranges fall outside the layout")
+        if count < k:  # some query has fewer than k candidates
+            return found[:, :count].copy(), values[:, :count].copy()
+        return found, values
 
 
 def _address(array: np.ndarray) -> int:

@@ -12,6 +12,7 @@ index's code store.
 """
 
 import asyncio
+import gc
 import sys
 import threading
 import types
@@ -237,3 +238,61 @@ def test_concurrent_share_and_unshare_keep_one_owner():
     assert not errors and not any(thread.is_alive() for thread in threads)
     assert len(names) == 2
     assert sharded._sharers == 0 and sharded._shms == []
+
+
+class TestBoundLayoutLifetime:
+    """A float32 layout binds its arrays' addresses once, when it is built
+    (``adc.ScanLayout``), and holds the arrays, so the memory outlives every
+    engine that scans it. The pool's shared-memory copy is never bound: the
+    parent scans its own arrays."""
+
+    def test_the_binding_points_into_the_arrays_the_layout_holds(self):
+        sharded = ShardedIndex(random_index(2_000), num_shards=1)
+        layout = sharded.layout
+        assert layout.codes_t is sharded.codes_t
+        assert layout.norms is sharded.norms and layout.norms64 is sharded.norms64
+        codes, _, _, n, norms, norms64, fused = layout.binding
+        assert codes == sharded.codes_t.ctypes.data and n == len(sharded)
+        assert norms == sharded.norms.ctypes.data
+        assert norms64 == sharded.norms64.ctypes.data and fused == sharded.fused
+
+    @pytest.mark.parametrize("ivf_as", ["none", "cells"])
+    def test_closing_one_replica_engine_leaves_the_other_answering(self, ivf_as):
+        index = random_index(3_000)
+        queries = np.random.default_rng(7).normal(size=(5, DIM))
+        kwargs = {"none": None, "cells": {"ivf": 16, "nprobe": 4}}[ivf_as]
+        daemon = ServingDaemon(
+            index, num_replicas=2, engine_kwargs=kwargs,
+            config=ServingConfig(heartbeat_interval_s=None),
+        )
+        first, second = engines(daemon)
+        want_ids, want_distances = second.search_with_distances(queries, 10)
+        first.close()
+        del first
+        gc.collect()
+        ids, distances = second.search_with_distances(queries, 10)
+        assert np.array_equal(ids, want_ids) and np.array_equal(distances, want_distances)
+
+        async def serve():
+            async with daemon:
+                return [await daemon.submit(SearchRequest(queries=q, k=10)) for q in queries]
+
+        results = asyncio.run(serve())
+        assert np.array_equal(np.stack([r.indices for r in results]), want_ids)
+        assert np.array_equal(np.stack([r.distances for r in results]), want_distances)
+
+    def test_a_pool_copy_is_never_bound(self):
+        index = random_index(4_000)
+        queries = np.random.default_rng(8).normal(size=(6, DIM))
+        sharded = ShardedIndex(index, num_shards=2)
+        with QueryEngine(sharded, workers=2, parallel="force") as pooled:
+            want = pooled.search_with_distances(queries, 10)
+            assert pooled.last_dispatch == "process-pool" and sharded._shms
+            assert sharded.layout.binding[0] == sharded.codes_t.ctypes.data
+            assert np.shares_memory(sharded.codes_t, index.codes)
+        assert sharded._shms == []  # the shared copy is unmapped and unlinked
+        with QueryEngine(sharded, parallel="never") as engine:
+            got = engine.search_with_distances(queries, 10)
+            assert engine.last_dispatch == "in-process"
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -1,0 +1,94 @@
+#!/usr/bin/env python
+"""CI smoke test for the compiled row-select pass of index builds.
+
+Builds the same indexes twice — once with the compiled kernel
+(``repro.native``), once on the NumPy path it replaces — at the three
+benchmark shapes, and asserts the two are bit for bit the same:
+
+- F: residual k-means codebooks (M8 × K64, d 32), a ``QuantizedIndex`` that
+  encodes and decodes its rows, and an IVF layout over it;
+- T: a warm-started ``LightLT`` (M8 × K128, d 64) — ``build_index`` runs the
+  DSQ encode — and an IVF layout;
+- Z: the same at M8 × K64, d 32.
+
+Compared: codebooks, codes, stored norms, and every array of the IVF layout
+(centroids, cell offsets, codes, ids). Where no compiler exists the NumPy
+path runs alone and the script says so. Budget: a few seconds. Run from the
+repository root::
+
+    python scripts/smoke_build.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+import numpy as np
+
+from repro import native
+from repro.core.model import LightLT, LightLTConfig
+from repro.core.warmstart import residual_kmeans_codebooks, warm_start_codebooks
+from repro.retrieval.index import QuantizedIndex
+from repro.retrieval.ivf import IVFIndex
+
+
+def clustered(seed: int, n: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(40, dim)) * 3.0
+    return means[rng.integers(40, size=n)] + rng.normal(size=(n, dim))
+
+
+def layout(index: QuantizedIndex, seed: int) -> list[np.ndarray]:
+    ivf = IVFIndex.build(index, 16, nprobe=4, train_sample=2048, kmeans_iterations=6, seed=seed)
+    return [index.codes, index.db_sq_norms, ivf.centroids, ivf.cell_offsets, ivf.codes_t, ivf.ids]
+
+
+def build_f() -> list[np.ndarray]:
+    rows = clustered(0, 6000, 32)
+    codebooks = residual_kmeans_codebooks(rows[:2048], 8, 64, rng=0, max_iterations=6)
+    return [codebooks, *layout(QuantizedIndex.build(codebooks, rows[2048:]), 0)]
+
+
+def build_model(seed: int, dim: int, k_words: int) -> list[np.ndarray]:
+    rows = clustered(seed, 4000, dim)
+    model = LightLT(LightLTConfig(
+        input_dim=dim, num_classes=10, embed_dim=dim, num_codebooks=8, num_codewords=k_words,
+    ))
+    warm_start_codebooks(model, rows[:1024], rng=seed, max_iterations=4)
+    model.eval()
+    return [model.dsq.materialized_codebooks(), *layout(model.build_index(rows[1024:]), seed)]
+
+
+SHAPES = {"F": build_f, "T": lambda: build_model(1, 64, 128), "Z": lambda: build_model(2, 32, 64)}
+
+
+def main() -> int:
+    compiled = native.load
+    kernels = ["numpy"] if compiled() is None else ["c", "numpy"]
+    for name, build in SHAPES.items():
+        results = {}
+        for kernel in kernels:
+            native.load = compiled if kernel == "c" else (lambda: None)
+            try:
+                results[kernel] = build()
+            finally:
+                native.load = compiled
+        want = results["numpy"]
+        for kernel, got in results.items():
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, kernel, i)
+                assert a.tobytes() == b.tobytes(), f"{name}: {kernel} build differs from numpy (array {i})"
+    if len(kernels) == 1:
+        print("build select: numpy only (no compiled kernel); F, T and Z built")
+    else:
+        print("build select: c == numpy at F, T and Z (codebooks, codes, norms, IVF layouts)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -32,7 +32,8 @@ if _SRC not in sys.path:
 
 import numpy as np
 
-from repro.retrieval import IVFIndex, adc, native
+from repro import native
+from repro.retrieval import IVFIndex, adc
 from repro.retrieval.adc import RERANK_PAD, adc_distances
 from repro.retrieval.engine import QueryEngine, ShardedIndex
 from repro.retrieval.index import QuantizedIndex

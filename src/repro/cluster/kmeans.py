@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.rng import make_rng
 
 #: Float64 cells of scratch one pass may hold (8 MB): row chunks are sized
@@ -104,7 +105,10 @@ def _nearest(
     """Nearest centroid of every point, one GEMM per row chunk.
 
     ``minima``, when given, receives each row's smallest ``‖c‖² − 2 x·c``:
-    the squared distance to the assigned centroid, less ``‖x‖²``.
+    the squared distance to the assigned centroid, less ``‖x‖²``. After each
+    GEMM the compiled select pass (:meth:`repro.native.Kernel.select_rows`)
+    adds ``‖c‖²``, takes the first minimum and reads it off in one sweep;
+    without the compiled kernel the NumPy passes below do, to the same bits.
     """
     n = len(points)
     # |x - c|^2 = |x|^2 - 2 x·c + |c|^2 ; |x|^2 is constant per row.
@@ -115,10 +119,17 @@ def _nearest(
     assignments = np.empty(n, dtype=np.int64)
     rows = _chunk_rows(len(centroids))
     scores = np.empty((min(rows, n), len(centroids)))
+    kernel = native.load() if n else None
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         block = scores[: hi - lo]
         np.matmul(points[lo:hi], scaled_t, out=block)
+        if kernel is not None:
+            kernel.select_rows(
+                block, native.KMEANS, assignments[lo:hi], col=c_sq,
+                minima=None if minima is None else minima[lo:hi],
+            )
+            continue
         block += c_sq
         nearest = block.argmin(axis=1)
         assignments[lo:hi] = nearest

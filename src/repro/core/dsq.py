@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.core.codebook import CodebookChain
 from repro.core.quantize import quantize_step
 from repro.nn import Module, Tensor, no_grad, stable_softmax_array
@@ -332,8 +333,13 @@ class DSQ(Module):
         parameter). A caller encoding many chunks between which they cannot
         change resolves :meth:`materialized_codebooks` once and passes it
         as ``_stacked``; nothing is checked then.
+
+        Rows must be finite: a NaN or infinite row raises ``ValueError``
+        rather than encoding to arbitrary codes.
         """
         emb = np.asarray(embeddings, dtype=np.float64)
+        if not np.isfinite(emb).all():
+            raise ValueError("rows to encode must be finite (found NaN or inf)")
         if self.similarity in FUSED_SIMILARITIES:
             return self._encode_fused(emb, stacked=_stacked)
         with no_grad():
@@ -393,6 +399,11 @@ class DSQ(Module):
             }
         codes = np.empty((n, num_books), dtype=np.int64)
         scores = scratch["scores"]
+        kernel = native.load() if n else None
+        if kernel is not None:
+            return self._select_compiled(
+                kernel, emb, stacked, code_sq, codes, scores, scratch, scores_out
+            )
         if self.topology == "residual":
             x, recon, level = scratch["x"], scratch["recon"], scratch["level"]
             recon[...] = 0.0
@@ -421,6 +432,48 @@ class DSQ(Module):
                 codes[:, k] = scores.argmax(axis=1)
                 if scores_out is not None:
                     scores_out[:, k] = scores
+        return codes
+
+    def _select_compiled(self, kernel, emb, stacked, code_sq, codes, scores, scratch, scores_out):
+        """:meth:`_encode_fused`'s levels with the compiled select pass.
+
+        The GEMMs are the NumPy path's, on the same operands; after each,
+        one call (:meth:`repro.native.Kernel.select_rows`) assembles the
+        scores with that path's operations, takes the first argmax, writes
+        ``scores_out`` and — residual topology — updates the running decode
+        and the next level's input ``x = emb − recon``. ``‖x‖²`` stays a
+        NumPy row sum: its pairwise order is part of every score.
+        """
+        form = native.DSQ_DOT if self.similarity == "dot" else native.DSQ_L2
+        books = np.ascontiguousarray(stacked)  # the C code walks rows
+        if code_sq is not None:
+            code_sq = np.ascontiguousarray(code_sq)
+        last = self.num_codebooks - 1
+        if self.topology != "residual":
+            row = None if form == native.DSQ_DOT else (emb * emb).sum(axis=1)
+        else:
+            x, recon = scratch["x"], scratch["recon"]
+            x[...] = emb
+            emb = np.ascontiguousarray(emb)
+        for k in range(self.num_codebooks):
+            if self.topology != "residual":
+                np.matmul(emb, stacked[k].T, out=scores)
+                kernel.select_rows(
+                    scores, form, codes[:, k], row=row,
+                    col=None if code_sq is None else code_sq[k],
+                    scores=None if scores_out is None else scores_out[:, k],
+                )
+                continue
+            np.matmul(x, stacked[k].T, out=scores)
+            step = k < last  # the last level's decode feeds nothing
+            kernel.select_rows(
+                scores, form, codes[:, k],
+                row=None if form == native.DSQ_DOT else (x * x).sum(axis=1),
+                col=None if code_sq is None else code_sq[k],
+                scores=None if scores_out is None else scores_out[:, k],
+                book=books[k] if step else None, recon=recon if step else None,
+                first=k == 0, emb=emb if step else None, x=x if step else None,
+            )
         return codes
 
     def reconstruct(self, embeddings: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ teacher/student pair through the exact output contract
 those slots with distillation semantics:
 
 - ``embedding`` — the *student's* projection (the only tensor carrying
-  gradients; the teacher runs under ``no_grad``);
+  gradients; the teacher runs its tape-free ``infer`` pass);
 - ``quantized`` — the teacher's continuous embedding ``f(x)`` — the
   quantity the full query path feeds to ADC search, hence the student's
   anchor-regression target;
@@ -37,7 +37,7 @@ from repro.core.model import LightLT
 from repro.core.trainer import Trainer, TrainingConfig, TrainingHistory
 from repro.data.datasets import RetrievalDataset
 from repro.encoding.light import LightQueryEncoder
-from repro.nn import Module, Tensor, no_grad
+from repro.nn import Module, Tensor
 from repro.retrieval.adc import reconstruct
 
 DISTILL_MODES = ("kl", "contrastive")
@@ -108,14 +108,12 @@ class DistillationModel(Module):
     def forward(self, features: Tensor | np.ndarray) -> DistillationOutput:
         if not isinstance(features, Tensor):
             features = Tensor(np.asarray(features, dtype=np.float64))
-        # The teacher is inference-only here: eval mode (the session's
-        # model.train() switched it on) and no tape.
-        self.teacher.eval()
-        with no_grad():
-            teacher_emb = self.teacher.backbone(features).data
-            scores, codes = self.teacher.dsq.assignment_scores(
-                teacher_emb, _stacked=self._teacher_codebooks
-            )
+        # The teacher is inference-only here: its tape-free eval-mode pass,
+        # whatever mode the session's model.train() left its flags in.
+        teacher_emb = self.teacher.backbone.infer(features.data)
+        scores, codes = self.teacher.dsq.assignment_scores(
+            teacher_emb, _stacked=self._teacher_codebooks
+        )
         student_emb = self.student(features)
         return DistillationOutput(
             embedding=student_emb,

@@ -41,7 +41,7 @@ One call per batch. A float32 layout is bound once, when it is built:
 :class:`ScanLayout` takes the compiled kernel's view of its codes and
 norms — addresses, stride, length, fused flag — and holds the arrays. A
 batch then costs the table build and one GIL-free call
-(:meth:`~repro.retrieval.native.ScanKernel.search`) that, query by query,
+(:meth:`~repro.native.Kernel.search`) that, query by query,
 builds the float32 tables from the float64 ones (the operations of
 :func:`scan_tables`), scans the query's ranges, reranks its survivors in
 float64 (those of :func:`rerank_exact`) and maps them through the id map;
@@ -57,8 +57,8 @@ The scan kernel. :func:`scan_topk` takes ranges — one for a flat layout,
 the probed cells in probe order for an IVF one — and returns layout
 positions. It is served by one of two kernels with one contract:
 
-- *compiled* (``adc_scan.c``, built and bound by
-  :mod:`repro.retrieval.native`): one ``ctypes`` call scans the whole
+- *compiled* (``native.c``, built and bound by
+  :mod:`repro.native`): one ``ctypes`` call scans the whole
   batch with the GIL released, query by query and row by row with the
   columns unrolled, and keeps a running top-k heap per query, testing each
   row against the current k-th value before the heap is touched. The same
@@ -112,7 +112,7 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
-from repro.retrieval import native
+from repro import native
 from repro.retrieval.search import topk_tie_stable
 
 
@@ -346,7 +346,7 @@ class ScanLayout:
     (pair-fused when ``fused``, over ``num_codewords``-entry codebooks);
     ``norms`` / ``norms64`` are its float32 and float64 ``‖o‖²``. The
     compiled kernel's view of them — addresses, stride, length, fused flag
-    (:func:`~repro.retrieval.native.layout_args`) — is taken here, once,
+    (:func:`~repro.native.layout_args`) — is taken here, once,
     and the layout holds the arrays it points into, so they live as long as
     it does. No copy is made: the arrays are the owner's (a
     :class:`~repro.retrieval.engine.ShardedIndex`, an
@@ -642,10 +642,38 @@ def encode_nearest(
 
     With ``residual=True`` (the DSQ topology, Eqn. 2) each codebook encodes
     the residual left by the previous pairs; with ``residual=False`` every
-    codebook independently encodes the original vector.
+    codebook independently encodes the original vector. Rows must be
+    finite: a NaN or infinite row raises ``ValueError``.
+    """
+    return _encode(features, codebooks, residual, decode=False)[0]
+
+
+def encode_reconstruct(
+    features: np.ndarray, codebooks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, reconstructions)``: residual :func:`encode_nearest` codes and
+    their :func:`reconstruct` decode — what an index build stores norms of.
+
+    The compiled select pass decodes as it encodes, so the rows are not
+    gathered a second time; its running sum (``0 + C_0[b_0] + C_1[b_1] +
+    …``) is :func:`reconstruct`'s except at ``d = 1``, where NumPy sums the
+    level axis pairwise from ``M = 8`` on, so there :func:`reconstruct` runs.
+    """
+    return _encode(features, codebooks, residual=True, decode=True)
+
+
+def _encode(features, codebooks, residual: bool, decode: bool):
+    """:func:`encode_nearest`'s codes, and their decode when ``decode``.
+
+    Per level one GEMM in BLAS, then either one compiled select pass
+    (:meth:`repro.native.Kernel.select_rows`: scores, argmin, residual and
+    running decode, one sweep over the rows) or the NumPy passes below —
+    the reference, and the no-compiler path; both round the same.
     """
     features = np.asarray(features, dtype=np.float64)
     codebooks = np.asarray(codebooks, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise ValueError("rows to encode must be finite (found NaN or inf)")
     m, k, d = codebooks.shape
     n = len(features)
     codes = np.empty((n, m), dtype=np.int64)
@@ -656,13 +684,28 @@ def encode_nearest(
     # flip and IEEE addition is commutative — so argmin ties break the same.
     code_sq = (codebooks * codebooks).sum(axis=2)  # (M, K)
     scores = np.empty((n, k))
-    level = np.empty((n, d))
+    kernel = native.load() if n else None
+    recon = np.empty((n, d)) if decode and kernel is not None and d > 1 else None
+    if kernel is not None:  # the C code walks rows: copies keep the bits
+        books, code_sq = np.ascontiguousarray(codebooks), np.ascontiguousarray(code_sq)
+    else:
+        level = np.empty((n, d))
     for j in range(m):
         np.matmul(target, codebooks[j].T, out=scores)
+        step = residual and j + 1 < m
+        if kernel is not None:
+            kernel.select_rows(
+                scores, native.NEAREST, codes[:, j], col=code_sq[j],
+                book=books[j] if step or recon is not None else None,
+                target=target if step else None, recon=recon, first=j == 0,
+            )
+            continue
         scores *= -2.0
         scores += code_sq[j]
         codes[:, j] = scores.argmin(axis=1)
-        if residual and j + 1 < m:
+        if step:
             np.take(codebooks[j], codes[:, j], axis=0, out=level)
             target -= level
-    return codes
+    if decode and recon is None:
+        recon = reconstruct(codes, codebooks)
+    return codes, recon

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import names as metric_names
-from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct
+from repro.retrieval.adc import adc_distances, encode_reconstruct, reconstruct
 from repro.retrieval.adc import scan_codes, validate_codes
 from repro.retrieval.search import (
     SearchRequest,
@@ -84,7 +84,9 @@ class QuantizedIndex(SearchSurface):
 
         If ``codes`` are not supplied (e.g. produced by a trained DSQ
         encoder), items are encoded greedily with residual nearest-codeword
-        selection — the indexing workflow of Fig. 3.
+        selection — the indexing workflow of Fig. 3 — and decoded in the
+        same pass (:func:`~repro.retrieval.adc.encode_reconstruct`); rows
+        to encode must be finite. Supplied codes are decoded here.
         """
         obs = get_obs()
         build_start = time.perf_counter() if obs.enabled else 0.0
@@ -93,10 +95,11 @@ class QuantizedIndex(SearchSurface):
             codebooks = np.asarray(codebooks, dtype=np.float64)
             if codes is None:
                 encode_start = time.perf_counter() if obs.enabled else 0.0
-                codes = encode_nearest(database, codebooks, residual=True)
+                codes, reconstructions = encode_reconstruct(database, codebooks)
                 if obs.enabled:
                     encode_elapsed = time.perf_counter() - encode_start
-            reconstructions = reconstruct(codes, codebooks)
+            else:
+                reconstructions = reconstruct(codes, codebooks)
             index = cls(
                 codebooks=codebooks,
                 codes=codes,

@@ -53,10 +53,9 @@ import numpy as np
 from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
-    encode_nearest,
+    encode_reconstruct,
     merge_topk,
     query_tables,
-    reconstruct,
     scan_codes,
     scan_tables,
     scan_topk,
@@ -518,8 +517,7 @@ class MutableIndex(SearchSurface):
             if n == 0:
                 # Nothing to seal: an empty segment would only slow scans.
                 return self._result("add", 0, 0, start)
-            codes = encode_nearest(vectors, self.codebooks, residual=True)
-            reconstructions = reconstruct(codes, self.codebooks)
+            codes, reconstructions = encode_reconstruct(vectors, self.codebooks)
             norms = (reconstructions**2).sum(axis=1)
             self._update_drift(vectors, reconstructions)
             segment = Segment.seal(
@@ -803,8 +801,7 @@ class MutableIndex(SearchSurface):
     def set_drift_baseline(self, vectors: np.ndarray) -> float:
         """Pin the drift baseline to ``vectors``' mean quantization error."""
         vectors = np.asarray(vectors, dtype=np.float64)
-        codes = encode_nearest(vectors, self.codebooks, residual=True)
-        reconstructions = reconstruct(codes, self.codebooks)
+        _, reconstructions = encode_reconstruct(vectors, self.codebooks)
         error = float(((vectors - reconstructions) ** 2).sum(axis=1).mean())
         self._drift_baseline = max(error, 1e-12)
         return self._drift_baseline

@@ -18,6 +18,7 @@ from repro.experiments import (
     default_model_config,
     default_training_config,
 )
+from repro.nn import Tensor, no_grad
 from repro.obs.bench import load_profile_dataset
 
 
@@ -179,6 +180,31 @@ class TestDistillQueryEncoder:
         assert before.keys() == after.keys()
         for name, value in before.items():
             assert np.array_equal(value, after[name]), name
+
+    def test_teacher_infer_pass_matches_the_eval_mode_tape(self, teacher_and_dataset, monkeypatch):
+        """The frozen teacher runs its tape-free ``infer`` and sets no mode
+        flag; the distilled weights are byte-equal to a fit whose teacher
+        runs the eval-mode tape under ``no_grad``."""
+        teacher, dataset = teacher_and_dataset
+        features = np.asarray(dataset.query.features[:4], dtype=np.float64)
+        teacher.train()
+        try:
+            student = LightQueryEncoder(teacher.config.input_dim, teacher.config.embed_dim)
+            DistillationModel(teacher, student)(features)
+            assert all(module.training for module in teacher.modules())
+        finally:
+            teacher.eval()
+        fitted, _ = distill_query_encoder(teacher, dataset, training_config=short_budget(3), seed=4)
+
+        def tape(x):
+            teacher.backbone.eval()
+            with no_grad():
+                return teacher.backbone(Tensor(x)).data
+
+        monkeypatch.setattr(teacher.backbone, "infer", tape)
+        taped, _ = distill_query_encoder(teacher, dataset, training_config=short_budget(3), seed=4)
+        for name, value in fitted.state_dict().items():
+            assert value.tobytes() == taped.state_dict()[name].tobytes(), name
 
     def test_deterministic_for_fixed_seed(self, teacher_and_dataset):
         teacher, dataset = teacher_and_dataset

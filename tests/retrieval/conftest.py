@@ -7,7 +7,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.retrieval import adc, native
+from repro import native
+from repro.retrieval import adc
 
 
 class ScanKernels:
@@ -24,7 +25,8 @@ class ScanKernels:
 
     @contextlib.contextmanager
     def use(self, name: str):
-        """Serve ``adc.scan_topk`` from kernel ``name`` inside the block."""
+        """Serve the scan and the build select pass from kernel ``name``
+        inside the block."""
         if name == "c":
             yield
             return

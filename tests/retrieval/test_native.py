@@ -19,7 +19,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.retrieval import QuantizedIndex, QueryEngine, adc, native
+from repro import native
+from repro.retrieval import QuantizedIndex, QueryEngine, adc
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ def test_no_compiler_falls_back(fresh, monkeypatch, caplog):
 
 
 def test_compile_error_falls_back(fresh, monkeypatch, caplog):
-    broken = script(fresh / "cc", "echo 'adc_scan.c:1: error: broken' >&2; exit 1")
+    broken = script(fresh / "cc", "echo 'native.c:1: error: broken' >&2; exit 1")
     monkeypatch.setattr(native, "find_compiler", lambda: broken)
     assert_numpy_fallback(caplog, "error: broken")
     assert not list((fresh / "cache").iterdir())  # no temporary file left
@@ -127,7 +128,7 @@ def test_artifact_name_is_keyed_on_source_compiler_and_flags(fresh, monkeypatch)
     name = native.artifact_name(one)
     assert name == native.artifact_name(one)
     assert name != native.artifact_name(other)
-    edited = fresh / "adc_scan.c"
+    edited = fresh / "native.c"
     edited.write_text(native.SOURCE.read_text() + "\n/* edited */\n")
     with monkeypatch.context() as patch:
         patch.setattr(native, "SOURCE", edited)

@@ -12,7 +12,9 @@ compiled kernel loaded, re-runs every path on the NumPy kernel and asserts
 the answers are the same bits — and that the one compiled call of
 ``adc.search_ranges`` equals the NumPy stages it stands for (``scan_tables``
 → ``scan_topk`` → ``rerank_exact`` / ``merge_topk``) on the fused, unfused,
-IVF and daemon paths. Budget: well under 5 seconds.
+IVF and daemon paths, and that the IVF search call's own coarse probe picks
+the cells, counts and answers of the NumPy probe (``ivf.probe_cells``).
+Budget: well under 5 seconds.
 
 Run from the repository root::
 
@@ -37,6 +39,7 @@ from repro.retrieval import IVFIndex, adc
 from repro.retrieval.adc import RERANK_PAD, adc_distances
 from repro.retrieval.engine import QueryEngine, ShardedIndex
 from repro.retrieval.index import QuantizedIndex
+from repro.retrieval.ivf import probe_cells
 from repro.retrieval.search import SearchRequest, rank_by_distance
 from repro.serving import ServingConfig, ServingDaemon
 
@@ -86,6 +89,43 @@ def check_search_ranges(index, fused_index, queries) -> int:
                     f"{name} (rerank={rerank}): search_ranges != the NumPy composition"
                 )
     return 2 * len(cases)
+
+
+def check_ivf_probe(fused_index, queries) -> int:
+    """The compiled IVF search (probe included) == the NumPy probe followed
+    by ``search_ranges``, bit for bit, with equal cells probed and candidate
+    counts per query. Returns the cases run."""
+    kernel = native.load()
+    ivf = IVFIndex.build(fused_index, num_cells=12, seed=0)
+    lut64, q_sq64 = adc.query_tables(queries, ivf.codebooks64)
+    cross = queries @ ivf.centroids.T
+    c_sq = (ivf.centroids**2).sum(axis=1)
+    cases = 0
+    for nprobe in (1, 3, 12):
+        for rerank in (True, False):
+            k_scan = 10 + RERANK_PAD if rerank else 10
+            *got, probe = kernel.search_cells(
+                lut64, q_sq64, ivf.layout, cross, (c_sq, ivf.cell_offsets), nprobe,
+                ivf.ids, k_scan, 10, rerank,
+            )
+            ranges, used, candidates = probe_cells(
+                cross, c_sq, ivf.cell_offsets, nprobe, min(k_scan, len(ivf))
+            )
+            compiled, native.load = native.load, lambda: None
+            try:
+                want = adc.search_ranges(lut64, q_sq64, ivf.layout, ranges, 10,
+                                         ids=ivf.ids, rerank=rerank)
+            finally:
+                native.load = compiled
+            assert np.array_equal(probe, np.stack((used, candidates))), (
+                f"IVF nprobe={nprobe}: the compiled probe's cells differ"
+            )
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    f"IVF nprobe={nprobe} (rerank={rerank}): compiled probe != NumPy probe"
+                )
+            cases += 1
+    return cases
 
 
 def daemon_answers(index, queries, engine_kwargs=None):
@@ -201,6 +241,7 @@ def main() -> int:
     answers = check_paths(index, fused_index, queries)
     if kernel == "c":
         cases = check_search_ranges(index, fused_index, queries)
+        probes = check_ivf_probe(fused_index, queries)
         # The same paths on the NumPy kernel (pool workers fork with it).
         compiled, native.load = native.load, lambda: None
         try:
@@ -217,7 +258,8 @@ def main() -> int:
     elapsed = time.perf_counter() - start
     compared = (
         f" (compiled == numpy on every path; search_ranges == the NumPy"
-        f" composition in {cases} cases)" if kernel == "c" else ""
+        f" composition in {cases} cases; IVF probe == the NumPy probe in"
+        f" {probes} cases)" if kernel == "c" else ""
     )
     print(f"scan kernel: {kernel}{compared}")
     print(f"smoke engine OK in {elapsed:.2f}s")

@@ -16,6 +16,8 @@ slow-worker stall — and asserts the resilience contract:
   inline scan cannot be hedged out of — fired and still failed no request,
 - batching is work-conserving: before the burst, a lone request on an idle
   daemon is answered without paying ``batch_delay_s``,
+- a batch leader cancelled by its client still serves the requests that
+  rode its loop turn (it hands them to a successor leader),
 - shutdown drains cleanly.
 
 Budget: well under 5 seconds. Run from the repository root::
@@ -72,6 +74,19 @@ async def run() -> tuple:
         "— it lingered for company"
     )
 
+    # The first submit of a turn leads the batch; cancelled while it waits,
+    # it hands its followers on instead of stranding them.
+    async with ServingDaemon(
+        index, num_replicas=2, config=ServingConfig(heartbeat_interval_s=None)
+    ) as fresh:
+        leader, *followers = [
+            asyncio.create_task(fresh.submit(pool[row], k=10)) for row in range(4)
+        ]
+        await asyncio.sleep(0)  # all four admitted; the leader has yielded
+        leader.cancel()
+        rode = await asyncio.wait_for(asyncio.gather(*followers), 2.0)
+    assert leader.cancelled() and len(rode) == 3, "a cancelled leader stranded its batch"
+
     faults = ServingFaults(
         ReplicaKillFault(replica=0, at_call=3),
         SlowReplicaFault(replica=1, delay_s=0.08, at={6}),
@@ -89,12 +104,12 @@ async def run() -> tuple:
     async with daemon:
         generator = TrafficGenerator(daemon, pool, k=10, seed=1)
         report = await generator.run_closed(96, clients=8)
-    return index, pool, daemon, report, faults
+    return index, pool, daemon, report, faults, rode
 
 
 def main() -> int:
     start = time.perf_counter()
-    index, pool, daemon, report, faults = asyncio.run(run())
+    index, pool, daemon, report, faults, rode = asyncio.run(run())
 
     assert report.n_failed == 0, (
         f"{report.n_failed} requests failed under injected faults: "
@@ -118,6 +133,8 @@ def main() -> int:
     engine = QueryEngine(index, parallel="never")
     want_indices, want_distances = engine.search_with_distances(pool, k=10)
     engine.close()
+    for row, result in enumerate(rode, start=1):
+        assert np.array_equal(result.indices, want_indices[row]), row
 
     async def parity() -> None:
         clean = ServingDaemon(
@@ -151,7 +168,8 @@ def main() -> int:
         f"faults, failovers={daemon.counts['failovers']}, "
         f"retries={daemon.counts['retries']}, "
         f"hedges={daemon.counts['hedges']}, "
-        f"inline_scans={daemon.counts['inline_scans']}, parity exact "
+        f"inline_scans={daemon.counts['inline_scans']}, cancelled leader "
+        f"handed off {len(rode)}, parity exact "
         f"({elapsed:.2f}s)"
     )
     return 0

@@ -15,6 +15,10 @@
  *      2 * cross, clamped), or, without the rerank, their float32 values
  *      read as float64. Ids are positions, or their image under an id map.
  *
+ * search_cells_<code> is search_<code> behind an IVF layer's coarse probe:
+ * from the BLAS product cross = queries @ centroids.T it ranks each query's
+ * cells (probe_cells below) and walks them as its ranges, in the same call.
+ *
  * scan_topk_<real>_<code> is step 2 alone over tables the caller built: the
  * float64 scans (mutable segments, float64 layouts) and the pool workers'
  * shards use it.
@@ -275,7 +279,126 @@
         }                                                                     \
         free(scratch);                                                        \
         return status;                                                        \
+    }                                                                         \
+    int64_t search_cells_##C(                                                 \
+        const double *lut, const double *q_sq, int64_t n_q, int64_t m,        \
+        int64_t k_words, const CODE *c, int64_t cols, int64_t stride,         \
+        int64_t n, const float *norms, const double *norms64, int64_t fused,  \
+        const double *cross, const double *c_sq, const int64_t *offsets,      \
+        int64_t n_cells, int64_t nprobe, const int64_t *ids, int64_t k_scan,  \
+        int64_t k, int64_t rerank, double *out_values, int64_t *out_ids,      \
+        int64_t *out_probe)                                                   \
+    {                                                                         \
+        const int64_t need = k_scan < n ? k_scan : n;                         \
+        int64_t *ranges = malloc(sizeof(int64_t) * (2 * n_q + 1) * n_cells +  \
+                                 sizeof(double) * n_cells);                   \
+        if (!ranges)                                                          \
+            return -2;                                                        \
+        const int64_t width = probe_cells(cross, c_sq, offsets, n_q, n_cells, \
+                                          nprobe, need, ranges, out_probe);   \
+        const int64_t status = search_##C(                                    \
+            lut, q_sq, n_q, m, k_words, c, cols, stride, n, norms, norms64,   \
+            fused, ranges, width, 2 * n_cells, ids, k_scan, k, rerank,        \
+            out_values, out_ids);                                             \
+        free(ranges);                                                         \
+        return status;                                                        \
     }
+
+/*
+ * The coarse probe of search_cells: NumPy's IVFIndex probe, query by query.
+ * A cell's score is c_sq - 2.0 * cross, the NumPy expression's operations in
+ * its order; the probe order is the stable argsort of the scores (ascending,
+ * NaN last, ties by cell). A query probes its nprobe first cells, doubling
+ * the count (up to n_cells) until they hold `need` rows. Only the cells it
+ * probes are ordered: a max-heap keeps the best, then sorts them.
+ */
+static inline int cell_after(const double *score, int64_t a, int64_t b)
+{
+    const double x = score[a], y = score[b];
+    if (x < y)
+        return 0;
+    if (x > y)
+        return 1;
+    if (x == y || (x != x && y != y))
+        return a > b;
+    return x != x; /* one NaN: it sorts last */
+}
+
+static void sift_cells(const double *score, int64_t *h, int64_t n, int64_t i)
+{
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            return;
+        if (c + 1 < n && cell_after(score, h[c + 1], h[c]))
+            c++;
+        if (!cell_after(score, h[c], h[i]))
+            return;
+        const int64_t t = h[i];
+        h[i] = h[c], h[c] = t;
+        i = c;
+    }
+}
+
+/* The first w cells of the probe order into h, in order. */
+static void first_cells(const double *score, int64_t n_cells, int64_t w,
+                        int64_t *h)
+{
+    for (int64_t j = 0; j < w; j++)
+        h[j] = j;
+    for (int64_t i = w / 2 - 1; i >= 0; i--)
+        sift_cells(score, h, w, i);
+    for (int64_t j = w; j < n_cells; j++)
+        if (cell_after(score, h[0], j)) {
+            h[0] = j;
+            sift_cells(score, h, w, 0);
+        }
+    for (int64_t end = w - 1; end > 0; end--) {
+        const int64_t t = h[0];
+        h[0] = h[end], h[end] = t;
+        sift_cells(score, h, end, 0);
+    }
+}
+
+/* Each query's probed cells as [lo, hi) ranges at a stride of 2 * n_cells in
+ * `ranges` (which also holds n_cells cells and scores of scratch past them),
+ * the ones past a query's own count empty; its cells and rows probed into
+ * out_probe[q] and out_probe[n_q + q]. Returns the widest count. */
+static int64_t probe_cells(const double *cross, const double *c_sq,
+                           const int64_t *offsets, int64_t n_q,
+                           int64_t n_cells, int64_t nprobe, int64_t need,
+                           int64_t *ranges, int64_t *out_probe)
+{
+    int64_t *order = ranges + 2 * n_q * n_cells;
+    double *score = (double *)(order + n_cells);
+    int64_t width = 0;
+    for (int64_t q = 0; q < n_q; q++) {
+        const double *x = cross + q * n_cells;
+        for (int64_t j = 0; j < n_cells; j++)
+            score[j] = c_sq[j] - 2.0 * x[j];
+        int64_t used = nprobe, held;
+        for (;;) {
+            first_cells(score, n_cells, used, order);
+            held = 0;
+            for (int64_t i = 0; i < used; i++)
+                held += offsets[order[i] + 1] - offsets[order[i]];
+            if (held >= need || used >= n_cells)
+                break;
+            used = 2 * used < n_cells ? 2 * used : n_cells;
+        }
+        int64_t *spans = ranges + 2 * q * n_cells;
+        for (int64_t i = 0; i < used; i++) {
+            spans[2 * i] = offsets[order[i]];
+            spans[2 * i + 1] = offsets[order[i] + 1];
+        }
+        out_probe[q] = used, out_probe[n_q + q] = held;
+        width = used > width ? used : width;
+    }
+    for (int64_t q = 0; q < n_q; q++)
+        for (int64_t i = out_probe[q]; i < width; i++)
+            ranges[2 * q * n_cells + 2 * i] = ranges[2 * q * n_cells + 2 * i + 1] = 0;
+    return width;
+}
 
 DEFINE_HEAP(float, f32)
 DEFINE_HEAP(double, f64)

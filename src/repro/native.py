@@ -27,7 +27,9 @@ layout's — code and norm addresses, stride, length, fused flag — are taken
 once, when the layout is built (:func:`layout_args`, held by
 :class:`repro.retrieval.adc.ScanLayout` together with the arrays they point
 into, so the memory outlives every call). A call marshals only the batch's
-own arrays: its tables, ``‖q‖²``, ranges, id map and outputs.
+own arrays: its tables, ``‖q‖²``, ranges, id map and outputs. Behind an IVF
+layer the ranges are the probed cells, and :meth:`Kernel.search_cells` forms
+them in the same call from the batch's centroid GEMM.
 
 The artifact is named by a hash of the source, the compiler's identity and
 the flags, so an edit, a compiler upgrade or a flag change builds a new one
@@ -77,6 +79,10 @@ _SCAN_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _P, _P, _I, _I, _I, _P, _P]
 _SEARCH_ARGS = [
     _P, _P, _I, _I, _I, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _I, _I, _I, _P, _P,
 ]
+#: search_cells_<code>: search_<code>'s arguments with the ranges replaced by
+#: the probe's inputs (the batch's centroid GEMM, the layer's ``‖c‖²``, cell
+#: offsets and cell count, ``nprobe``), then one more output.
+_CELLS_ARGS = _SEARCH_ARGS[:12] + [_P, _P, _P, _I, _I] + _SEARCH_ARGS[15:] + [_P]
 #: select_rows: the GEMM's output, the score form's terms, then the outputs
 #: and row state.
 _SELECT_ARGS = [_P, _I, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P]
@@ -174,11 +180,12 @@ class Kernel:
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))  # kept: the functions live in it
-        self._scans, self._searches = {}, {}
+        self._scans, self._searches, self._cells = {}, {}, {}
         for code, c in _CODES.items():
             for real, r in _REALS.items():
                 self._scans[real, code] = self._bind(f"scan_topk_{r}_{c}", _SCAN_ARGS)
             self._searches[code] = self._bind(f"search_{c}", _SEARCH_ARGS)
+            self._cells[code] = self._bind(f"search_cells_{c}", _CELLS_ARGS)
         self._select = self._bind("select_rows", _SELECT_ARGS, restype=None)
 
     def _bind(self, name: str, argtypes: list, restype=_I):
@@ -229,37 +236,54 @@ class Kernel:
         layout — dtypes, contiguity, ``M``, ``K`` and the id map's length —
         and the C code checks the ranges.
         """
-        n_q, m, k_words = lut64.shape
-        codes_t = layout.codes_t
-        cols, n = codes_t.shape
+        n_q = _batch(lut64, q_sq64, layout, ids)
         if not (
-            lut64.dtype == _F64 and q_sq64.dtype == _F64 and ranges.dtype == _I64
-            and lut64.flags.c_contiguous and q_sq64.flags.c_contiguous
-            and ranges.flags.c_contiguous and q_sq64.shape == (n_q,)
-            and k_words == layout.num_codewords and m == cols * (2 if layout.fused else 1)
+            ranges.dtype == _I64 and ranges.flags.c_contiguous
             and ranges.ndim in (2, 3) and ranges.shape[-1] == 2
             and (ranges.ndim == 2 or len(ranges) == n_q)
-            and (ids is None or (
-                ids.dtype == _I64 and ids.flags.c_contiguous and ids.shape == (n,)
-            ))
         ):
             raise ValueError("search inputs do not match the bound layout")
         values = np.empty((n_q, k))
         found = np.empty((n_q, k), dtype=np.int64)
-        count = self._searches[codes_t.dtype](
-            _address(lut64), _address(q_sq64), n_q, m, k_words, *layout.binding,
+        count = self._searches[layout.codes_t.dtype](
+            _address(lut64), _address(q_sq64), *lut64.shape, *layout.binding,
             _address(ranges), ranges.shape[-2],
             ranges.shape[-2] * 2 if ranges.ndim == 3 else 0,
             None if ids is None else _address(ids), k_scan, k, int(rerank),
             _address(values), _address(found),
         )
-        if count == -2:
-            raise MemoryError("no scratch for the compiled search")
-        if count < 0:
-            raise ValueError("scan ranges fall outside the layout")
-        if count < k:  # some query has fewer than k candidates
-            return found[:, :count].copy(), values[:, :count].copy()
-        return found, values
+        return _answer(count, found, values, k)
+
+    def search_cells(self, lut64, q_sq64, layout, cross, cells, nprobe, ids, k_scan, k, rerank):
+        """``(ids, distances, probe)``: :meth:`search` over each query's
+        probed cells, the coarse probe included in the one call.
+
+        ``cross`` is the batch's ``queries @ centroids.T``, ``cells`` an IVF
+        layer's ``(‖c‖², cell offsets)``; the C code ranks each query's cells
+        with the operations of :func:`repro.retrieval.ivf.probe_cells`, its
+        NumPy reference (see ``native.c``). ``probe`` is ``(2, n_q)``: each
+        query's cells probed and the rows they hold.
+        """
+        n_q = _batch(lut64, q_sq64, layout, ids)
+        c_sq, offsets = cells
+        n_cells = len(c_sq)
+        if not (
+            ids is not None and 1 <= nprobe <= n_cells
+            and cross.dtype == _F64 and cross.flags.c_contiguous
+            and cross.shape == (n_q, n_cells) and _vector(c_sq, _F64, n_cells)
+            and _vector(offsets, _I64, n_cells + 1)
+        ):
+            raise ValueError("probe inputs do not match the bound layout")
+        values = np.empty((n_q, k))
+        found = np.empty((n_q, k), dtype=np.int64)
+        probe = np.empty((2, n_q), dtype=np.int64)
+        count = self._cells[layout.codes_t.dtype](
+            _address(lut64), _address(q_sq64), *lut64.shape, *layout.binding,
+            _address(cross), _address(c_sq), _address(offsets), n_cells, nprobe,
+            _address(ids), k_scan, k, int(rerank),
+            _address(values), _address(found), _address(probe),
+        )
+        return (*_answer(count, found, values, k), probe)
 
     def select_rows(
         self, cross, form, codes, *, row=None, col=None, scores=None, minima=None,
@@ -317,6 +341,35 @@ class Kernel:
             *(None if a is None else a.ctypes.data for a in (target, recon)), int(first),
             *(None if a is None else a.ctypes.data for a in (emb, x)),
         )
+
+
+def _batch(lut64, q_sq64, layout, ids) -> int:
+    """A search batch's query count, after checking its arrays against the
+    bound layout: dtypes, contiguity, ``M``, ``K`` and the id map's length."""
+    n_q, m, k_words = lut64.shape
+    cols, n = layout.codes_t.shape
+    if not (
+        lut64.dtype == _F64 and q_sq64.dtype == _F64
+        and lut64.flags.c_contiguous and q_sq64.flags.c_contiguous
+        and q_sq64.shape == (n_q,)
+        and k_words == layout.num_codewords and m == cols * (2 if layout.fused else 1)
+        and (ids is None or (
+            ids.dtype == _I64 and ids.flags.c_contiguous and ids.shape == (n,)
+        ))
+    ):
+        raise ValueError("search inputs do not match the bound layout")
+    return n_q
+
+
+def _answer(count: int, found: np.ndarray, values: np.ndarray, k: int) -> tuple:
+    """A search call's ``(ids, distances)`` from its return count."""
+    if count == -2:
+        raise MemoryError("no scratch for the compiled search")
+    if count < 0:
+        raise ValueError("scan ranges fall outside the layout")
+    if count < k:  # some query has fewer than k candidates
+        return found[:, :count].copy(), values[:, :count].copy()
+    return found, values
 
 
 def _vector(array, dtype, n: int, writable: bool = False, strided: bool = False) -> bool:

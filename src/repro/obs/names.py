@@ -334,31 +334,33 @@ SPECS: tuple[MetricSpec, ...] = (
         SERVE_BATCH_SIZE,
         HISTOGRAM,
         "requests",
-        "repro.serving.batcher.MicroBatcher",
+        "repro.serving.batcher.MicroBatcher.lead",
         "Number of client requests coalesced into one engine scan.",
     ),
     MetricSpec(
         SERVE_BATCHES_TOTAL,
         COUNTER,
         "batches",
-        "repro.serving.batcher.MicroBatcher",
-        "Micro-batches dispatched to the replica set.",
+        "repro.serving.batcher.MicroBatcher.lead",
+        "Micro-batches a leader took and served (inline or through the "
+        "executor machinery).",
     ),
     MetricSpec(
         SERVE_BATCH_WAIT_S,
         HISTOGRAM,
         "seconds",
-        "repro.serving.batcher.MicroBatcher",
-        "Queue wait plus micro-batch assembly of one request: admission to "
-        "dispatch hand-off (linger is paid only while every replica is busy).",
+        "repro.serving.batcher.MicroBatcher.lead",
+        "Pending wait plus micro-batch assembly of one request: admission to "
+        "the leader taking its batch (one loop turn; linger is paid only "
+        "while every replica is busy).",
     ),
     MetricSpec(
         SERVE_QUEUE_DEPTH,
         HISTOGRAM,
         "requests",
         "repro.serving.daemon.ServingDaemon.submit",
-        "Request-queue depth observed at each admission — the daemon's "
-        "instantaneous backlog.",
+        "Pending requests (admitted, not yet taken by a batch leader) "
+        "observed at each admission — the daemon's instantaneous backlog.",
     ),
     MetricSpec(
         SERVE_CACHE_HITS,

@@ -19,7 +19,9 @@ exhaustive paths.
 Accuracy. Like the flat engine, this layer only provides column ranges to
 the shared search stage: each query's probed cells, in probe order, are the
 ranges :func:`repro.retrieval.adc.search_ranges` walks in float32 for the
-whole batch in one call; each query's ``k + RERANK_PAD`` survivors are
+whole batch in one call (with the compiled kernel the probe itself runs in
+that call, from the batch's BLAS centroid product; :func:`probe_cells` is its
+NumPy reference and fallback); each query's ``k + RERANK_PAD`` survivors are
 re-scored in float64 at their layout positions and mapped through ``ids``
 inside that call, so rankings among candidates are the serial reference's.
 Recall is lost only to *pruning* — a true neighbour whose cell was not
@@ -38,6 +40,7 @@ import time
 
 import numpy as np
 
+from repro import native
 from repro.cluster.kmeans import assign_to_centroids, kmeans
 from repro.obs import get_obs
 from repro.obs import names as metric_names
@@ -53,7 +56,7 @@ from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import LUTCache
 from repro.retrieval.search import SearchSurface, empty_answer, validate_query_batch
 
-__all__ = ["IVFIndex", "default_num_cells"]
+__all__ = ["IVFIndex", "default_num_cells", "probe_cells"]
 
 #: Rows of reconstructions materialised at once during build/assignment.
 ASSIGN_CHUNK = 65_536
@@ -136,10 +139,12 @@ class IVFIndex(SearchSurface):
             raise ValueError("cell_offsets do not cover the code matrix")
         if (self.cell_sizes() < 0).any():
             raise ValueError("cell_offsets must be non-decreasing")
-        # Cached centroid norms for the probe scan, and each cell's
-        # [lo, hi) column range for the scan kernel.
-        self._centroid_sq = (self.centroids**2).sum(axis=1)
-        self._cell_ranges = np.stack((self.cell_offsets[:-1], self.cell_offsets[1:]), axis=1)
+        # What the probe reads besides the batch: the centroid norms and the
+        # cell offsets, contiguous for the compiled kernel.
+        self._cells = (
+            (self.centroids**2).sum(axis=1),
+            np.ascontiguousarray(self.cell_offsets),
+        )
         self.layout = ScanLayout(
             self.codes_t, self.norms32, self.norms64, self.num_codewords, fused=False
         )
@@ -347,39 +352,28 @@ class IVFIndex(SearchSurface):
         """
         nprobe = min(self.nprobe if nprobe is None else int(nprobe), self.num_cells)
         use_rerank = self.rerank if rerank is None else bool(rerank)
-        n_q = len(queries)
         lut64, q_sq64 = tables
+        k_scan = k + RERANK_PAD if use_rerank else k
 
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
-
-        # Probe scan: rank every centroid per query (num_cells is small, a
-        # full argsort costs microseconds and probe expansion needs the
-        # complete order anyway).
-        centroid_d = self._centroid_sq[None, :] - 2.0 * (queries @ self.centroids.T)
-        probe_order = np.argsort(centroid_d, axis=1, kind="stable")
-
-        shard_k = min(k + (RERANK_PAD if use_rerank else 0), len(self))
-        # What a query's first c cells hold, in probe order, as a running sum.
-        block_ends = np.cumsum(self.cell_sizes()[probe_order], axis=1)
-        cells_used = np.empty(n_q, dtype=np.int64)
-        for qi in range(n_q):
-            # Widen past nprobe only if the probed cells cannot fill k —
-            # empty cells make this reachable even at moderate nprobe.
-            ends, used = block_ends[qi], nprobe
-            while ends[used - 1] < shard_k and used < self.num_cells:
-                used = min(self.num_cells, used * 2)
-            cells_used[qi] = used
-
-        # Each query walks its probed cells' column ranges in probe order;
-        # the cells past its own probe width pad its list as empty ranges.
-        width = cells_used.max()
-        ranges = self._cell_ranges[probe_order[:, :width]]
-        ranges[np.arange(width) >= cells_used[:, None]] = 0
-        # The id map is applied to the survivors only, inside the search.
-        out_indices, out_values = search_ranges(
-            lut64, q_sq64, self.layout, ranges, k, ids=self.ids, rerank=use_rerank
-        )
+        # The centroid scan stays one BLAS GEMM; ranking its output into each
+        # query's probe is the compiled search call's first step.
+        cross = queries @ self.centroids.T
+        kernel = native.load()
+        if kernel is not None:
+            out_indices, out_values, (cells_used, candidates) = kernel.search_cells(
+                lut64, q_sq64, self.layout, cross, self._cells, nprobe, self.ids,
+                k_scan, k, use_rerank,
+            )
+        else:
+            ranges, cells_used, candidates = probe_cells(
+                cross, *self._cells, nprobe, min(k_scan, len(self))
+            )
+            # The id map is applied to the survivors only, inside the search.
+            out_indices, out_values = search_ranges(
+                lut64, q_sq64, self.layout, ranges, k, ids=self.ids, rerank=use_rerank
+            )
 
         if obs.enabled:
             registry = obs.registry
@@ -387,14 +381,51 @@ class IVFIndex(SearchSurface):
             registry.histogram(metric_names.IVF_SCAN_TIME).observe(elapsed)
             cells_hist = registry.histogram(metric_names.IVF_CELLS_PROBED)
             cand_hist = registry.histogram(metric_names.IVF_CANDIDATES_SCANNED)
-            for qi in range(n_q):
-                cells_hist.observe(float(cells_used[qi]))
-                cand_hist.observe(float(block_ends[qi, cells_used[qi] - 1]))
+            for used, held in zip(cells_used.tolist(), candidates.tolist()):
+                cells_hist.observe(float(used))
+                cand_hist.observe(float(held))
             registry.counter(metric_names.IVF_BATCHES_TOTAL).inc()
             expansions = int((cells_used > nprobe).sum())
             if expansions:
                 registry.counter(metric_names.IVF_PROBES_EXPANDED).inc(expansions)
         return out_indices, out_values
+
+
+def probe_cells(
+    cross: np.ndarray,
+    centroid_sq: np.ndarray,
+    cell_offsets: np.ndarray,
+    nprobe: int,
+    need: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's probed cells as column ranges: the coarse probe on NumPy.
+
+    ``cross`` is a batch's ``queries @ centroids.T``. Cells are ranked by
+    ``‖c‖² − 2·⟨q, c⟩`` (a stable sort: ties by cell); a query probes its
+    ``nprobe`` first, widening by doubling until they hold ``need`` rows —
+    empty cells make that reachable even at moderate ``nprobe``. Returns
+    ``(ranges, cells_used, candidates)``: ``(n_q, width, 2)`` ``[lo, hi)``
+    column ranges in probe order, empty past a query's own count (``width``
+    is the widest count), and each query's cells probed and rows they hold.
+    The compiled kernel's ``search_cells`` does the same operations in C; this
+    is its reference and the no-compiler path.
+    """
+    num_cells = len(centroid_sq)
+    probe_order = np.argsort(centroid_sq[None, :] - 2.0 * cross, axis=1, kind="stable")
+    # What a query's first c cells hold, in probe order, as a running sum.
+    block_ends = np.cumsum(np.diff(cell_offsets)[probe_order], axis=1)
+    cells_used = np.empty(len(cross), dtype=np.int64)
+    for qi, ends in enumerate(block_ends):
+        used = nprobe
+        while ends[used - 1] < need and used < num_cells:
+            used = min(num_cells, used * 2)
+        cells_used[qi] = used
+    width = cells_used.max()
+    cell_ranges = np.stack((cell_offsets[:-1], cell_offsets[1:]), axis=1)
+    ranges = cell_ranges[probe_order[:, :width]]
+    ranges[np.arange(width) >= cells_used[:, None]] = 0
+    candidates = block_ends[np.arange(len(cross)), cells_used - 1]
+    return ranges, cells_used, candidates
 
 
 def _reconstruct_rows(index: QuantizedIndex, rows: np.ndarray | slice) -> np.ndarray:

@@ -22,6 +22,7 @@ Two things live here:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -143,10 +144,11 @@ def validate_query_batch(
     Returns ``(queries, k_eff)``: the batch as float64 and ``k`` clamped to
     the ``n_db`` searchable rows (``k=None``, the full ranking, clamps to
     ``n_db``). Raises ``ValueError`` for a batch that is not ``(n, dim)``,
-    holds NaN/inf (one such row would turn a whole micro-batch's distances
-    non-finite), a negative ``k`` or ``nprobe``, any ``nprobe`` on a
-    surface with no IVF layer, or ``k=None`` on a ``pruned`` (IVF-probed)
-    scan, which cannot produce the full ranking. ``SearchRequest``
+    holds NaN/inf or a row whose float64 ``‖q‖²`` overflows (one such row
+    would turn a whole micro-batch's distances non-finite), a negative ``k``
+    or ``nprobe``, any ``nprobe`` on a surface with no IVF layer, or
+    ``k=None`` on a ``pruned`` (IVF-probed) scan, which cannot produce the
+    full ranking. ``SearchRequest``
     validates with the context it has (no ``dim``/``n_db``; ``k_eff`` is
     then ``k``); every surface's ``search_with_distances`` supplies the
     rest.
@@ -159,8 +161,18 @@ def validate_query_batch(
             f"queries must be (n, {'d' if dim is None else dim}), "
             f"got shape {queries.shape}"
         )
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite (found NaN or inf)")
+    # A finite float64 ‖q‖² — the term the scan adds to every distance —
+    # also means finite entries: NaN and inf propagate into it. A finite sum
+    # over the batch settles every row at once; only when it is not are the
+    # rows checked one by one. (vdot and einsum, as they raise no overflow
+    # warning for the rows this exists to refuse.)
+    if not math.isfinite(np.vdot(queries, queries)) and not np.isfinite(
+        np.einsum("ij,ij->i", queries, queries)
+    ).all():
+        raise ValueError(
+            "queries must be finite with a finite squared norm (found NaN, "
+            "inf, or a row whose ‖q‖² overflows float64)"
+        )
     if k is not None and k < 0:
         raise ValueError("k must be non-negative (or None for the full ranking)")
     if nprobe is not None:

@@ -1,26 +1,31 @@
-"""Micro-batching front end: many awaiters, one engine scan.
+"""Micro-batching admission: the first ``submit`` of a loop turn leads the batch.
 
-Concurrent ``submit`` calls land individual single-query requests on an
-asyncio queue; the batcher's collector loop pops the first, sweeps up what
-else is already queued (up to ``max_batch_size``), groups the batch by
-``(k, rerank hint, nprobe)``, and hands each group to the daemon's dispatch
-coroutine as **one** scan. It is work-conserving: it dispatches at once
-while fewer than ``busy_threshold`` dispatches are in flight (a replica is
-idle) and lingers for company — at most ``max_delay_s`` — only while every
-replica is busy, which is when a bigger batch buys throughput (LUT build,
-dispatch and merge amortised across every rider).
+There is no collector task and no queue consumer. ``submit`` parks its
+request (:meth:`MicroBatcher.try_enqueue`) and calls :meth:`~MicroBatcher.lead`;
+the first caller while nobody leads becomes the batch's *leader*. It yields
+once, so requests admitted in the same loop turn ride along, and lingers for
+company — at most ``max_delay_s`` — only while ``busy_threshold`` scans are
+out on executor threads (every replica busy), which is when a bigger batch
+buys throughput. It then takes up to ``max_batch_size`` pending requests,
+groups them by ``(k, rerank hint, nprobe)`` — a request with an explicit
+search configuration cannot ride a scan that made a different one — and
+runs the daemon's ``serve`` callback on the groups on its own stack: the
+daemon scans inline-eligible groups right there and :meth:`spawns
+<MicroBatcher.spawn>` the rest onto its retry / hedge / timeout machinery.
+Whatever is still pending gets a successor leader task; so does the batch of
+a leader cancelled while it waits, so no follower is stranded.
 
-The queue is bounded: a full queue means the daemon is past its
-backpressure limit and ``try_enqueue`` returns ``False`` (the daemon sheds
-that request). Draining is first-class for clean shutdown: ``drain()``
-stops admission, waits for the queue to empty and every in-flight dispatch
-to finish, then stops the collector — no request is abandoned mid-flight.
+The pending list is bounded: when it is full ``try_enqueue`` returns
+``False`` (the daemon sheds that request). ``drain()`` stops admission and
+finishes everything accepted — leaders in flight and spawned scans included;
+``abort()`` cancels the spawned work and fails whatever is pending.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +39,9 @@ __all__ = ["MicroBatcher", "PendingRequest"]
 class PendingRequest:
     """One client request parked in the batcher.
 
-    ``future`` resolves to ``(indices_row, distances_row, meta)`` — the
-    daemon's dispatch fills it; ``deadline`` is absolute event-loop time.
+    ``future`` resolves to ``(indices_row, distances_row, source,
+    degraded, replica, attempts)`` — the daemon's serving fills it;
+    ``deadline`` is absolute event-loop time.
     """
 
     query: np.ndarray
@@ -48,15 +54,15 @@ class PendingRequest:
     rerank: bool | None = None
     #: Per-request IVF probe width (None: the replica engine's default).
     nprobe: int | None = None
-    meta: dict = field(default_factory=dict)
 
 
 class MicroBatcher:
-    """Collects concurrent requests into ``(k, rerank, nprobe)`` scan groups."""
+    """Coalesces concurrent requests into ``(k, rerank, nprobe)`` scan groups,
+    served by whichever ``submit`` leads the loop turn."""
 
     def __init__(
         self,
-        dispatch,
+        serve,
         *,
         max_batch_size: int = 32,
         max_delay_s: float = 0.002,
@@ -69,144 +75,146 @@ class MicroBatcher:
             raise ValueError("busy_threshold must be at least 1")
         if max_delay_s < 0:
             raise ValueError("max_delay_s must be non-negative")
-        self._dispatch = dispatch
+        self._serve = serve
         self.max_batch_size = int(max_batch_size)
         self.max_delay_s = float(max_delay_s)
+        self.max_queue = int(max_queue)
         self.busy_threshold = int(busy_threshold)
-        self._queue: asyncio.Queue[PendingRequest] = asyncio.Queue(
-            maxsize=max_queue
-        )
-        self._inflight: set[asyncio.Task] = set()
-        self._collector: asyncio.Task | None = None
+        self._pending: deque[PendingRequest] = deque()
+        self._inflight: set[asyncio.Task] = set()  # spawned scans
+        self._leaders: set[asyncio.Task] = set()  # successor leaders
+        self._leading = False
+        self._full: asyncio.Future | None = None  # a lingering leader's wake-up
+        self._paused = True
         self._closed = False
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
     def qsize(self) -> int:
-        return self._queue.qsize()
+        return len(self._pending)
 
     def try_enqueue(self, request: PendingRequest) -> bool:
         """Park a request; ``False`` means the queue is full (shed it)."""
         if self._closed:
             raise RuntimeError("batcher is draining or stopped")
-        try:
-            self._queue.put_nowait(request)
-        except asyncio.QueueFull:
+        if len(self._pending) >= self.max_queue:
             return False
+        self._pending.append(request)
+        if len(self._pending) >= self.max_batch_size:
+            self._wake()
         return True
+
+    async def lead(self) -> None:
+        """Serve the pending batch if nobody leads one: every ``submit`` calls
+        this right after its enqueue, and only the first of a turn does work.
+        """
+        if self._leading or self._paused or not self._pending:
+            return
+        self._leading = True
+        try:
+            await asyncio.sleep(0)  # the rest of this turn's arrivals
+            # Every replica busy: wait for company until the batch fills.
+            if len(self._inflight) >= self.busy_threshold and self.max_delay_s > 0 and (
+                len(self._pending) < self.max_batch_size and not self._closed
+            ):
+                self._full = asyncio.get_running_loop().create_future()
+                try:
+                    await asyncio.wait_for(self._full, timeout=self.max_delay_s)
+                except asyncio.TimeoutError:
+                    pass
+                finally:
+                    self._full = None
+        except asyncio.CancelledError:
+            self._leading = False
+            if self._pending and not self._paused:
+                self._handoff()
+            raise
+        self._leading = False
+        if not self._paused:
+            self._take()
+
+    def _wake(self) -> None:
+        """End a lingering leader's wait."""
+        if self._full is not None and not self._full.done():
+            self._full.set_result(None)
+
+    def _take(self) -> None:
+        """Pop up to ``max_batch_size`` requests and serve them as groups."""
+        batch = [
+            self._pending.popleft()
+            for _ in range(min(len(self._pending), self.max_batch_size))
+        ]
+        if self._pending:  # the rest goes next
+            self._handoff()
+        groups: dict[tuple, list[PendingRequest]] = {}
+        for request in batch:
+            groups.setdefault(
+                (request.k, request.rerank, request.nprobe), []
+            ).append(request)
+        obs = get_obs()
+        if obs.enabled:
+            registry = obs.registry
+            wait = registry.histogram(metric_names.SERVE_BATCH_WAIT_S)
+            now = asyncio.get_running_loop().time()
+            for request in batch:
+                wait.observe(now - request.enqueue_time)
+            for group in groups.values():
+                registry.histogram(metric_names.SERVE_BATCH_SIZE).observe(len(group))
+                registry.counter(metric_names.SERVE_BATCHES_TOTAL).inc()
+        self._serve(list(groups.values()))
+
+    def _handoff(self) -> None:
+        """Start a leader task for what is pending."""
+        task = asyncio.create_task(self.lead(), name="serve-leader")
+        self._leaders.add(task)
+        task.add_done_callback(self._leaders.discard)
+
+    def spawn(self, work) -> None:
+        """Run coroutine ``work`` (one group's scan machinery) as a task that
+        counts toward ``busy_threshold`` and that ``drain`` waits for."""
+        task = asyncio.create_task(work)
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._collector is None:
-            self._collector = asyncio.create_task(
-                self._run(), name="serve-batcher"
-            )
+        """Serve pending requests — also those parked while paused."""
+        self._paused = False
+        if self._pending and not self._leading:
+            self._handoff()
+
+    async def _stop_collector(self) -> None:
+        """Pause serving until :meth:`start`: requests park, up to the bound."""
+        self._paused = True
 
     async def drain(self) -> None:
         """Stop admission, finish everything already accepted, then stop."""
         self._closed = True
-        await self._queue.join()
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        await self._stop_collector()
+        self._paused = False
+        self._wake()
+        while self._leading or self._pending or self._leaders or self._inflight:
+            if self._pending and not self._leading and not self._leaders:
+                self._handoff()
+            tasks = self._leaders | self._inflight
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+            else:
+                await asyncio.sleep(0)  # a submit leads: let it take its batch
+        self._paused = True
 
     async def abort(self) -> None:
-        """Hard stop: cancel the collector and in-flight dispatches, fail
-        anything still parked in the queue."""
-        self._closed = True
-        await self._stop_collector()
-        for task in list(self._inflight):
+        """Hard stop: cancel spawned work, fail everything pending."""
+        self._closed = self._paused = True  # paused: no leader takes or hands off
+        self._wake()
+        tasks = self._leaders | self._inflight
+        for task in tasks:
             task.cancel()
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        while not self._queue.empty():
-            request = self._queue.get_nowait()
-            self._queue.task_done()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        while self._pending:
+            request = self._pending.popleft()
             if not request.future.done():
-                request.future.set_exception(
-                    RuntimeError("serving daemon stopped")
-                )
-
-    async def _stop_collector(self) -> None:
-        if self._collector is not None:
-            self._collector.cancel()
-            try:
-                await self._collector
-            except asyncio.CancelledError:
-                pass
-            self._collector = None
-
-    # ------------------------------------------------------------------
-    # Collector
-    # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            # task_done is deferred until the batch's dispatch tasks exist:
-            # drain() relies on queue.join() meaning "popped AND handed to a
-            # dispatch", otherwise a cancel could land mid-window and drop
-            # the in-hand batch with its futures unresolved.
-            batch: list[PendingRequest] = []
-            try:
-                batch.append(await self._queue.get())
-                # Linger only while every replica is busy; with one idle
-                # the sweep below still coalesces simultaneous arrivals.
-                busy = len(self._inflight) >= self.busy_threshold
-                window_ends = loop.time() + (self.max_delay_s if busy else 0.0)
-                while len(batch) < self.max_batch_size:
-                    remaining = window_ends - loop.time()
-                    if remaining <= 0:
-                        # Opportunistic sweep: anything already queued rides
-                        # along even after the window closed.
-                        while (
-                            len(batch) < self.max_batch_size
-                            and not self._queue.empty()
-                        ):
-                            batch.append(self._queue.get_nowait())
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(
-                                self._queue.get(), timeout=remaining
-                            )
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            except asyncio.CancelledError:
-                for request in batch:
-                    self._queue.task_done()
-                    if not request.future.done():
-                        request.future.set_exception(
-                            RuntimeError("serving daemon stopped")
-                        )
-                raise
-            # One scan per (k, rerank hint, nprobe): a request with an
-            # explicit search configuration cannot ride a scan that made a
-            # different one — the answers differ.
-            groups: dict[tuple, list[PendingRequest]] = {}
-            for request in batch:
-                groups.setdefault(
-                    (request.k, request.rerank, request.nprobe), []
-                ).append(request)
-            obs = get_obs()
-            if obs.enabled:
-                wait = obs.registry.histogram(metric_names.SERVE_BATCH_WAIT_S)
-                now = loop.time()
-                for request in batch:
-                    wait.observe(now - request.enqueue_time)
-            for group in groups.values():
-                if obs.enabled:
-                    obs.registry.histogram(
-                        metric_names.SERVE_BATCH_SIZE
-                    ).observe(len(group))
-                    obs.registry.counter(
-                        metric_names.SERVE_BATCHES_TOTAL
-                    ).inc()
-                task = asyncio.create_task(self._dispatch(group))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-            for _ in batch:
-                self._queue.task_done()
+                request.future.set_exception(RuntimeError("serving daemon stopped"))

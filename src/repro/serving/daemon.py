@@ -5,15 +5,17 @@ request loop and owns every recovery decision between a client's
 ``await daemon.submit(query, k)`` and an answer:
 
 - **Micro-batching** — concurrent requests coalesce into one engine scan
-  per ``k`` (:mod:`repro.serving.batcher`).
+  per ``(k, rerank, nprobe)``, served by the first ``submit`` of the loop
+  turn, the batch's leader (:mod:`repro.serving.batcher`).
 - **Replication + failover** — each scan runs on one of ``num_replicas``
   replica engines (:mod:`repro.serving.replica`); a crash, corrupt
   response, or timeout moves the batch to the next healthy replica.
-- **Inline short scans** — a replica whose recent scans finished under a
-  tenth of the hedge trigger scans on the event-loop thread, skipping the
-  executor hand-off; its first scan, a wider batch than it has proven, and
-  every scan after a slow or failed one take an executor thread, where
-  hedging and attempt timeouts can act.
+- **Inline short scans** — the leader scans a batch itself, on the
+  event-loop thread, when the replica's recent scans finished under a tenth
+  of the hedge trigger: a miss is one loop turn. A replica's first scan, a
+  wider batch than it has proven, every scan after a slow or failed one, and
+  degraded scans take an executor thread, where hedging and attempt
+  timeouts can act; a failed inline scan is the first of those attempts.
 - **Deadlines, retries, hedging** — every request carries an absolute
   deadline; failed attempts retry with exponential backoff and seeded
   jitter, and a straggling attempt is hedged once on a second replica
@@ -45,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter as CountMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,18 +142,6 @@ class ServeResult:
     latency_s: float
     replica: int | None = None
     attempts: int = 1
-
-
-@dataclass
-class _BatchOutcome:
-    indices: np.ndarray
-    distances: np.ndarray
-    replica: int
-    attempts: int
-    degraded: bool
-    cacheable: bool
-    k_served: int
-    meta: dict = field(default_factory=dict)
 
 
 class ServingDaemon:
@@ -267,7 +257,7 @@ class ServingDaemon:
             capacity=cfg.cache_capacity, ttl_s=cfg.cache_ttl_s
         )
         self.batcher = MicroBatcher(
-            self._dispatch_group,
+            self._serve_groups,
             max_batch_size=cfg.max_batch_size,
             max_delay_s=cfg.batch_delay_s,
             max_queue=cfg.max_queue,
@@ -316,10 +306,7 @@ class ServingDaemon:
             except asyncio.CancelledError:
                 pass
             self._heartbeat_task = None
-        if drain:
-            await self.batcher.drain()
-        else:
-            await self.batcher.abort()
+        await (self.batcher.drain() if drain else self.batcher.abort())
         for replica in self.replica_set.replicas:
             replica.engine.close()
 
@@ -343,14 +330,6 @@ class ServingDaemon:
     def mutable(self) -> bool:
         """True when the served index accepts :meth:`mutate`."""
         return self._mutable
-
-    def _has_ivf(self) -> bool:
-        """True when replicas can honour a per-request ``nprobe``.
-
-        Replicas are configured identically (same ``engine_kwargs`` or the
-        same mutable index), so the first one answers for all.
-        """
-        return self.replica_set.replicas[0].has_ivf
 
     @property
     def degraded(self) -> bool:
@@ -404,7 +383,8 @@ class ServingDaemon:
                     "the daemon serves one query per submit; send one "
                     "request per row (the batcher coalesces them)"
                 )
-            if request_obj.nprobe is not None and not self._has_ivf():
+            # Replicas are configured alike: the first answers for all.
+            if request_obj.nprobe is not None and not self.replica_set.replicas[0].has_ivf:
                 raise ValueError(
                     "nprobe was given but the daemon's replica engines have "
                     "no IVF layer; serve with --ivf-cells / "
@@ -466,23 +446,15 @@ class ServingDaemon:
         hit = self.cache.get(signature, now=start, allow_stale=self.degraded)
         if hit is not None:
             entry, fresh = hit
-            source = "cache" if fresh else "cache_stale"
             self.counts["cache_hits" if fresh else "stale_served"] += 1
             if obs.enabled:
                 registry.counter(
                     metric_names.SERVE_CACHE_HITS
-                    if fresh
-                    else metric_names.SERVE_CACHE_STALE_SERVED
+                    if fresh else metric_names.SERVE_CACHE_STALE_SERVED
                 ).inc()
             return self._finish_ok(
-                loop,
-                start,
-                indices=entry.indices.copy(),
-                distances=entry.distances.copy(),
-                source=source,
-                degraded=not fresh,
-                replica=None,
-                attempts=0,
+                loop, start, entry.indices.copy(), entry.distances.copy(),
+                "cache" if fresh else "cache_stale", not fresh, None, 0,
             )
         self.counts["cache_misses"] += 1
         if obs.enabled:
@@ -500,6 +472,10 @@ class ServingDaemon:
                     f"query encoder {encoder_mode!r} produced shape "
                     f"{query.shape}, expected ({self.dim},)"
                 )
+            # The scan's input is validated too: finite features can still
+            # embed to a row the engine cannot rank (an overflowing ‖q‖²),
+            # and that is the client's error, not a replica's.
+            validate_query_batch(query[None, :])
             if obs.enabled:
                 registry.histogram(metric_names.QUERY_ENCODE_TIME).observe(
                     encode_elapsed
@@ -524,22 +500,14 @@ class ServingDaemon:
                 registry.counter(metric_names.SERVE_REQUESTS_SHED).inc()
             raise Overloaded("request queue full — request shed")
         try:
-            indices, distances, meta = await request.future
+            await self.batcher.lead()
+            answer = await request.future  # already done if this submit led
         except Exception:
             self.counts["failed"] += 1
             if obs.enabled:
                 registry.counter(metric_names.SERVE_REQUESTS_FAILED).inc()
             raise
-        return self._finish_ok(
-            loop,
-            start,
-            indices=indices,
-            distances=distances,
-            source=meta["source"],
-            degraded=meta["degraded"],
-            replica=meta.get("replica"),
-            attempts=meta.get("attempts", 1),
-        )
+        return self._finish_ok(loop, start, *answer)
 
     async def mutate(self, request: MutationRequest) -> MutationResult:
         """Apply one mutation to the served index; queries keep flowing.
@@ -569,48 +537,96 @@ class ServingDaemon:
         return result
 
     def _finish_ok(
-        self, loop, start, *, indices, distances, source, degraded,
-        replica, attempts,
+        self, loop, start, indices, distances, source, degraded, replica, attempts
     ) -> ServeResult:
+        """The answer (a future's, or a cache hit's) as a ServeResult."""
         latency = loop.time() - start
         self.counts["ok"] += 1
         obs = get_obs()
         if obs.enabled:
             obs.registry.counter(metric_names.SERVE_REQUESTS_OK).inc()
-            obs.registry.histogram(
-                metric_names.SERVE_REQUEST_LATENCY
-            ).observe(latency)
+            obs.registry.histogram(metric_names.SERVE_REQUEST_LATENCY).observe(latency)
         return ServeResult(
-            indices=indices,
-            distances=distances,
-            source=source,
-            degraded=degraded,
-            latency_s=latency,
-            replica=replica,
-            attempts=attempts,
+            indices, distances, source, degraded, latency, replica, attempts
         )
 
     # ------------------------------------------------------------------
-    # Batch serving: attempts, failover, hedging
+    # Batch serving: inline, then attempts, failover, hedging
     # ------------------------------------------------------------------
-    async def _dispatch_group(self, group: list[PendingRequest]) -> None:
+    def _serve_groups(self, groups: list[list[PendingRequest]]) -> None:
+        """The leader's turn: each group inline, or to :meth:`_serve_batch`."""
+        loop = asyncio.get_running_loop()
+        for group in groups:
+            try:
+                self._serve_inline(group, loop)
+            except Exception as exc:  # pragma: no cover - defensive backstop
+                _fail(group, exc)
+
+    def _serve_inline(self, group: list[PendingRequest], loop) -> None:
+        """One group on the loop thread, or on to the executor machinery.
+
+        Inline needs a healthy daemon, a live deadline, a replica whose scans
+        of this many rows lately finished under the inline bound, and its
+        breaker's admission. A failed inline scan is the machinery's first
+        attempt: its retries and failover take over from there.
+        """
+        if self.degraded:
+            self.batcher.spawn(self._serve_batch(group))
+            return
+        now = loop.time()
+        candidates = self.replica_set.candidates(now)
+        replica = candidates[0] if candidates else None
+        if (
+            replica is None
+            or len(group) > self._inline_rows[replica.replica_id]
+            or now >= min(request.deadline for request in group)
+            or not self.replica_set.breaker_for(replica.replica_id).allow(now)
+        ):
+            self.batcher.spawn(self._serve_batch(group, replica))
+            return
+        self._count("inline_scans", metric_names.SERVE_SCANS_INLINE)
+        queries = np.stack([request.query for request in group])
+        head = group[0]
+        start = time.perf_counter()
         try:
-            await self._serve_batch(group)
+            indices, distances = replica.search(
+                queries, head.k, rerank=head.rerank, nprobe=head.nprobe
+            )
+        except Exception as exc:
+            self._record_scan_failure(replica, exc, loop.time())
+            self.batcher.spawn(self._serve_batch(group, replica, exc))
+            return
+        self._record_scan_success(
+            replica, loop.time(), len(group), time.perf_counter() - start
+        )
+        self._resolve_group(
+            group, indices, distances, replica.replica_id, 1,
+            degraded=False, cacheable=True, loop=loop,
+        )
+
+    async def _serve_batch(
+        self,
+        group: list[PendingRequest],
+        replica: Replica | None = None,
+        failure: Exception | None = None,
+    ) -> None:
+        """Attempts on executor threads until one answers or the budget ends.
+
+        ``replica`` is the leader's pick for the first attempt (``None``:
+        pick here); with ``failure`` that attempt already ran inline on it
+        and failed, and the loop starts by backing off from it.
+        """
+        try:
+            await self._attempts(group, replica, failure)
         except asyncio.CancelledError:
             # Aborted shutdown: the dispatch dies, but its awaiters must not
             # hang — fail them before propagating the cancellation.
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(
-                        RuntimeError("serving daemon stopped")
-                    )
+            _fail(group, RuntimeError("serving daemon stopped"))
             raise
         except Exception as exc:  # pragma: no cover - defensive backstop
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            _fail(group, exc)
 
-    async def _serve_batch(self, group: list[PendingRequest]) -> None:
+    async def _attempts(self, group, replica, failure) -> None:
         loop = asyncio.get_running_loop()
         cfg = self.config
         queries = np.stack([request.query for request in group])
@@ -636,24 +652,40 @@ class ServingDaemon:
         tried: set[int] = set()
         first_replica: int | None = None
         last_error: Exception | None = None
-        outcome: _BatchOutcome | None = None
-        while attempts < cfg.max_attempts:
+        if failure is not None:
+            attempts, first_replica = 1, replica.replica_id
+        while True:
+            if failure is not None:
+                last_error = failure
+                tried.add(replica.replica_id)
+                self._update_health()
+                backoff = self._backoff_delay(attempts)
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                if backoff > 0:
+                    await asyncio.sleep(min(backoff, remaining))
+                failure = replica = None
+            if attempts >= cfg.max_attempts:
+                break
             now = loop.time()
             if now >= deadline:
                 break
-            candidates = self.replica_set.candidates(now, exclude=tried)
-            if not candidates and tried:
-                # Every replica has been tried once; start a second lap —
-                # a crashed replica may have revived, and backoff already
-                # spaced the attempts out.
-                tried = set()
-                candidates = self.replica_set.candidates(now)
-            if not candidates:
-                break
-            replica = candidates[0]
+            if replica is None:
+                candidates = self.replica_set.candidates(now, exclude=tried)
+                if not candidates and tried:
+                    # Every replica has been tried once; start a second lap —
+                    # a crashed replica may have revived, and backoff already
+                    # spaced the attempts out.
+                    tried = set()
+                    candidates = self.replica_set.candidates(now)
+                if not candidates:
+                    break
+                replica = candidates[0]
             breaker = self.replica_set.breaker_for(replica.replica_id)
             if not breaker.allow(now):
                 tried.add(replica.replica_id)
+                replica = None
                 continue
             if first_replica is None:
                 first_replica = replica.replica_id
@@ -673,31 +705,14 @@ class ServingDaemon:
                     nprobe=nprobe,
                 )
             except Exception as exc:
-                last_error = exc
-                tried.add(replica.replica_id)
-                self._update_health()
-                backoff = self._backoff_delay(attempts)
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                if backoff > 0:
-                    await asyncio.sleep(min(backoff, remaining))
+                failure = exc
                 continue
             if served_by != first_replica:
                 self._count("failovers", metric_names.SERVE_FAILOVERS_TOTAL)
-            outcome = _BatchOutcome(
-                indices=indices,
-                distances=distances,
-                replica=served_by,
-                attempts=attempts,
-                degraded=degraded,
-                cacheable=cacheable,
-                k_served=k_scan,
+            self._resolve_group(
+                group, indices, distances, served_by, attempts,
+                degraded=degraded, cacheable=cacheable, loop=loop,
             )
-            break
-
-        if outcome is not None:
-            self._resolve_group(group, outcome, loop)
             return
         self._resolve_exhausted(group, last_error, loop)
 
@@ -717,9 +732,7 @@ class ServingDaemon:
         Returns ``(indices, distances, replica_id)`` from whichever task
         finished first with a valid answer; raises the primary's error (or
         a timeout) when nothing succeeded inside the budget. Late
-        finishers are detached, their outcome still feeding the breaker. An
-        inline scan (see :meth:`_scan_task`) is already finished when it gets
-        here and is harvested without a wait; a late one is still used.
+        finishers are detached, their outcome still feeding the breaker.
         """
         loop = asyncio.get_running_loop()
         cfg = self.config
@@ -735,36 +748,29 @@ class ServingDaemon:
             else None
         )
         last_error: Exception | None = None
-        hedged = False
         while running:
-            done = {task for task in running if task.done()}
-            if not done:
-                if hedge_wait is not None and not hedged:
-                    timeout = min(hedge_wait, attempt_deadline - loop.time())
-                else:
-                    timeout = attempt_deadline - loop.time()
-                if timeout <= 0:
-                    break
-                done, _ = await asyncio.wait(
-                    set(running), timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
+            timeout = attempt_deadline - loop.time()
+            if hedge_wait is not None:
+                timeout = min(hedge_wait, timeout)
+            if timeout <= 0:
+                break
+            done, _ = await asyncio.wait(
+                set(running), timeout=timeout, return_when=asyncio.FIRST_COMPLETED
+            )
             now = loop.time()
             if not done:
-                if hedge_wait is not None and not hedged:
-                    hedged = True
-                    hedge_replica = self._pick_hedge(
-                        now, tried | {r.replica_id for r in running.values()}
-                    )
-                    if hedge_replica is not None:
-                        self._count("hedges", metric_names.SERVE_HEDGES_TOTAL)
-                        running[
-                            self._scan_task(
-                                hedge_replica, queries, k, rerank, nprobe
-                            )
-                        ] = hedge_replica
-                    continue
-                break
+                if hedge_wait is None:
+                    break
+                hedge_wait = None  # one hedge per attempt
+                hedge_replica = self._pick_hedge(
+                    now, tried | {r.replica_id for r in running.values()}
+                )
+                if hedge_replica is not None:
+                    self._count("hedges", metric_names.SERVE_HEDGES_TOTAL)
+                    running[
+                        self._scan_task(hedge_replica, queries, k, rerank, nprobe)
+                    ] = hedge_replica
+                continue
             for task in done:
                 task_replica = running.pop(task)
                 error = task.exception()
@@ -799,16 +805,8 @@ class ServingDaemon:
         self, replica: Replica, queries: np.ndarray, k: int,
         rerank: bool | None, nprobe: int | None = None,
     ) -> asyncio.Future:
-        """Start one ``Replica.search``; resolves to ``(indices, distances,
-        seconds)``, the scan timed on the thread it ran on.
-
-        A batch no wider than the replica has lately scanned under the inline
-        bound runs right here on the loop thread and comes back as a finished
-        future: no executor hand-off, nothing to wait on — and nothing that
-        can hedge or time it out, which is why the privilege is earned from
-        observed scans and dropped at the first slow or failed one.
-        """
-        loop = asyncio.get_running_loop()
+        """Start one ``Replica.search`` on an executor thread; resolves to
+        ``(indices, distances, seconds)``, the scan timed on that thread."""
 
         def scan() -> tuple[np.ndarray, np.ndarray, float]:
             start = time.perf_counter()
@@ -817,15 +815,7 @@ class ServingDaemon:
             )
             return indices, distances, time.perf_counter() - start
 
-        if len(queries) > self._inline_rows[replica.replica_id]:
-            return loop.run_in_executor(None, scan)
-        self._count("inline_scans", metric_names.SERVE_SCANS_INLINE)
-        task = loop.create_future()
-        try:
-            task.set_result(scan())
-        except Exception as exc:
-            task.set_exception(exc)
-        return task
+        return asyncio.get_running_loop().run_in_executor(None, scan)
 
     def _pick_hedge(self, now: float, exclude: set[int]) -> Replica | None:
         candidates = self.replica_set.candidates(now, exclude=exclude)
@@ -880,22 +870,17 @@ class ServingDaemon:
     # Resolution
     # ------------------------------------------------------------------
     def _resolve_group(
-        self, group: list[PendingRequest], outcome: _BatchOutcome, loop
+        self, group: list[PendingRequest], indices, distances, replica: int,
+        attempts: int, *, degraded: bool, cacheable: bool, loop,
     ) -> None:
         now = loop.time()
-        meta = {
-            "source": "engine",
-            "degraded": outcome.degraded,
-            "replica": outcome.replica,
-            "attempts": outcome.attempts,
-        }
-        for row, request in enumerate(group):
-            indices = outcome.indices[row]
-            distances = outcome.distances[row]
-            if outcome.cacheable:
-                self.cache.put(request.signature, indices, distances, now)
+        for request, row_ids, row_distances in zip(group, indices, distances):
+            if cacheable:
+                self.cache.put(request.signature, row_ids, row_distances, now)
             if not request.future.done():
-                request.future.set_result((indices, distances, meta))
+                request.future.set_result(
+                    (row_ids, row_distances, "engine", degraded, replica, attempts)
+                )
 
     def _resolve_exhausted(
         self, group: list[PendingRequest], last_error, loop
@@ -911,15 +896,10 @@ class ServingDaemon:
                 self._count(
                     "stale_served", metric_names.SERVE_CACHE_STALE_SERVED
                 )
-                meta = {
-                    "source": "cache_stale",
-                    "degraded": True,
-                    "replica": None,
-                    "attempts": self.config.max_attempts,
-                }
-                request.future.set_result(
-                    (entry.indices.copy(), entry.distances.copy(), meta)
-                )
+                request.future.set_result((
+                    entry.indices.copy(), entry.distances.copy(), "cache_stale",
+                    True, None, self.config.max_attempts,
+                ))
                 continue
             request.future.set_exception(
                 RequestFailed(
@@ -1024,3 +1004,10 @@ class ServingDaemon:
                     self._emit(f"replica {replica_id} failed heartbeat")
                 self.replica_set.mark_dead(replica_id)
         self._update_health()
+
+
+def _fail(group: list[PendingRequest], error: Exception) -> None:
+    """Fail every still-open future of ``group`` with ``error``."""
+    for request in group:
+        if not request.future.done():
+            request.future.set_exception(error)

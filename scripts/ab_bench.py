@@ -20,7 +20,9 @@ won (ties counted apart). It exits non-zero when
   that metric's ``BENCHMARK.json`` bound;
 - the claimed metric (``--claim``, default ``latency_p50_ms``) does not win
   at least nine pairs in ten with medians apart, in its better direction, by
-  more than the parent's inter-quartile range.
+  more than the parent's inter-quartile range — or is not an end-to-end
+  metric of ``BENCHMARK.json`` that every run carries, so it cannot be
+  judged at all.
 
 The same revision on both sides is an A/A run: it measures the host's noise
 floor, and no claim is judged (only the bounds and the runs' correctness).
@@ -102,6 +104,7 @@ def judge(spec: list[dict], parent: list[dict], change: list[dict], claim: str |
         "|---|---|---|---|---|",
     ]
     failures = []
+    judged = False
     for entry in spec:
         name = entry["name"]
         if not all(name in run["metrics"] for run in parent + change):
@@ -122,13 +125,18 @@ def judge(spec: list[dict], parent: list[dict], change: list[dict], claim: str |
             failures.append(f"{name}: change median {fmt(mb)} is past the bound "
                             f"({entry['bound']:.0%}) of parent {fmt(ma)}")
         if name == claim:
+            judged = True
             shift = (ma - mb) if lower else (mb - ma)
             if wins < math.ceil(0.9 * len(a)):
                 failures.append(f"{name}: the change won {wins} of {len(a)} pairs (< 9 in 10)")
             if not shift > qa3 - qa1:
                 failures.append(f"{name}: median shift {fmt(shift)} is not beyond the "
                                 f"parent IQR {fmt(qa3 - qa1)}")
-            lines.append(f"claim {name}: median {(mb - ma) / ma:+.1%}")
+            moved = f"{(mb - ma) / ma:+.1%}" if ma else f"{fmt(mb - ma)} from 0"
+            lines.append(f"claim {name}: median {moved}")
+    if claim is not None and not judged:
+        failures.append(f"{claim}: not judged — the claim must name an end-to-end "
+                        "metric of BENCHMARK.json that every run carries")
     return lines, failures
 
 

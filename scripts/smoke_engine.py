@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""CI smoke test for the sharded query engine's multi-worker path.
+"""CI smoke test for the flat query engine, the IVF probe and the daemon.
 
-Builds a random quantized index, forces the multiprocessing pool on
-(``parallel="force"`` — the cost-based dispatcher would otherwise keep a
-batch this small in-process), and checks the pool-served rankings against
-the serial reference scan — plus the in-process fast path and the empty /
-k-edge cases — then does the same over a pair-fused layout: fused
-in-process == fused pool == the float64 (never fused) scan on one batch.
-It prints which scan kernel served (``adc.SCAN_KERNEL``) and, where the
-compiled kernel loaded, re-runs every path on the NumPy kernel and asserts
+Builds a random quantized index and checks the engine's rankings against
+the serial reference scan — plus the empty / k-edge cases — then does the
+same over a pair-fused layout: the fused engine == the serial float64 ADC
+(``QuantizedIndex.search_with_distances``) on one batch. It prints which
+scan kernel served (``adc.SCAN_KERNEL``) and, where the compiled kernel
+loaded, re-runs every path on the NumPy kernel and asserts
 the answers are the same bits — and that the one compiled call of
 ``adc.search_ranges`` equals the NumPy stages it stands for (``scan_tables``
 → ``scan_topk`` → ``rerank_exact`` / ``merge_topk``) on the fused, unfused,
@@ -151,7 +149,7 @@ def daemon_answers(index, queries, engine_kwargs=None):
 
 def check_paths(index, fused_index, queries) -> dict:
     """Every path's ids and distances, after checking each against the
-    serial reference: unfused and fused, in-process and pool, and IVF."""
+    serial reference: unfused and fused, IVF and the daemon."""
     reference = rank_by_distance(
         adc_distances(queries, index.codes, index.codebooks,
                       db_sq_norms=index.db_sq_norms),
@@ -159,13 +157,12 @@ def check_paths(index, fused_index, queries) -> dict:
     )
     answers = {}
 
-    # The headline path: shards scanned by pool workers over shared memory.
-    with QueryEngine(index, workers=2, num_shards=4, parallel="force") as engine:
+    with QueryEngine(index) as engine:
         ranked = index.search(SearchRequest(queries, k=10, engine=engine)).indices
-        assert engine.last_dispatch == "process-pool", engine.last_dispatch
-        assert np.array_equal(ranked, reference), "pool rankings diverge from serial"
-        answers["unfused pool"] = engine.search_with_distances(queries, 10)
-        # Pool stays warm across batches; edge k values go through it too.
+        assert engine.last_dispatch == "in-process", engine.last_dispatch
+        assert np.array_equal(ranked, reference), "rankings diverge from serial"
+        answers["unfused"] = engine.search_with_distances(queries, 10)
+        answers["unfused no rerank"] = engine.search_with_distances(queries, 10, rerank=False)
         for k in (1, len(index)):
             got = engine.search(queries, k=k)
             want = rank_by_distance(
@@ -173,35 +170,21 @@ def check_paths(index, fused_index, queries) -> dict:
                               db_sq_norms=index.db_sq_norms),
                 k=k,
             )
-            assert np.array_equal(got, want), f"pool parity failed at k={k}"
-
-    # Dispatcher honesty: a small batch under "auto" stays in-process.
-    with QueryEngine(index, workers=2, num_shards=4) as engine:
-        ranked = engine.search(queries, k=10)
-        assert engine.last_dispatch == "in-process", engine.last_dispatch
-        assert np.array_equal(ranked, reference)
-        answers["unfused in-process"] = engine.search_with_distances(queries, 10)
-        answers["unfused no rerank"] = engine.search_with_distances(queries, 10, rerank=False)
+            assert np.array_equal(got, want), f"parity failed at k={k}"
         empty = engine.search(np.empty((0, index.dim)), k=5)
         assert empty.shape == (0, 5), empty.shape
 
-    # Pair-fused layout (even M, 4·K² = 1024 rows): the joint-code scan,
-    # its shared-memory attach, and the divmod decode in the rerank must all
-    # land on the float64 scan's ids and distances.
-    with QueryEngine(fused_index, parallel="never", dtype=np.float64) as engine:
-        assert not engine.sharded.fused
-        want = engine.search_with_distances(queries, 10)
-    with QueryEngine(fused_index, parallel="never") as engine:
+    # Pair-fused layout (even M, 4·K² = 1024 rows): the joint-code scan and
+    # the divmod decode in the rerank must land on the serial float64 ADC's
+    # ids and distances.
+    want = fused_index.search_with_distances(queries, 10)
+    with QueryEngine(fused_index) as engine:
         assert engine.sharded.fused
-        answers["fused in-process"] = engine.search_with_distances(queries, 10)
+        answers["fused"] = engine.search_with_distances(queries, 10)
         answers["fused no rerank"] = engine.search_with_distances(queries, 10, rerank=False)
-    with QueryEngine(fused_index, workers=2, num_shards=4, parallel="force") as engine:
-        answers["fused pool"] = engine.search_with_distances(queries, 10)
-        assert engine.last_dispatch == "process-pool", engine.last_dispatch
-    for name in ("fused in-process", "fused pool"):
-        got = answers[name]
-        assert np.array_equal(got[0], want[0]), f"{name} ids diverge"
-        assert np.array_equal(got[1], want[1]), f"{name} distances diverge"
+    got = answers["fused"]
+    assert np.array_equal(got[0], want[0]), "fused ids diverge"
+    assert np.array_equal(got[1], want[1]), "fused distances diverge"
 
     # IVF probes: a full probe is the exhaustive answer.
     ivf = IVFIndex.build(fused_index, num_cells=12, seed=0)
@@ -242,7 +225,7 @@ def main() -> int:
     if kernel == "c":
         cases = check_search_ranges(index, fused_index, queries)
         probes = check_ivf_probe(fused_index, queries)
-        # The same paths on the NumPy kernel (pool workers fork with it).
+        # The same paths on the NumPy kernel.
         compiled, native.load = native.load, lambda: None
         try:
             fallback = check_paths(index, fused_index, queries)

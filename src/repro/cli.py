@@ -95,20 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --checkpoint-dir)",
     )
     train.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="after training, serve the query set through the sharded ADC "
-        "engine with this many workers and report throughput vs the serial "
-        "scan",
-    )
-    train.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --workers (default: 2x workers)",
-    )
-    train.add_argument(
         "--metrics-out",
         default=None,
         help="enable observability and write the metric snapshot here (JSONL)",
@@ -311,12 +297,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if (args.resume or args.guard) and not args.checkpoint_dir:
         print("error: --resume and --guard require --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.shards is not None and args.workers is None:
-        print("error: --shards requires --workers", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     obs_handle = None
     if args.metrics_out or args.trace:
         from repro import obs
@@ -362,14 +342,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     report = analyze(model, dataset)
     for line in report.summary_lines():
         print(line)
-    index = None
-    if args.save_index or args.workers is not None:
+    if args.save_index:
         index = model.build_index(
             dataset.database.features, labels=dataset.database.labels
         )
-    if args.workers is not None:
-        print(_engine_report(model, index, dataset, args.workers, args.shards))
-    if args.save_index:
         save_index(index, args.save_index)
         print(f"index saved to {args.save_index}")
     if obs_handle is not None:
@@ -384,41 +360,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             print(f"trace written to {args.trace}")
         obs.disable_observability()
     return 0
-
-
-def _engine_report(model, index, dataset, workers: int, shards: int | None) -> str:
-    """Serve the query set through the sharded engine; one comparison line.
-
-    Times the serial scan and the engine over the same top-10 pass and
-    checks the rankings agree — the quick post-training health check behind
-    ``repro train --workers`` (the full harness is ``repro bench``).
-    """
-    import time
-
-    import numpy as np
-
-    from repro.retrieval import SearchRequest
-    from repro.retrieval.engine import QueryEngine
-
-    queries = model.embed(dataset.query.features)
-    serial_start = time.perf_counter()
-    serial_topk = index.search(queries, k=10)
-    serial_elapsed = time.perf_counter() - serial_start
-    with QueryEngine(index, workers=workers, num_shards=shards) as engine:
-        engine.search(queries[:1], k=10)  # warm the kernel path
-        request = SearchRequest(queries=queries, k=10, engine=engine)
-        engine_start = time.perf_counter()
-        ranked = index.search(request).indices
-        engine_elapsed = time.perf_counter() - engine_start
-        dispatch = engine.last_dispatch
-        num_shards = engine.sharded.num_shards
-    parity = "ok" if np.array_equal(ranked, serial_topk) else "MISMATCH"
-    qps = len(queries) / engine_elapsed if engine_elapsed > 0 else float("inf")
-    speedup = serial_elapsed / engine_elapsed if engine_elapsed > 0 else float("inf")
-    return (
-        f"engine: {qps:,.0f} qps, x{speedup:.2f} vs serial "
-        f"({dispatch}, {workers}w/{num_shards}s, top-k {parity})"
-    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -195,49 +195,6 @@ def _window_mean(histogram: obs.Histogram, window: tuple[int, float]) -> float |
     return (histogram.total - window[1]) / count
 
 
-#: Measured calls averaged per scan-throughput figure — single-shot scan
-#: timings at CI scale (~10 ms) swing tens of percent run to run.
-_ENGINE_REPEATS = 5
-
-
-def _bench_engine(index, queries, serial_topk, scan_hist, serial_scan_tput,
-                  handle, workers: int, shards: int | None) -> dict:
-    """Time the sharded engine on the batch query and compare to serial."""
-    import numpy as np
-
-    from repro.retrieval import SearchRequest
-    from repro.retrieval.engine import QueryEngine
-
-    with handle.span("bench.query.engine", workers=workers, shards=shards or 0):
-        with QueryEngine(index, workers=workers, num_shards=shards) as engine:
-            engine.search(queries[:1], k=10)  # warm the path (and any pool)
-            request = SearchRequest(queries=queries, k=10, engine=engine)
-            window = _hist_window(scan_hist)
-            start = time.perf_counter()
-            for _ in range(_ENGINE_REPEATS):
-                engine_topk = index.search(request).indices
-            wall = (time.perf_counter() - start) / _ENGINE_REPEATS
-            engine_tput = _window_mean(scan_hist, window)
-            entry = {
-                "workers": workers,
-                "shards": engine.num_shards,
-                "dispatch": engine.last_dispatch,
-                "wall_time_s": wall,
-                "qps": len(queries) / wall if wall > 0 else None,
-                "scan_codes_per_s": engine_tput,
-                "serial_scan_codes_per_s": serial_scan_tput,
-                "scan_speedup": (
-                    engine_tput / serial_scan_tput
-                    if engine_tput and serial_scan_tput
-                    else None
-                ),
-                "topk_identical_serial": bool(
-                    np.array_equal(engine_topk, serial_topk)
-                ),
-            }
-    return entry
-
-
 def _bench_serve(
     index, queries, seed: int, n_requests: int,
     replicas: int = 2, clients: int = 8,
@@ -627,8 +584,6 @@ def _build_ivf_corpus(n_items: int, quick: bool, seed: int, tmpdir: str):
 def bench_ivf_profile(
     quick: bool = False,
     seed: int = 0,
-    workers: int | None = None,
-    shards: int | None = None,
     nprobes: tuple[int, ...] | None = None,
     ivf_items: int | None = None,
     ivf_cells: int | None = None,
@@ -670,9 +625,7 @@ def bench_ivf_profile(
                 )
                 with handle.span("bench.ivf.build", cells=num_cells):
                     ivf = IVFIndex.build(index, num_cells=num_cells, seed=seed)
-                with QueryEngine(
-                    index, workers=workers or 1, num_shards=shards
-                ) as engine:
+                with QueryEngine(index) as engine:
                     engine.search(queries[:1], k=10)  # warm the scan path
                     with handle.span("bench.ivf.exhaustive"):
                         start = time.perf_counter()
@@ -751,8 +704,6 @@ def bench_ivf_profile(
                                 len(queries) / exhaustive_wall
                                 if exhaustive_wall > 0 else None
                             ),
-                            "workers": workers or 1,
-                            "shards": shards or 0,
                         },
                         "recall_floor": IVF_RECALL_FLOOR,
                         "curve": curve,
@@ -770,17 +721,10 @@ def bench_profile(
     profile: str,
     quick: bool = False,
     seed: int = 0,
-    workers: int | None = None,
-    shards: int | None = None,
     stream_items: int | None = None,
     stream_steps: int | None = None,
 ) -> dict:
     """Run every phase for one profile; returns its result subtree.
-
-    With ``workers`` (and optionally ``shards``) set, the query phase also
-    times the sharded :class:`repro.retrieval.engine.QueryEngine` on the
-    same batch and records its scan throughput, the serial scan throughput,
-    their ratio, and a top-k parity bit under ``phases.query.engine``.
 
     The ``ivf-large`` profile is special-cased to
     :func:`bench_ivf_profile` (its corpus is memory-mapped and it runs a
@@ -789,9 +733,7 @@ def bench_profile(
     import dataclasses
 
     if canonical_dataset(profile) == IVF_LARGE_PROFILE:
-        return bench_ivf_profile(
-            quick=quick, seed=seed, workers=workers, shards=shards
-        )
+        return bench_ivf_profile(quick=quick, seed=seed)
 
     from repro.core.trainer import Trainer
     from repro.experiments.config import (
@@ -857,26 +799,8 @@ def bench_profile(
                 single_latency = _latency_summary(
                     handle.registry.histogram(metric_names.QUERY_LATENCY)
                 )
-                scan_hist = handle.registry.histogram(
-                    metric_names.ADC_SCAN_CODES_PER_S
-                )
-                serial_window = _hist_window(scan_hist)
                 with handle.span("bench.query.batch"):
-                    serial_topk = index.search(queries, k=10)
-                if workers is not None or shards is not None:
-                    # Extra serial reps (outside the batch span, inside the
-                    # scan window) so the engine comparison averages away
-                    # single-shot scan noise on both sides.
-                    for _ in range(_ENGINE_REPEATS - 1):
-                        index.search(queries, k=10)
-                serial_scan_tput = _window_mean(scan_hist, serial_window)
-                engine_entry = None
-                if workers is not None or shards is not None:
-                    engine_entry = _bench_engine(
-                        index, queries, serial_topk, scan_hist,
-                        serial_scan_tput, handle,
-                        workers=workers or 1, shards=shards,
-                    )
+                    index.search(queries, k=10)
             with handle.span("bench.query.encoder"):
                 encoder_entry = _bench_query_encoder(
                     model, dataset, index, quick, seed
@@ -985,7 +909,6 @@ def bench_profile(
                             len(queries) / batch_wall if batch_wall > 0 else None
                         ),
                     },
-                    **({"engine": engine_entry} if engine_entry else {}),
                     "encoder": {
                         "wall_time_s": encoder_wall,
                         **encoder_entry,
@@ -1009,8 +932,6 @@ def run_bench(
     profiles: list[str] | tuple[str, ...] = DEFAULT_PROFILES,
     quick: bool = False,
     seed: int = 0,
-    workers: int | None = None,
-    shards: int | None = None,
     nprobes: tuple[int, ...] | None = None,
     ivf_items: int | None = None,
     ivf_cells: int | None = None,
@@ -1039,13 +960,12 @@ def run_bench(
     for profile in profiles:
         if canonical_dataset(profile) == IVF_LARGE_PROFILE:
             results["profiles"][profile] = bench_ivf_profile(
-                quick=quick, seed=seed, workers=workers, shards=shards,
-                nprobes=nprobes, ivf_items=ivf_items, ivf_cells=ivf_cells,
+                quick=quick, seed=seed, nprobes=nprobes,
+                ivf_items=ivf_items, ivf_cells=ivf_cells,
             )
         else:
             results["profiles"][profile] = bench_profile(
-                profile, quick=quick, seed=seed, workers=workers,
-                shards=shards, stream_items=stream_items,
+                profile, quick=quick, seed=seed, stream_items=stream_items,
                 stream_steps=stream_steps,
             )
     return results
@@ -1126,19 +1046,6 @@ def format_summary(results: dict) -> str:
                 f"{profile:<16} {'train.fused':<12} "
                 f"{fused['wall_time_s']:>9.3f} {rate_text:>18} "
                 f"{speedup_text} vs reference (loss parity {parity})"
-            )
-        engine = phases.get("query", {}).get("engine")
-        if engine:
-            qps = engine.get("qps")
-            rate_text = f"{qps:,.0f} qps" if qps else "-"
-            speedup = engine.get("scan_speedup")
-            speedup_text = f"x{speedup:.2f}" if speedup else "-"
-            parity = "ok" if engine.get("topk_identical_serial") else "MISMATCH"
-            lines.append(
-                f"{profile:<16} {'query.engine':<12} "
-                f"{engine['wall_time_s']:>9.3f} {rate_text:>18} "
-                f"scan {speedup_text} ({engine['dispatch']}, "
-                f"{engine['workers']}w/{engine['shards']}s, top-k {parity})"
             )
         encoder = phases.get("query", {}).get("encoder")
         if encoder:
@@ -1247,12 +1154,6 @@ def format_summary(results: dict) -> str:
 def compare_results(old: dict, new: dict) -> str:
     """Per-phase wall-time deltas between two runs (negative = faster).
 
-    When either run carries a ``phases.query.engine`` entry, an extra
-    ``scan Mcodes/s`` row compares ADC scan throughput. A run without an
-    engine entry borrows the *other* run's measured serial baseline (the
-    engine entry records both sides in one process), so a plain run vs a
-    ``--workers`` run reads as a serial-vs-engine before/after.
-
     The two files may come from different schema versions (an old baseline
     vs a fresh run is the normal case). Phases present on only one side are
     skipped with a trailing note naming the phase and both schema versions
@@ -1307,20 +1208,6 @@ def compare_results(old: dict, new: dict) -> str:
             lines.append(
                 f"{profile:<16} {'train steps/s':<12} {old_sps:>9.1f} "
                 f"{new_sps:>9.1f} {'x' + format(ratio, '.2f'):>8}"
-            )
-        old_engine = old_phases.get("query", {}).get("engine")
-        new_engine = new_phases.get("query", {}).get("engine")
-        old_scan = (old_engine or {}).get("scan_codes_per_s") or (
-            new_engine or {}
-        ).get("serial_scan_codes_per_s")
-        new_scan = (new_engine or {}).get("scan_codes_per_s") or (
-            old_engine or {}
-        ).get("serial_scan_codes_per_s")
-        if old_scan and new_scan:
-            ratio = new_scan / old_scan
-            lines.append(
-                f"{profile:<16} {'scan Mcodes/s':<12} {old_scan / 1e6:>9.0f} "
-                f"{new_scan / 1e6:>9.0f} {'x' + format(ratio, '.2f'):>8}"
             )
         # Query-encoder rows (schema v7): light-encode speedup and recall
         # delta. A pre-v7 file has no ``query.encoder`` block — one-sided
@@ -1437,16 +1324,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="also time the sharded query engine with this many workers "
-        "(recorded under phases.query.engine)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="engine shard count (default: 2 x workers; implies --workers 1 "
-        "when given alone)",
-    )
-    parser.add_argument(
         "--nprobe", action="append", type=int, default=None,
         help="nprobe sweep point for the ivf-large profile (repeatable; "
         f"default: {', '.join(str(n) for n in DEFAULT_NPROBES)})",
@@ -1493,7 +1370,6 @@ def main(argv: list[str] | None = None) -> int:
         canonical_dataset(profile)  # fail fast on typos before any training
     results = run_bench(
         profiles, quick=args.quick, seed=args.seed,
-        workers=args.workers, shards=args.shards,
         nprobes=tuple(args.nprobe) if args.nprobe else None,
         ivf_items=args.ivf_items, ivf_cells=args.ivf_cells,
         stream_items=args.stream_items, stream_steps=args.stream_steps,

@@ -62,12 +62,7 @@ DATA_BATCHES_TOTAL = "data.batches.total"
 ADC_LUT_BUILD_TIME = "adc.lut.build_time_s"
 ADC_SCAN_TIME = "adc.scan.time_s"
 ADC_SCAN_CODES_PER_S = "adc.scan.codes_per_s"
-ENGINE_SHARD_SCAN_TIME = "engine.shard.scan.time_s"
-ENGINE_MERGE_TIME = "engine.merge.time_s"
-ENGINE_SHARDS_SCANNED = "engine.shards.scanned"
 ENGINE_BATCHES_TOTAL = "engine.batches.total"
-ENGINE_PARALLEL_BATCHES = "engine.batches.parallel"
-ENGINE_POOL_FALLBACKS = "engine.pool.fallbacks"
 IVF_BUILD_TIME = "ivf.build.time_s"
 IVF_TRAIN_TIME = "ivf.train.time_s"
 IVF_ASSIGN_TIME = "ivf.assign.time_s"
@@ -227,10 +222,8 @@ SPECS: tuple[MetricSpec, ...] = (
         "repro.retrieval.adc.adc_distances, "
         "repro.retrieval.engine.QueryEngine.scan",
         "Time to score every database item against the lookup tables "
-        "(excludes ranking; the engine counts lookups + distance assembly, "
-        "summed over shards in-process, phase wall under the pool; the "
-        "compiled kernel selects its top-k as it scans, so its figure "
-        "includes that).",
+        "(the serial scan excludes ranking; the engine times its one "
+        "search call, whose top-k and rerank ride inside it).",
     ),
     MetricSpec(
         ADC_SCAN_CODES_PER_S,
@@ -244,52 +237,11 @@ SPECS: tuple[MetricSpec, ...] = (
         "straight off one metric.",
     ),
     MetricSpec(
-        ENGINE_SHARD_SCAN_TIME,
-        HISTOGRAM,
-        "seconds",
-        "repro.retrieval.engine.QueryEngine.scan",
-        "In-kernel scan time of one shard (gather-accumulate, distance "
-        "assembly, and per-shard top-k), excluding pool dispatch.",
-    ),
-    MetricSpec(
-        ENGINE_MERGE_TIME,
-        HISTOGRAM,
-        "seconds",
-        "repro.retrieval.engine.QueryEngine.scan",
-        "Time to merge per-shard candidates into the global tie-stable "
-        "top-k, including the exact float64 rerank when enabled.",
-    ),
-    MetricSpec(
-        ENGINE_SHARDS_SCANNED,
-        COUNTER,
-        "shards",
-        "repro.retrieval.engine.QueryEngine.scan",
-        "Shard scans performed across all engine batches (in-process "
-        "dispatch coalesces the shards into one scan).",
-    ),
-    MetricSpec(
         ENGINE_BATCHES_TOTAL,
         COUNTER,
         "batches",
         "repro.retrieval.engine.QueryEngine.scan",
-        "Query batches served by the sharded engine.",
-    ),
-    MetricSpec(
-        ENGINE_PARALLEL_BATCHES,
-        COUNTER,
-        "batches",
-        "repro.retrieval.engine.QueryEngine.scan",
-        "Engine batches dispatched to the multiprocessing pool (the rest "
-        "ran in-process because parallelism could not pay).",
-    ),
-    MetricSpec(
-        ENGINE_POOL_FALLBACKS,
-        COUNTER,
-        "batches",
-        "repro.retrieval.engine.QueryEngine.scan",
-        "Engine batches whose pool dispatch timed out or crashed and were "
-        "re-served by the in-process serial scan (the pool is rebuilt on "
-        "the next parallel batch).",
+        "Query batches served by the flat engine's exhaustive scan.",
     ),
     MetricSpec(
         SERVE_REQUESTS_TOTAL,

@@ -21,7 +21,6 @@ from repro.retrieval.engine import (
     ShardedIndex,
     compact_code_dtype,
     merge_topk,
-    shard_bounds,
     topk_tie_stable,
 )
 from repro.retrieval.index import QuantizedIndex
@@ -64,7 +63,6 @@ __all__ = [
     "compact_code_dtype",
     "default_num_cells",
     "merge_topk",
-    "shard_bounds",
     "topk_tie_stable",
     "adc_distances",
     "asymptotic_compression_ratio",

@@ -28,8 +28,8 @@ blocks they hand to it:
 - :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the scan
   on its own: a sealed ``(columns, n)`` code layout, the batch's tables
   laid out for it, and the kernel that walks column ranges of the layout
-  and keeps each query's tie-stable top-k. Float64 scans (float64 engines,
-  the mutable index's sealed segments) and pool workers use it directly;
+  and keeps each query's tie-stable top-k. The mutable index's float64
+  sealed-segment scans use it directly;
 - :func:`rerank_exact` — the same arithmetic in float64 at the scattered
   *positions* of a float32 scan's survivors;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
@@ -50,8 +50,8 @@ the compiled kernel is the composition :func:`scan_tables` →
 :func:`scan_topk` → :func:`rerank_exact` / :func:`merge_topk`, which is
 also its reference. What stays in NumPy, and why: the float64 table build
 (:func:`build_lookup_tables`' einsum fixes the summation order every
-answer is defined by, and the LUT cache reuses its rows), query validation,
-and the multiprocessing pool's merge and rerank across shards.
+answer is defined by, and the LUT cache reuses its rows) and query
+validation.
 
 The scan kernel. :func:`scan_topk` takes ranges — one for a flat layout,
 the probed cells in probe order for an IVF one — and returns layout
@@ -237,19 +237,6 @@ def query_tables(
     return lut64, q_sq64
 
 
-def cast_tables(
-    lut64: np.ndarray, q_sq64: np.ndarray, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous scan-dtype copies of :func:`query_tables`' output.
-
-    A float64 scan gets the inputs back unchanged.
-    """
-    return (
-        np.ascontiguousarray(lut64, dtype=dtype),
-        q_sq64.astype(dtype, copy=False),
-    )
-
-
 def compact_code_dtype(num_codewords: int) -> np.dtype:
     """Narrowest unsigned dtype that can hold codeword ids below ``K``."""
     if num_codewords <= 0:
@@ -263,22 +250,18 @@ def compact_code_dtype(num_codewords: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
-def fuses_pairs(
-    scan_dtype: np.dtype, num_codebooks: int, num_codewords: int, n_items: int
-) -> bool:
+def fuses_pairs(num_codebooks: int, num_codewords: int, n_items: int) -> bool:
     """Whether a flat layout of this shape stores pair-fused joint codes.
 
     Fusion halves the gathers and costs ``M/2·K²`` adds per query, so it
     needs rows to amortise over (``n ≥ 4·K²``), an even ``M``, and fused
-    tables that stay cache-resident (:data:`FUSED_WIDTH_MAX`). Only a
-    float32 scan is fused: its result is a preselect the float64 rerank
-    re-scores, whereas a float64 scan *is* the answer and must keep the
-    reference's left-to-right summation.
+    tables that stay cache-resident (:data:`FUSED_WIDTH_MAX`). The layout
+    is scanned in float32: its result is a preselect the float64 rerank
+    re-scores, so the fused summation order changes no answer.
     """
     width = num_codewords * num_codewords
     return (
-        np.dtype(scan_dtype) == np.dtype(np.float32)
-        and num_codebooks % 2 == 0
+        num_codebooks % 2 == 0
         and width <= FUSED_WIDTH_MAX
         and n_items >= 4 * width
     )
@@ -290,8 +273,8 @@ def seal_scan_codes(codes_t: np.ndarray, width: int) -> np.ndarray:
     The hoisted half of the kernel's range check: :func:`scan_topk` gathers
     with ``mode="clip"``, which is the identity only on codes below
     ``width`` — so every array it is handed was either built by
-    :func:`scan_codes` or (a copy in another buffer, e.g. shared memory)
-    passed here, and cannot be written since.
+    :func:`scan_codes` or (an array built elsewhere, e.g. an IVF
+    permutation) passed here, and cannot be written since.
     """
     if codes_t.size and (codes_t.min() < 0 or codes_t.max() >= width):
         raise ValueError(
@@ -537,7 +520,7 @@ def rerank_exact(lut64, q_sq64, codes_t, norms64, positions, ids, k):
     here, at these few positions only. Cost is ``O(n_q · c · M)`` —
     negligible next to the scan. The compiled :func:`search_ranges` runs
     the same arithmetic and the same (distance, id) selection in C; this is
-    its reference, and the pool path's rerank after the shards merge.
+    its reference.
     """
     if positions.size and (positions.min() < 0 or positions.max() >= codes_t.shape[1]):
         raise ValueError("rerank positions fall outside the layout")

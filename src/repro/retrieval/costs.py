@@ -22,15 +22,14 @@ not a power of 256. :class:`StorageCost` reports both; budget decisions
 (``repro tune --memory-mb``) must use the as-stored figures.
 
 The calibrated model (:class:`CostModel`) extends the §IV-B op counts to
-the serving stack's real knobs — shards, workers, IVF ``nprobe``, LUT
-dtype — and fits one least-squares constant per term to measured
+the serving stack's real knobs — IVF ``nprobe``, the pair-fused layout,
+the query encoder — and fits one least-squares constant per term to measured
 latencies, so ``repro tune`` can predict configurations it never ran.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ from repro.retrieval.adc import (
     fuses_pairs,
     reconstruct,
 )
-from repro.retrieval.engine import MIN_PARALLEL_CODES
 from repro.retrieval.search import squared_distances
 
 FLOAT_BYTES = 4  # the paper counts float32 storage
@@ -223,7 +221,7 @@ class SearchConfig:
     """One serving configuration the calibrated cost model prices.
 
     ``num_cells == 0`` (or ``nprobe == 0``) means no IVF layer — the
-    exhaustive sharded engine scans everything.
+    exhaustive engine scans everything.
     ``query_encoder`` prices the query-side encode before the scan:
     ``"none"`` (queries arrive as embeddings), ``"full"`` (the trained
     backbone + DSQ assignment pass), or ``"light"`` (the distilled
@@ -235,8 +233,6 @@ class SearchConfig:
     num_codebooks: int
     num_codewords: int
     k: int = 10
-    workers: int = 1
-    num_shards: int = 1
     num_cells: int = 0
     nprobe: int = 0
     query_encoder: str = "none"
@@ -246,8 +242,6 @@ class SearchConfig:
             raise ValueError("n_db, dim, M, and K must all be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if min(self.workers, self.num_shards) < 1:
-            raise ValueError("workers and num_shards must be at least 1")
         if min(self.num_cells, self.nprobe) < 0:
             raise ValueError("num_cells and nprobe must be non-negative")
         if self.query_encoder not in ("none", "full", "light"):
@@ -281,25 +275,8 @@ class SearchConfig:
         gathers per codebook whatever the flat layout is.
         """
         return not self.uses_ivf and fuses_pairs(
-            "float32", self.num_codebooks, self.num_codewords, self.n_db
+            self.num_codebooks, self.num_codewords, self.n_db
         )
-
-    def effective_workers(self, n_queries: int = 1) -> int:
-        """Pool width the exhaustive engine would actually dispatch with.
-
-        Mirrors :meth:`QueryEngine.effective_workers` plus the
-        ``parallel="auto"`` work threshold: below
-        :data:`~repro.retrieval.engine.MIN_PARALLEL_CODES` of scan work
-        the engine stays in-process and extra workers buy nothing. The
-        IVF path is always in-process.
-        """
-        if self.uses_ivf:
-            return 1
-        width = max(1, min(self.workers, os.cpu_count() or 1, self.num_shards))
-        if width < 2:
-            return 1
-        work = n_queries * self.n_db * self.num_codebooks
-        return width if work >= MIN_PARALLEL_CODES else 1
 
 
 #: Per-term op counts of :func:`cost_features`, in column order. The two
@@ -312,14 +289,13 @@ COST_FEATURE_NAMES = (
     "coarse_ops",
     "probe_cells",
     "scan_float32",
-    "merge_ops",
     "rerank_ops",
     "encode_light",
     "encode_full",
 )
 
 
-def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
+def cost_features(config: SearchConfig) -> np.ndarray:
     """Per-query analytic op counts for one configuration.
 
     Extends the §IV-B count (``d·M·K`` LUT build + ``n·M`` scan adds)
@@ -329,9 +305,8 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     no op-count term covers), pruned candidates (``nprobe/num_cells`` of
     the database), the gather passes the layout performs per candidate
     (``M``, or ``M/2`` over a pair-fused flat layout, whose ``M/2·K²``
-    table-fusion adds join the LUT column),
-    worker-pool division of the scan, per-shard top-k merge, the float64
-    rerank, and the query-side encode. The encode terms are per-mode
+    table-fusion adds join the LUT column), the float64 rerank, and the
+    query-side encode. The encode terms are per-mode
     columns (the fitted constant absorbs the input-feature width, which
     is fixed within a sweep): the light encoder is one ``d x d``-scale
     GEMM row, the full path adds the backbone stack plus the DSQ
@@ -340,8 +315,7 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
     m = config.num_codebooks
     fused = config.fused
     passes = m // 2 if fused else m
-    scan_lookups = config.candidates * passes / config.effective_workers(n_queries)
-    shards = 1 if config.uses_ivf else min(config.num_shards, config.n_db)
+    scan_lookups = config.candidates * passes
     encode_gemm = float(config.dim * config.dim)
     lut_ops = config.dim * m * config.num_codewords
     if fused:
@@ -352,7 +326,6 @@ def cost_features(config: SearchConfig, n_queries: int = 1) -> np.ndarray:
         float(config.num_cells * config.dim) if config.uses_ivf else 0.0,
         float(min(config.nprobe, config.num_cells)) if config.uses_ivf else 0.0,
         scan_lookups,
-        float(shards * (config.k + RERANK_PAD)),
         float((config.k + RERANK_PAD) * config.dim),
         encode_gemm if config.query_encoder == "light" else 0.0,
         encode_gemm + float(config.dim * m * config.num_codewords)
@@ -419,14 +392,14 @@ class CostModel:
             for name, value in zip(COST_FEATURE_NAMES, self.coefficients)
         }
 
-    def predict(self, config: SearchConfig, n_queries: int = 1) -> float:
+    def predict(self, config: SearchConfig) -> float:
         """Predicted per-query latency in seconds (floored at 1 ns)."""
-        raw = float(cost_features(config, n_queries) @ self.coefficients)
+        raw = float(cost_features(config) @ self.coefficients)
         return max(raw, 1e-9)
 
     @classmethod
-    def _solve(cls, configs, latencies, n_queries: int) -> "CostModel":
-        rows = np.stack([cost_features(c, n_queries) for c in configs])
+    def _solve(cls, configs, latencies) -> "CostModel":
+        rows = np.stack([cost_features(c) for c in configs])
         y = np.asarray(latencies, dtype=np.float64)
         # Relative weighting: X_i / y_i · beta ≈ 1.
         design = rows / y[:, None]
@@ -440,7 +413,6 @@ class CostModel:
         configs: list[SearchConfig] | tuple[SearchConfig, ...],
         latencies,
         *,
-        n_queries: int = 1,
         holdout_fraction: float = 0.0,
         seed: int = 0,
     ) -> tuple["CostModel", CostModelReport]:
@@ -468,11 +440,9 @@ class CostModel:
         if n_holdout >= 1 and len(configs) - n_holdout >= len(COST_FEATURE_NAMES):
             order = np.random.default_rng(seed).permutation(len(configs))
             held, kept = order[:n_holdout], order[n_holdout:]
-            partial = cls._solve(
-                [configs[i] for i in kept], latencies[kept], n_queries
-            )
+            partial = cls._solve([configs[i] for i in kept], latencies[kept])
             errors = np.array([
-                abs(partial.predict(configs[i], n_queries) - latencies[i])
+                abs(partial.predict(configs[i]) - latencies[i])
                 / latencies[i]
                 for i in held
             ])
@@ -480,9 +450,9 @@ class CostModel:
             holdout_mean = float(errors.mean())
             holdout_max = float(errors.max())
 
-        model = cls._solve(configs, latencies, n_queries)
+        model = cls._solve(configs, latencies)
         rel = np.array([
-            abs(model.predict(config, n_queries) - latency) / latency
+            abs(model.predict(config) - latency) / latency
             for config, latency in zip(configs, latencies)
         ])
         report = CostModelReport(

@@ -175,7 +175,7 @@ class QuantizedIndex(SearchSurface):
 
         A request's ``engine`` hint delegates the scan to a
         :class:`repro.retrieval.engine.QueryEngine` built over this index —
-        the sharded (optionally multi-worker) fast path — or to an
+        the compiled flat fast path — or to an
         :class:`repro.retrieval.ivf.IVFIndex` (the pruned approximate
         path), while keeping this method's metrics contract. The engine
         must have been built from an index with this one's geometry.

@@ -2,7 +2,7 @@
 
 The exhaustive paths (:func:`repro.retrieval.adc.adc_distances` and
 :class:`repro.retrieval.engine.QueryEngine`) score *every* database code per
-query — ``O(n_db · M)`` lookups no matter how the scan is sharded. This
+query — ``O(n_db · M)`` lookups however fast each one is. This
 module adds the standard PQ serving architecture's missing layer: a coarse
 quantizer (plain :func:`repro.cluster.kmeans` over the reconstructed
 database) splits the database into ``num_cells`` inverted lists, and a query
@@ -12,7 +12,7 @@ lookups plus one tiny ``(n_q, num_cells)`` centroid scan.
 
 Layout. Database rows are permuted so each cell is one contiguous column
 range of the transposed code matrix (``codes_t``), exactly the layout the
-sharded engine scans — a probe is a ``[lo, hi)`` column range, and ``ids``
+flat engine scans — a probe is a ``[lo, hi)`` column range, and ``ids``
 maps positions back to global row numbers so returned indices match the
 exhaustive paths.
 

@@ -32,7 +32,7 @@ two threads missing the same row both build it, bit-identically.
 
 Hit/miss totals land on the ``query.lut.cache.*`` counters
 (:mod:`repro.obs.names`) and on the instance's ``hits`` / ``misses``
-attributes for pool workers running without a registry.
+attributes, which count with or without a registry.
 """
 
 from __future__ import annotations

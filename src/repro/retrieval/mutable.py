@@ -332,7 +332,6 @@ class MutableIndex(SearchSurface):
         self._next_id = 0
         self._engine = None
         self._engine_base: Segment | None = None
-        self._retired_engines: list = []
         self._closed = False
 
         self._drift_baseline: float | None = None
@@ -447,15 +446,13 @@ class MutableIndex(SearchSurface):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the base engine (and any engines retired by compaction)."""
+        """Close the base engine; later searches and mutations raise."""
         if self._closed:
             return
         self._closed = True
-        for engine in [self._engine, *self._retired_engines]:
-            if engine is not None:
-                engine.close()
+        if self._engine is not None:
+            self._engine.close()
         self._engine = None
-        self._retired_engines = []
 
     def __enter__(self) -> "MutableIndex":
         return self
@@ -753,10 +750,8 @@ class MutableIndex(SearchSurface):
 
         The engine is built *before* the swap, so a search never observes
         a generation whose base has no serving layout. The previous engine
-        is retired, not closed — searches that captured the old generation
-        may still be scanning through it; retired engines are released by
-        :meth:`close` (or trimmed at the next compaction, keeping one
-        generation of grace).
+        is dropped, not closed: searches that captured the old generation
+        may still be scanning through it, and it holds nothing to release.
         """
         if self._engine_kwargs is not None and rebuild_engine:
             from repro.retrieval.engine import QueryEngine
@@ -769,11 +764,6 @@ class MutableIndex(SearchSurface):
                     QuantizedIndex(self.codebooks, base.codes, base.norms, base.labels),
                     **self._engine_kwargs,
                 )
-            if self._engine is not None:
-                self._retired_engines.append(self._engine)
-            # Keep one retired engine for in-flight searches; close older.
-            while len(self._retired_engines) > 1:
-                self._retired_engines.pop(0).close()
             self._engine = new_engine
             self._engine_base = base if new_engine is not None else None
         self._gen = gen

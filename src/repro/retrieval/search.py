@@ -23,6 +23,7 @@ Two things live here:
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -109,8 +110,7 @@ class SearchResult:
 
     ``indices``/``distances`` are ``(n_q, width)`` with ``width = min(k,
     candidates)``; ``source`` names the path that served the scan (e.g.
-    ``"serial-adc"``, ``"in-process"``, ``"process-pool"``, ``"ivf"``,
-    ``"mutable"``).
+    ``"serial-adc"``, ``"in-process"``, ``"ivf"``, ``"mutable"``).
     """
 
     indices: np.ndarray
@@ -145,13 +145,13 @@ def validate_query_batch(
     the ``n_db`` searchable rows (``k=None``, the full ranking, clamps to
     ``n_db``). Raises ``ValueError`` for a batch that is not ``(n, dim)``,
     holds NaN/inf or a row whose float64 ``‖q‖²`` overflows (one such row
-    would turn a whole micro-batch's distances non-finite), a negative ``k``
-    or ``nprobe``, any ``nprobe`` on a surface with no IVF layer, or
-    ``k=None`` on a ``pruned`` (IVF-probed) scan, which cannot produce the
-    full ranking. ``SearchRequest``
-    validates with the context it has (no ``dim``/``n_db``; ``k_eff`` is
-    then ``k``); every surface's ``search_with_distances`` supplies the
-    rest.
+    would turn a whole micro-batch's distances non-finite), a ``k`` or
+    ``nprobe`` that is not a non-negative integer (NumPy integers count;
+    bools and floats such as ``2.5`` do not), any ``nprobe`` on a surface
+    with no IVF layer, or ``k=None`` on a ``pruned`` (IVF-probed) scan,
+    which cannot produce the full ranking. ``SearchRequest`` validates
+    with the context it has (no ``dim``/``n_db``; ``k_eff`` is then
+    ``k``); every surface's ``search_with_distances`` supplies the rest.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or (
@@ -173,10 +173,12 @@ def validate_query_batch(
             "queries must be finite with a finite squared norm (found NaN, "
             "inf, or a row whose ‖q‖² overflows float64)"
         )
-    if k is not None and k < 0:
-        raise ValueError("k must be non-negative (or None for the full ranking)")
+    if k is not None:
+        k = _integer(k, "k")
+        if k < 0:
+            raise ValueError("k must be non-negative (or None for the full ranking)")
     if nprobe is not None:
-        if nprobe < 0:
+        if _integer(nprobe, "nprobe") < 0:
             raise ValueError("nprobe must be non-negative")
         if not has_ivf:
             raise ValueError(
@@ -194,6 +196,16 @@ def validate_query_batch(
     if n_db is None:
         return queries, k
     return queries, n_db if k is None else min(k, n_db)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def empty_answer(n_queries: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +400,7 @@ def rank_by_distance(distances: np.ndarray, k: int | None = None) -> np.ndarray:
     Uses ``argpartition`` for the top-k case so large databases don't pay a
     full sort per query, with tie-stable ordering — duplicated distances
     resolve to the lower database index, matching the full stable argsort
-    and the sharded engine's merge order.
+    and the engine's merge order.
     """
     distances = np.asarray(distances)
     n_db = distances.shape[1]

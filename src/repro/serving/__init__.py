@@ -1,7 +1,7 @@
 """Resilient serving layer over the ADC query engine.
 
 ``repro.serving`` turns the batch-oriented :class:`QueryEngine` into a
-long-running daemon: asyncio micro-batching, per-shard replica workers
+long-running daemon: asyncio micro-batching, replica engines
 with heartbeat health checks and automatic failover, deadlines with
 retry/backoff/hedging, per-replica circuit breakers, an LRU/TTL result
 cache, and explicit degraded modes under overload or replica loss. See

@@ -1,6 +1,6 @@
 """The resilient serving daemon: keep answering, whatever breaks.
 
-:class:`ServingDaemon` fronts the sharded ADC engine with an asyncio
+:class:`ServingDaemon` fronts the ADC query engine with an asyncio
 request loop and owns every recovery decision between a client's
 ``await daemon.submit(query, k)`` and an answer:
 
@@ -161,9 +161,9 @@ class ServingDaemon:
         :class:`~repro.retrieval.engine.ShardedIndex` (the index's code
         store unless pair-fused) and, if configured, one IVF layout — so
         the database is materialised once however many replicas serve it.
-        ``engine_kwargs`` configures the engines (a worker pool, an IVF
-        layer — trained once if named by cell count); the default is an
-        unsharded in-process scan.
+        ``engine_kwargs`` configures the engines: an IVF layer (trained
+        once if named by cell count), the rerank, the LUT cache. The
+        default is the flat exhaustive scan.
     faults:
         Optional fault plan (duck-typed ``before_scan`` /
         ``transform_response`` hooks, e.g.
@@ -226,7 +226,7 @@ class ServingDaemon:
             # The first engine lays the index out (and resolves an
             # ``ivf=<cells>`` count to one IVFIndex); every other replica
             # scans those same read-only layouts.
-            engine_kwargs = engine_kwargs or {"num_shards": 1, "parallel": "never"}
+            engine_kwargs = engine_kwargs or {}
             first = QueryEngine(index, **engine_kwargs)
             shared_kwargs = {**engine_kwargs, "ivf": first.ivf}
             engines = [first] + [

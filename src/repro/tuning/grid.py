@@ -2,8 +2,7 @@
 
 A grid is a tuple of :class:`GridPoint` — one serving configuration each,
 spanning the knobs the calibrated cost model prices: codebook geometry
-(``M``, ``K`` — and through ``K`` the compact code dtype), the exhaustive
-engine's ``workers``/``num_shards``, the IVF coarse layer
+(``M``, ``K`` — and through ``K`` the compact code dtype), the IVF coarse layer
 (``num_cells``/``nprobe``), and the query-encoder mode
 (full backbone vs the distilled light projection of
 :mod:`repro.encoding`, measured with encode time included). Two stock
@@ -26,8 +25,8 @@ __all__ = ["GridPoint", "default_grid", "tiny_grid"]
 class GridPoint:
     """One serving configuration of the tune sweep.
 
-    ``num_cells == 0`` (with ``nprobe == 0``) is the exhaustive sharded
-    engine; a positive pair routes queries through the IVF coarse layer.
+    ``num_cells == 0`` (with ``nprobe == 0``) is the exhaustive engine; a
+    positive pair routes queries through the IVF coarse layer.
     ``query_encoder != "none"`` measures the point with query-side
     encoding included: the sweep embeds the database with a trained
     teacher, encodes each query through the named path (full backbone or
@@ -36,8 +35,6 @@ class GridPoint:
 
     num_codebooks: int
     num_codewords: int
-    workers: int = 1
-    num_shards: int = 1
     num_cells: int = 0
     nprobe: int = 0
     query_encoder: str = "none"
@@ -54,8 +51,6 @@ class GridPoint:
             num_codebooks=self.num_codebooks,
             num_codewords=self.num_codewords,
             k=k,
-            workers=self.workers,
-            num_shards=self.num_shards,
             num_cells=self.num_cells,
             nprobe=self.nprobe,
             query_encoder=self.query_encoder,
@@ -65,16 +60,14 @@ class GridPoint:
         return asdict(self)
 
 
-def _expand(pairs, *, cells: int, nprobes: tuple[int, ...], engine_shapes,
+def _expand(pairs, *, cells: int, nprobes: tuple[int, ...],
             encoders: tuple[str, ...] = ("full", "light")) -> tuple[GridPoint, ...]:
-    """The stock grid shape: per (M, K), exhaustive engine shapes plus an
-    IVF ``nprobe`` sweep and one encode-inclusive point per query-encoder
-    mode (plain single-worker engine, so the light-vs-full delta is pure
-    encode cost)."""
+    """The stock grid shape: per (M, K), the exhaustive engine plus an IVF
+    ``nprobe`` sweep and one encode-inclusive point per query-encoder mode
+    (plain engine, so the light-vs-full delta is pure encode cost)."""
     points: list[GridPoint] = []
     for m, k in pairs:
-        for workers, shards in engine_shapes:
-            points.append(GridPoint(m, k, workers=workers, num_shards=shards))
+        points.append(GridPoint(m, k))
         for nprobe in nprobes:
             points.append(GridPoint(m, k, num_cells=cells, nprobe=nprobe))
         for mode in encoders:
@@ -83,9 +76,9 @@ def _expand(pairs, *, cells: int, nprobes: tuple[int, ...], engine_shapes,
 
 
 def tiny_grid() -> tuple[GridPoint, ...]:
-    """The 20-point CI sweep (``tiny`` profile; K capped by its corpus).
+    """The 16-point CI sweep (``tiny`` profile; K capped by its corpus).
 
-    Deliberately over-determined — 15 fitted points against the model's 9
+    Deliberately over-determined — 12 fitted points against the model's 8
     feature columns even after the holdout split — so the CI fit-error
     gate measures the model, not an underdetermined solve.
     """
@@ -93,7 +86,6 @@ def tiny_grid() -> tuple[GridPoint, ...]:
         ((2, 8), (4, 16)),
         cells=8,
         nprobes=(1, 2, 3, 4, 6),
-        engine_shapes=((1, 1), (1, 2), (2, 4)),
     )
 
 
@@ -109,5 +101,4 @@ def default_grid() -> tuple[GridPoint, ...]:
         ((4, 64), (8, 256), (4, 512)),
         cells=16,
         nprobes=(1, 4, 8),
-        engine_shapes=((1, 1), (4, 8)),
     )

@@ -94,10 +94,7 @@ class Recommendation:
         if config.get("nprobe", 0) > 0 and config.get("num_cells", 0) > 0:
             shape += f", ivf {config['num_cells']} cells nprobe={config['nprobe']}"
         else:
-            shape += (
-                f", exhaustive {config.get('workers', 1)}w/"
-                f"{config.get('num_shards', 1)}s"
-            )
+            shape += ", exhaustive"
         if config.get("query_encoder", "none") != "none":
             shape += f", {config['query_encoder']} query encoder"
         lines = [
@@ -149,13 +146,11 @@ def _family_key(config: dict) -> tuple:
     return (
         config["num_codebooks"], config["num_codewords"],
         config["num_cells"],
-        config["workers"], config["num_shards"],
         config.get("query_encoder", "none"),
     )
 
 
-def _interpolated(points: list[dict], model: CostModel, k: int,
-                  n_queries: int = 1) -> list[dict]:
+def _interpolated(points: list[dict], model: CostModel, k: int) -> list[dict]:
     """Model-priced nprobe candidates between measured IVF grid points."""
     families: dict[tuple, list[dict]] = {}
     for entry in points:
@@ -178,7 +173,6 @@ def _interpolated(points: list[dict], model: CostModel, k: int,
                 n_db=config["n_db"], dim=config["dim"],
                 num_codebooks=config["num_codebooks"],
                 num_codewords=config["num_codewords"], k=k,
-                workers=config["workers"], num_shards=config["num_shards"],
                 num_cells=config["num_cells"], nprobe=nprobe,
                 query_encoder=config.get("query_encoder", "none"),
             )
@@ -192,7 +186,7 @@ def _interpolated(points: list[dict], model: CostModel, k: int,
             recall = (1 - weight) * lower["recall"] + weight * upper["recall"]
             extra.append({
                 "config": config,
-                "latency_ms": model.predict(search, n_queries) * 1e3,
+                "latency_ms": model.predict(search) * 1e3,
                 "recall": float(recall),
                 "memory_mb": serving_memory_bytes(search) / 2**20,
                 "source": "interpolated",
@@ -257,7 +251,7 @@ def recommend(
         for entry in points
     ]
     candidates.extend(
-        _interpolated(points, model, tune["k"], tune.get("n_queries", 1))
+        _interpolated(points, model, tune["k"])
     )
     feasible = [c for c in candidates if _violation(c, request) <= 1.0]
     if feasible:

@@ -79,8 +79,8 @@ def _measure_point(engine: QueryEngine, queries: np.ndarray, k: int,
     size: a single vectorised scan amortises the per-call dispatch
     overhead, so the figure is dominated by the op counts the cost model
     prices — a per-call timing at CI scale would be mostly interpreter
-    noise. The model is fitted with the matching ``n_queries``, and
-    ``docs/tuning.md`` states the convention next to the budget flags.
+    noise. ``docs/tuning.md`` states the convention next to the budget
+    flags.
 
     ``encode`` (for query-encoder points) maps raw query features to
     embeddings *inside* the timed region, so the measured figure — and
@@ -270,9 +270,7 @@ def run_tune_sweep(
                 index, ivf=ivfs[ivf_key], nprobe=point.nprobe
             )
         else:
-            engine = QueryEngine(
-                index, workers=point.workers, num_shards=point.num_shards
-            )
+            engine = QueryEngine(index)
         with engine:
             latency_s, recall = _measure_point(
                 engine, queries, k, oracle, encode=encode
@@ -287,13 +285,11 @@ def run_tune_sweep(
             "memory_mb": serving_memory_bytes(config) / 2**20,
         })
 
-    n_queries = len(queries)
     model, report = CostModel.fit(
-        configs, latencies, n_queries=n_queries,
-        holdout_fraction=HOLDOUT_FRACTION, seed=seed,
+        configs, latencies, holdout_fraction=HOLDOUT_FRACTION, seed=seed
     )
     for entry, config in zip(points, configs):
-        entry["latency_model_ms"] = model.predict(config, n_queries) * 1e3
+        entry["latency_model_ms"] = model.predict(config) * 1e3
 
     train_rows = []
     if train_axis:
@@ -303,7 +299,7 @@ def run_tune_sweep(
     tune = {
         "wall_time_s": time.perf_counter() - sweep_start,
         "k": k,
-        "n_queries": n_queries,
+        "n_queries": len(queries),
         "grid_points": len(points),
         "points": points,
         "train": train_rows,

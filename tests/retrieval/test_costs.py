@@ -121,8 +121,6 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             self._config(k=0)
         with pytest.raises(ValueError):
-            self._config(workers=0)
-        with pytest.raises(ValueError):
             self._config(nprobe=-1)
 
     def test_candidates_prune_with_nprobe(self):
@@ -139,35 +137,14 @@ class TestSearchConfig:
         assert self._config(num_codewords=256).code_dtype == "uint8"
         assert self._config(num_codewords=512).code_dtype == "uint16"
 
-    def test_effective_workers_mirror_engine_rules(self, monkeypatch):
-        import repro.retrieval.costs as costs
-
-        monkeypatch.setattr(costs.os, "cpu_count", lambda: 8)
-        # Below the parallel work threshold the pool is not engaged.
-        small = self._config(workers=4, num_shards=8)
-        assert small.effective_workers(1) == 1
-        # Enough scan work: capped by shards and the worker request.
-        big = self._config(n_db=500_000, workers=2, num_shards=8)
-        assert big.effective_workers(4) == 2
-        # Fewer cores than requested workers: the machine caps the pool.
-        monkeypatch.setattr(costs.os, "cpu_count", lambda: 1)
-        assert big.effective_workers(4) == 1
-        # The IVF path always scans in-process.
-        ivf = self._config(n_db=500_000, workers=4, num_shards=8,
-                           num_cells=64, nprobe=8)
-        assert ivf.effective_workers(64) == 1
-
 
 class TestCostModelFit:
     def _grid(self):
         configs = []
         for m, k_words in ((4, 64), (8, 256), (4, 512)):
-            for workers, shards in ((1, 1), (4, 8)):
-                configs.append(SearchConfig(
-                    n_db=200_000, dim=32, num_codebooks=m,
-                    num_codewords=k_words, workers=workers,
-                    num_shards=shards,
-                ))
+            configs.append(SearchConfig(
+                n_db=200_000, dim=32, num_codebooks=m, num_codewords=k_words,
+            ))
             for nprobe in (1, 2, 4, 16, 32, 48):
                 configs.append(SearchConfig(
                     n_db=200_000, dim=32, num_codebooks=m,
@@ -182,7 +159,7 @@ class TestCostModelFit:
 
     def _latencies(self, configs, rng, noise=0.05):
         true = np.array([2e-5, 3e-9, 1.5e-9, 4e-7, 2.5e-9,
-                         6e-8, 8e-9, 2e-9, 5e-9])
+                         8e-9, 2e-9, 5e-9])
         assert len(true) == len(COST_FEATURE_NAMES)
         clean = np.array([cost_features(c) @ true for c in configs])
         return clean * rng.uniform(1 - noise, 1 + noise, size=len(clean))
@@ -224,7 +201,7 @@ class TestCostModelFit:
             num_cells=64, nprobe=8,  # nprobe never measured
         )
         true = np.array([2e-5, 3e-9, 1.5e-9, 4e-7, 2.5e-9,
-                         6e-8, 8e-9, 2e-9, 5e-9])
+                         8e-9, 2e-9, 5e-9])
         want = float(cost_features(unseen) @ true)
         assert abs(model.predict(unseen) - want) / want < 0.25
 

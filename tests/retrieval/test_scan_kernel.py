@@ -228,7 +228,7 @@ def test_engine_float32_rerank_equals_the_reference(
 
     def search():
         with QueryEngine(index, parallel="never") as engine:
-            assert engine.sharded.fused == adc.fuses_pairs(np.float32, m, k_words, n)
+            assert engine.sharded.fused == adc.fuses_pairs(m, k_words, n)
             return (
                 *engine.search_with_distances(queries, k),
                 *engine.search_with_distances(queries, k, rerank=False),
@@ -319,12 +319,11 @@ def test_concurrent_scans_get_the_serial_answers(scan_kernels):
 
 
 class TestFusionRule:
-    def test_decided_by_dtype_parity_width_and_rows(self):
-        assert adc.fuses_pairs(np.float32, 8, 64, 16_384)
-        assert not adc.fuses_pairs(np.float32, 8, 64, 16_383)  # too few rows
-        assert not adc.fuses_pairs(np.float64, 8, 64, 100_000)  # exact scan
-        assert not adc.fuses_pairs(np.float32, 7, 64, 100_000)  # odd M
-        assert not adc.fuses_pairs(np.float32, 8, 128, 10**6)  # table too wide
+    def test_decided_by_parity_width_and_rows(self):
+        assert adc.fuses_pairs(8, 64, 16_384)
+        assert not adc.fuses_pairs(8, 64, 16_383)  # too few rows
+        assert not adc.fuses_pairs(7, 64, 100_000)  # odd M
+        assert not adc.fuses_pairs(8, 128, 10**6)  # table too wide
 
     def test_joint_codes_keep_the_bytes_and_decode_with_divmod(self):
         rng = np.random.default_rng(0)

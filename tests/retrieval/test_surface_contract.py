@@ -1,8 +1,7 @@
 """One contract table for every search surface, in both call forms.
 
-``QuantizedIndex``, ``QueryEngine`` (float32+rerank, float64, with an IVF
-layer, and over a pair-fused layout both in-process and through the
-shared-memory pool), ``IVFIndex`` and ``MutableIndex`` (bare and
+``QuantizedIndex``, ``QueryEngine`` (float32+rerank, with an IVF layer,
+and over a pair-fused layout), ``IVFIndex`` and ``MutableIndex`` (bare and
 engine-backed) — the four kinds over uint8 codes (K = 16) and again over
 uint16 codes (K = 300) — all
 run the same validate → LUT → scan → rerank → merge stages, so the same
@@ -42,8 +41,8 @@ WITH_IVF |= {name + WIDE for name in WITH_IVF}
 WITH_BYPASS = {"engine+ivf", "mutable+engine"}
 WITH_BYPASS |= {name + WIDE for name in WITH_BYPASS}
 SURFACES = (
-    "index", "engine", "engine-f64", "engine+ivf", "ivf", "mutable",
-    "mutable+engine", "engine-fused", "engine-fused-pool",
+    "index", "engine", "engine+ivf", "ivf", "mutable",
+    "mutable+engine", "engine-fused",
     "index" + WIDE, "engine+ivf" + WIDE, "ivf" + WIDE, "mutable+engine" + WIDE,
 )
 #: K of the fused surfaces' own index: ``4·K²`` = 64 rows already fuse.
@@ -58,7 +57,6 @@ def build_surfaces(rng, k_words):
     return {
         "index": index,
         "engine": QueryEngine(index, parallel="never"),
-        "engine-f64": QueryEngine(index, parallel="never", dtype=np.float64),
         "engine+ivf": QueryEngine(index, parallel="never", ivf=ivf),
         "ivf": ivf,
         "mutable": MutableIndex.from_index(index),
@@ -80,12 +78,8 @@ def world():
     )
     surfaces["fused-index"] = fused_index
     surfaces["engine-fused"] = QueryEngine(fused_index, parallel="never")
-    surfaces["engine-fused-pool"] = QueryEngine(
-        fused_index, workers=2, num_shards=2, parallel="force"
-    )
-    for name in ("engine-fused", "engine-fused-pool"):
-        assert surfaces[name].sharded.fused
-        assert surfaces[name].sharded.codes_t.dtype == np.uint16
+    assert surfaces["engine-fused"].sharded.fused
+    assert surfaces["engine-fused"].sharded.codes_t.dtype == np.uint16
     wide = build_surfaces(rng, WIDE_K)
     surfaces.update((name + WIDE, surface) for name, surface in wide.items())
     assert wide["index"].codes.dtype == wide["ivf"].codes_t.dtype == np.uint16
@@ -156,20 +150,29 @@ class TestSurfaceContract:
         assert np.all(np.diff(distances, axis=1) >= 0)
 
     @pytest.mark.parametrize(
-        "queries, k",
+        "queries, k, hints",
         [
-            (np.zeros((2, DIM)), -1),
-            (np.zeros((2, DIM + 1)), 5),
-            (np.zeros((2, 3, DIM)), 5),
-            (np.full((2, DIM), np.nan), 5),
-            (np.full((2, DIM), np.inf), 5),
+            (np.zeros((2, DIM)), -1, {}),
+            (np.zeros((2, DIM + 1)), 5, {}),
+            (np.zeros((2, 3, DIM)), 5, {}),
+            (np.full((2, DIM), np.nan), 5, {}),
+            (np.full((2, DIM), np.inf), 5, {}),
+            (np.zeros((2, DIM)), 2.5, {}),
+            (np.zeros((2, DIM)), True, {}),
+            (np.zeros((2, DIM)), 5, {"nprobe": 0.5}),
+            (np.zeros((2, DIM)), 5, {"nprobe": 2.5}),
+            (np.zeros((2, DIM)), 5, {"nprobe": True}),
         ],
-        ids=["negative-k", "wrong-dim", "three-d", "nan", "inf"],
+        ids=[
+            "negative-k", "wrong-dim", "three-d", "nan", "inf",
+            "fractional-k", "bool-k", "nprobe-half", "fractional-nprobe",
+            "bool-nprobe",
+        ],
     )
-    def test_bad_input_is_a_value_error(self, world, name, form, queries, k):
+    def test_bad_input_is_a_value_error(self, world, name, form, queries, k, hints):
         surfaces, _ = world
         with pytest.raises(ValueError):
-            run(surfaces[name], form, queries, k)
+            run(surfaces[name], form, queries, k, **hints)
 
     def test_nprobe_needs_an_ivf_layer(self, world, name, form):
         surfaces, queries = world
@@ -192,7 +195,7 @@ class TestSurfaceContract:
         assert np.array_equal(distances, want_distances)
 
     def test_exact_paths_equal_the_brute_force_oracle(self, world, name, form):
-        """flat f32+rerank, flat f64, IVF at full probe, mutable vs rebuild."""
+        """flat f32+rerank, IVF at full probe, mutable vs rebuild."""
         surfaces, queries = world
         hints = {"nprobe": CELLS} if name in WITH_IVF else {}
         for k in (1, 10):
@@ -210,24 +213,16 @@ def test_encoder_hint_is_refused(world, name):
         surfaces[name].search(SearchRequest(queries, k=5, encoder="light"))
 
 
-def test_pool_surface_was_served_by_the_pool(world):
-    surfaces, queries = world
-    engine = surfaces["engine-fused-pool"]
-    engine.search_with_distances(queries, 5)
-    assert engine.last_dispatch == "process-pool"
-
-
 @pytest.mark.parametrize("rows, fused", [(4 * FUSED_K**2 - 1, False), (4 * FUSED_K**2, True)])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_either_side_of_the_fusion_boundary(rows, fused, dtype):
-    """``len >= 4·K²`` flips a float32 layout to joint codes; the answer
-    does not move, and a float64 layout never fuses."""
+def test_either_side_of_the_fusion_boundary(rows, fused):
+    """``len >= 4·K²`` flips the layout to joint codes; the answer does
+    not move."""
     rng = np.random.default_rng(rows)
     index = QuantizedIndex.build(
         rng.normal(size=(4, FUSED_K, DIM)), rng.normal(size=(rows, DIM))
     )
-    sharded = ShardedIndex(index, 1, scan_dtype=dtype)
-    assert sharded.fused == (fused and dtype is np.float32)
+    sharded = ShardedIndex(index, 1)
+    assert sharded.fused == fused
     assert len(sharded.codes_t) == (2 if sharded.fused else 4)
     queries = rng.normal(size=(5, DIM))
     with QueryEngine(sharded, parallel="never") as engine:

@@ -13,10 +13,7 @@ index's code store.
 
 import asyncio
 import gc
-import sys
-import threading
 import types
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -132,7 +129,7 @@ class TestResidentBytes:
 class TestSharedLayouts:
     def test_an_unfused_layout_is_the_index_code_store(self):
         index = random_index(2_000)
-        sharded = ShardedIndex(index, num_shards=3)
+        sharded = ShardedIndex(index)
         assert not sharded.fused
         assert np.shares_memory(sharded.codes_t, index.codes)
         assert np.shares_memory(sharded.norms64, index.db_sq_norms)
@@ -166,88 +163,13 @@ class TestSharedLayouts:
             assert first.ivf is kwargs["ivf"]
 
 
-def test_pooled_replicas_share_one_set_of_shared_memory_buffers():
-    """Two engines with worker pools over one layout: one owner for the
-    shared-memory copy, freed when the last engine lets go."""
-    index = random_index(4_000)
-    queries = np.random.default_rng(5).normal(size=(6, DIM))
-    with QueryEngine(index, parallel="never") as exact:
-        want_ids, want_distances = exact.search_with_distances(queries, 10)
-    daemon = ServingDaemon(
-        index,
-        num_replicas=2,
-        config=ServingConfig(heartbeat_interval_s=None),
-        engine_kwargs={"workers": 2, "parallel": "force"},
-    )
-    first, second = engines(daemon)
-    sharded = first.sharded
-
-    async def serve():
-        async with daemon:
-            results = [
-                await daemon.submit(SearchRequest(queries=q, k=10)) for q in queries
-            ]
-            # Scan through both engines' pools, whichever the daemon picked.
-            for engine in (first, second):
-                ids, _ = engine.search_with_distances(queries, 10)
-                assert engine.last_dispatch == "process-pool"
-                assert np.array_equal(ids, want_ids)
-            names = [shm.name for shm in sharded._shms]
-            assert len(names) == 2 and sharded._sharers == 2
-            return results, names
-
-    results, names = asyncio.run(serve())  # stop() must not raise BufferError
-    assert np.array_equal(np.stack([r.indices for r in results]), want_ids)
-    assert np.array_equal(np.stack([r.distances for r in results]), want_distances)
-    assert sharded._shms == [] and sharded._sharers == 0
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-    # The layout itself never moved into (now unmapped) shared memory.
-    assert np.shares_memory(sharded.codes_t, index.codes)
-
-
-def test_concurrent_share_and_unshare_keep_one_owner():
-    """Replica scans run on executor threads, so engines can reach for the
-    shared buffers at once: one pair is ever made, and the last unshare (not
-    an earlier one) frees it."""
-    sharded = ShardedIndex(random_index(500), num_shards=2)
-    held = sharded.share()  # keeps the buffers alive under the churn
-    names, errors = {held[0], held[4]}, []
-
-    def churn():
-        try:
-            for _ in range(200):
-                args = sharded.share()
-                names.update((args[0], args[4]))
-                sharded.unshare()
-        except Exception as exc:  # surfaced below: a thread cannot fail the test
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=churn) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-        sharded.unshare()
-    assert not errors and not any(thread.is_alive() for thread in threads)
-    assert len(names) == 2
-    assert sharded._sharers == 0 and sharded._shms == []
-
-
 class TestBoundLayoutLifetime:
     """A float32 layout binds its arrays' addresses once, when it is built
     (``adc.ScanLayout``), and holds the arrays, so the memory outlives every
-    engine that scans it. The pool's shared-memory copy is never bound: the
-    parent scans its own arrays."""
+    engine that scans it."""
 
     def test_the_binding_points_into_the_arrays_the_layout_holds(self):
-        sharded = ShardedIndex(random_index(2_000), num_shards=1)
+        sharded = ShardedIndex(random_index(2_000))
         layout = sharded.layout
         assert layout.codes_t is sharded.codes_t
         assert layout.norms is sharded.norms and layout.norms64 is sharded.norms64
@@ -280,19 +202,3 @@ class TestBoundLayoutLifetime:
         results = asyncio.run(serve())
         assert np.array_equal(np.stack([r.indices for r in results]), want_ids)
         assert np.array_equal(np.stack([r.distances for r in results]), want_distances)
-
-    def test_a_pool_copy_is_never_bound(self):
-        index = random_index(4_000)
-        queries = np.random.default_rng(8).normal(size=(6, DIM))
-        sharded = ShardedIndex(index, num_shards=2)
-        with QueryEngine(sharded, workers=2, parallel="force") as pooled:
-            want = pooled.search_with_distances(queries, 10)
-            assert pooled.last_dispatch == "process-pool" and sharded._shms
-            assert sharded.layout.binding[0] == sharded.codes_t.ctypes.data
-            assert np.shares_memory(sharded.codes_t, index.codes)
-        assert sharded._shms == []  # the shared copy is unmapped and unlinked
-        with QueryEngine(sharded, parallel="never") as engine:
-            got = engine.search_with_distances(queries, 10)
-            assert engine.last_dispatch == "in-process"
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)

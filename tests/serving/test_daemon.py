@@ -862,6 +862,38 @@ class TestPerRequestNprobe:
 
         asyncio.run(run())
 
+    def test_fractional_nprobe_is_refused_at_admission(self, served_index):
+        """Regression: ``nprobe=0.5`` used to pass validation and reach the
+        replicas, where it truncated to 0 cells and failed the scan; two
+        such requests opened both breakers and the next valid request
+        failed. Both are now a ``ValueError`` before anything is queued."""
+        from repro.retrieval.search import SearchRequest
+
+        index, pool = served_index
+        daemon, ivf = self._ivf_daemon(index)
+        truths = self._truths(index, ivf, pool[1], 5, (4,))
+
+        async def run():
+            async with daemon:
+                refused = []
+                for _ in range(2):
+                    try:
+                        await daemon.submit(
+                            SearchRequest(queries=pool[:1], k=5, nprobe=0.5)
+                        )
+                    except Exception as exc:
+                        refused.append(exc)
+                states = [breaker.state for breaker in daemon.replica_set.breakers]
+                served = await daemon.submit(SearchRequest(queries=pool[1:2], k=5))
+            return refused, states, served
+
+        refused, states, served = asyncio.run(run())
+        assert len(refused) == 2
+        assert all(isinstance(exc, ValueError) for exc in refused), refused
+        assert states == ["closed", "closed"]
+        assert np.array_equal(served.indices, truths[4][0][0])
+        assert np.array_equal(served.distances, truths[4][1][0])
+
     def test_cache_never_crosses_search_configs(self, served_index):
         """Regression: an answer computed under one (nprobe, rerank) must
         never be returned for a request that asked for another — each

@@ -135,7 +135,7 @@ class TestMutationRouting:
                 mutable,
                 num_replicas=1,
                 config=quiet_config(),
-                engine_kwargs={"workers": 2},
+                engine_kwargs={"rerank": False},
             )
         mutable.close()
 

@@ -27,7 +27,7 @@ def sweep_results():
 class TestGrids:
     def test_tiny_grid_shape(self):
         grid = tiny_grid()
-        assert len(grid) == 20
+        assert len(grid) == 16
         assert len(set(grid)) == len(grid)  # no duplicate points
         assert any(not p.uses_ivf for p in grid)
         assert any(p.uses_ivf for p in grid)

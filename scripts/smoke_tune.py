@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the calibrated auto-tuner.
 
-Runs `repro tune` end to end on the ``tiny`` micro-profile (train axis
-off — the fused-vs-reference comparison has its own smoke), validates
+Runs `repro tune` end to end on the ``tiny`` micro-profile, validates
 the written ``TUNE_results.json`` against the ``phases.tune`` schema
 documented in ``docs/tuning.md``, then replays a generous budget through
 ``--from-results`` and asserts it is feasible, and an impossible recall
@@ -52,7 +51,7 @@ def main() -> int:
         out = os.path.join(tmp, "TUNE_results.json")
         code = cli_main([
             "tune", "--profile", "tiny", "--quick", "--seed", "0",
-            "--k", "5", "--no-train-axis", "--out", out,
+            "--k", "5", "--out", out,
         ])
         assert code == 0, f"tune sweep exited {code}"
         validate(load_results(out))

@@ -237,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "running a new sweep",
     )
     tune.add_argument(
-        "--no-train-axis", action="store_true",
-        help="skip the per-(M, K) fused-vs-reference training comparison",
-    )
-    tune.add_argument(
         "--latency-ms", type=float, default=None,
         help="budget: per-query latency ceiling in milliseconds "
         "(amortised over the sweep's query batch)",
@@ -699,7 +695,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             quick=args.quick,
             seed=args.seed,
             k=args.k,
-            train_axis=not args.no_train_axis,
         )
         path = write_results(results, args.out)
         print(format_summary(results))

@@ -93,7 +93,7 @@ class CodebookChain(Module):
         else:
             self.ffns = []
             self.gates = []
-        # Persistent scratch for the fused path (dict-wrapped so Module's
+        # Persistent scratch for the stacked path (dict-wrapped so Module's
         # attribute scan ignores it); allocated lazily on first use.
         self._scratch: dict[str, object] = {}
         # Version-tagged materialization cache (see materialize_cached) and
@@ -125,7 +125,7 @@ class CodebookChain(Module):
         Computes the same values as :meth:`materialize` bit for bit (the op
         order mirrors the tape: ``x @ W1 + b1``, ``pre * (pre > 0)``,
         ``h @ W2 + b2``, ``transformed * g + P``) but builds no graph nodes.
-        The fused DSQ kernel pairs it with :meth:`accumulate_stacked_grad`
+        The DSQ kernel (:meth:`DSQ.forward`) pairs it with :meth:`accumulate_stacked_grad`
         inside its single backward closure, so the whole chain costs zero
         tape traffic per step.
 

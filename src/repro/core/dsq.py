@@ -25,15 +25,14 @@ import numpy as np
 
 from repro import native
 from repro.core.codebook import CodebookChain
-from repro.core.quantize import quantize_step
 from repro.nn import Module, Tensor, no_grad, stable_softmax_array
 from repro.nn.autograd import accumulate_grad
 
 TOPOLOGIES = ("residual", "independent")
 
-# Similarities the fused kernel implements; ``cosine`` falls back to the
-# per-codebook reference loop (it is not used by any training profile).
-FUSED_SIMILARITIES = ("neg_l2", "dot")
+# Codeword similarities the DSQ kernels implement (Eqn. 3). The cosine of
+# :mod:`repro.core.quantize` has no kernel and no DSQ user.
+SIMILARITIES = ("neg_l2", "dot")
 
 
 @dataclass
@@ -56,9 +55,9 @@ class DSQOutput:
     reconstruction: Tensor
     level_outputs: list[Tensor]
     soft_assignments: list[Tensor]
-    # Note: with the fused kernel, ``level_outputs`` and ``soft_assignments``
-    # are detached diagnostic tensors — only ``reconstruction`` carries
-    # gradients (as one node covering all M levels).
+    # ``level_outputs`` and ``soft_assignments`` are detached diagnostic
+    # tensors — only ``reconstruction`` carries gradients (as one node
+    # covering all M levels).
 
 
 class DSQ(Module):
@@ -71,20 +70,13 @@ class DSQ(Module):
     temperature:
         Softmax temperature ``t`` of Eqn. (5).
     similarity:
-        Codeword similarity function ``s`` of Eqn. (3).
+        Codeword similarity function ``s`` of Eqn. (3), one of
+        :data:`SIMILARITIES`.
     use_codebook_skip:
         Toggle for the second skip (Eqn. 10). Off = vanilla residual.
     topology:
         ``"residual"`` applies the first skip (Eqn. 2); ``"independent"``
         feeds the raw input to every encoder.
-    fused:
-        When ``True``, :meth:`forward` runs the batched single-node kernel
-        (all ``M`` levels stacked into ``(M, B, ·)`` arrays with one fused
-        tempered-softmax + straight-through backward) instead of the
-        per-codebook tensor-op loop. Values agree with the reference path
-        up to the ~1e-16 residue the tape's quasi-one-hot assignment
-        carries into its decode matmul; ``cosine`` similarity always uses
-        the reference loop.
     """
 
     def __init__(
@@ -99,18 +91,20 @@ class DSQ(Module):
         topology: str = "residual",
         ffn_hidden: int | None = None,
         init_std: float = 0.1,
-        fused: bool = False,
     ):
         super().__init__()
         if topology not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
+        if similarity not in SIMILARITIES:
+            raise ValueError(
+                f"similarity must be one of {SIMILARITIES}, got {similarity!r}"
+            )
         self.temperature = temperature
         self.similarity = similarity
         self.topology = topology
-        self.fused = bool(fused)
         # Dict-wrapped so Module's attribute scan does not re-register the
         # chain's parameters under this module a second time.
-        self._fused_cache: dict[str, tuple] = {}
+        self._cache: dict[str, tuple] = {}
         self.codebooks = CodebookChain(
             num_codebooks,
             num_codewords,
@@ -134,43 +128,9 @@ class DSQ(Module):
         return self.codebooks.dim
 
     def forward(self, embeddings: Tensor) -> DSQOutput:
-        """Quantize a batch of continuous embeddings (Eqns. 2-7)."""
-        if self.fused and self.similarity in FUSED_SIMILARITIES:
-            return self._forward_fused(embeddings)
-        materialized = self.codebooks.materialize()
-        level_outputs: list[Tensor] = []
-        soft_assignments: list[Tensor] = []
-        codes = np.zeros((len(embeddings), self.num_codebooks), dtype=np.int64)
+        """Quantize a batch of continuous embeddings (Eqns. 2-7).
 
-        reconstruction: Tensor | None = None
-        for k, codebook in enumerate(materialized):
-            if self.topology == "residual" and reconstruction is not None:
-                encoder_input = embeddings - reconstruction
-            else:
-                encoder_input = embeddings
-            step = quantize_step(
-                encoder_input,
-                codebook,
-                temperature=self.temperature,
-                similarity=self.similarity,
-            )
-            codes[:, k] = step.codes
-            level_outputs.append(step.decoded)
-            soft_assignments.append(step.soft_assignment)
-            reconstruction = (
-                step.decoded if reconstruction is None else reconstruction + step.decoded
-            )
-
-        assert reconstruction is not None  # M >= 1 guaranteed by CodebookChain
-        return DSQOutput(
-            codes=codes,
-            reconstruction=reconstruction,
-            level_outputs=level_outputs,
-            soft_assignments=soft_assignments,
-        )
-
-    def _forward_fused(self, embeddings: Tensor) -> DSQOutput:
-        """All ``M`` encoder-decoder passes as one autograd node.
+        All ``M`` encoder-decoder passes run as one autograd node.
 
         The forward runs in plain NumPy over the stacked ``(M, K, d)``
         codebook array — fully batched ``(M, B, K)`` einsums for the
@@ -185,7 +145,8 @@ class DSQ(Module):
         gradient scatters into the argmax rows of each codebook (as a
         one-hot matmul — faster than ``np.add.at``), while the encoder
         gradient flows through the tempered-softmax Jacobian exactly as the
-        reference tape's ``soft + Sg(hard - soft)`` construction does.
+        tape's ``soft + Sg(hard - soft)`` construction
+        (:func:`repro.core.quantize.quantize_step`) does.
         """
         chain = self.codebooks
         emb = embeddings.data
@@ -196,7 +157,7 @@ class DSQ(Module):
         inv_t = 1.0 / temperature
         use_dot = self.similarity == "dot"
         if not use_dot:
-            # (C*C).sum, not einsum: mirrors the reference's pairwise
+            # (C*C).sum, not einsum: mirrors the tape's pairwise
             # summation so scores (and argmax tie-breaks) match bit for bit.
             code_sq = (stacked * stacked).sum(axis=2)
 
@@ -208,7 +169,7 @@ class DSQ(Module):
             recon = np.zeros((n, self.dim))
             scores = np.empty((n, num_words))
             for k in range(num_books):
-                # In-place score assembly keeps the reference op order per
+                # In-place score assembly keeps the tape's op order per
                 # element (cross·2 − ‖x‖² − ‖c‖²) while reusing one buffer.
                 if k:
                     x = np.subtract(emb, recon, out=inputs[k])
@@ -226,7 +187,7 @@ class DSQ(Module):
                 recon += levels[k]
         else:  # independent: every level sees the raw input — batched arrays
             # Per-level GEMMs into one (M, B, K) buffer: same BLAS calls as
-            # the reference loop, so scores stay bit-identical (einsum's
+            # a per-level tape loop, so scores stay bit-identical (einsum's
             # contraction order would drift by an ulp).
             scores = np.empty((num_books, n, num_words))
             for k in range(num_books):
@@ -303,9 +264,9 @@ class DSQ(Module):
                 accumulate_grad(embeddings, grad_embedding)
             chain.accumulate_stacked_grad(grad_books, chain_cache)
 
-        params = self._fused_cache.get("chain")
+        params = self._cache.get("chain")
         if params is None:
-            params = self._fused_cache["chain"] = tuple(chain.parameters())
+            params = self._cache["chain"] = tuple(chain.parameters())
         reconstruction = Tensor._from_op(recon, (embeddings, *params), backward)
         return DSQOutput(
             codes=codes,
@@ -319,14 +280,12 @@ class DSQ(Module):
     ) -> np.ndarray:
         """Hard codes for raw feature rows, without building a graph.
 
-        For the fused-eligible similarities this runs a dedicated batched
-        inference kernel — the score assembly of :meth:`_forward_fused`
-        minus the tempered softmax and the tape, over persistent scratch
-        buffers and the version-cached stacked codebooks — so batch encode
-        costs ``M`` GEMMs plus argmaxes and nothing else. Codes match
-        :meth:`forward` under the same fused-vs-reference contract (exact
-        op-order mirroring; ties agree up to the documented ~1e-16 STE
-        residue of the reference decode).
+        A dedicated batched inference kernel — the score assembly of
+        :meth:`forward` minus the tempered softmax and the tape, over
+        persistent scratch buffers and the version-cached stacked
+        codebooks — so batch encode costs ``M`` GEMMs plus argmaxes and
+        nothing else. Codes equal :meth:`forward`'s (the same operations in
+        the same order).
 
         Each call checks the chain's parameters for change
         (:meth:`CodebookChain.materialize_cached` — a hash of every
@@ -340,11 +299,7 @@ class DSQ(Module):
         emb = np.asarray(embeddings, dtype=np.float64)
         if not np.isfinite(emb).all():
             raise ValueError("rows to encode must be finite (found NaN or inf)")
-        if self.similarity in FUSED_SIMILARITIES:
-            return self._encode_fused(emb, stacked=_stacked)
-        with no_grad():
-            output = self.forward(Tensor(emb))
-        return output.codes
+        return self._encode(emb, stacked=_stacked)
 
     def assignment_scores(
         self, embeddings: np.ndarray, *, _stacked: np.ndarray | None = None
@@ -353,20 +308,14 @@ class DSQ(Module):
 
         The teacher side of query-encoder distillation: softmaxing the
         returned scores gives the codeword posteriors of Eqn. (5).
-        Inference-only (no tape) and limited to the fused-eligible
-        similarities. ``_stacked`` as in :meth:`encode`.
+        Inference-only (no tape). ``_stacked`` as in :meth:`encode`.
         """
         emb = np.asarray(embeddings, dtype=np.float64)
-        if self.similarity not in FUSED_SIMILARITIES:
-            raise ValueError(
-                f"assignment_scores supports similarities {FUSED_SIMILARITIES}, "
-                f"got {self.similarity!r}"
-            )
         scores = np.empty((len(emb), self.num_codebooks, self.num_codewords))
-        codes = self._encode_fused(emb, scores_out=scores, stacked=_stacked)
+        codes = self._encode(emb, scores_out=scores, stacked=_stacked)
         return scores, codes
 
-    def _encode_fused(
+    def _encode(
         self,
         emb: np.ndarray,
         scores_out: np.ndarray | None = None,
@@ -380,7 +329,7 @@ class DSQ(Module):
         if stacked is None:
             stacked = self.codebooks.materialize_cached()
         use_dot = self.similarity == "dot"
-        cache = self._fused_cache
+        cache = self._cache
         code_sq = None
         if not use_dot:
             # ``code_sq`` is tied to the cached stack by identity: a chain
@@ -435,7 +384,7 @@ class DSQ(Module):
         return codes
 
     def _select_compiled(self, kernel, emb, stacked, code_sq, codes, scores, scratch, scores_out):
-        """:meth:`_encode_fused`'s levels with the compiled select pass.
+        """:meth:`_encode`'s levels with the compiled select pass.
 
         The GEMMs are the NumPy path's, on the same operands; after each,
         one call (:meth:`repro.native.Kernel.select_rows`) assembles the

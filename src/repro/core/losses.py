@@ -262,10 +262,10 @@ class LightLTCriterion(Module):
     The prototypes of Eqns. (13)-(14) are learnable parameters trained
     jointly with the model, as in the original center-loss formulation.
 
-    With ``fused=True`` every term is computed by the single-node kernels
-    of :mod:`repro.nn.fused` instead of primitive-op compositions. Loss
-    *values* are bit-identical to the reference path (the kernels mirror
-    its operation order); gradients agree to float rounding.
+    Every term is one single-node kernel of :mod:`repro.nn.fused`. Loss
+    *values* are bit-identical to the primitive-op compositions (such as
+    :func:`center_loss` and :func:`ranking_loss`) whose operation order the
+    kernels keep; gradients agree with them to float rounding.
     """
 
     def __init__(
@@ -275,12 +275,10 @@ class LightLTCriterion(Module):
         train_class_counts: np.ndarray,
         config: LossConfig = LossConfig(),
         rng: np.random.Generator | int = 0,
-        fused: bool = False,
     ):
         super().__init__()
         self.config = config
         self.num_classes = num_classes
-        self.fused = bool(fused)
         rng = make_rng(rng)
         self.prototypes = Parameter(
             nn_init.normal((num_classes, dim), rng, std=0.05), name="prototypes"
@@ -302,64 +300,35 @@ class LightLTCriterion(Module):
     ) -> LossBreakdown:
         """Eqn. (15): ``L_ce + α (L_c + L_r)``, plus optional β·‖f(x)−o‖²."""
         labels = np.asarray(labels)
-        if self.fused:
-            classification = fused_cross_entropy(logits, labels, weights=self._weights)
-        else:
-            classification = cross_entropy(logits, labels, weights=self._weights)
-        extra_terms: list[tuple[Tensor, float]] = []
+        config = self.config
+        classification = fused_cross_entropy(logits, labels, weights=self._weights)
+        terms, scales = [classification], [1.0]
         center_term: Tensor | None = None
         ranking_term: Tensor | None = None
         reconstruction_term: Tensor | None = None
-        if self.config.use_center:
-            if self.fused:
-                center_term = fused_center_loss(
-                    quantized, labels, self.prototypes, p=self.config.p
-                )
-            else:
-                center_term = center_loss(
-                    quantized, labels, self.prototypes, p=self.config.p
-                )
-            extra_terms.append((center_term, self.config.alpha))
-        if self.config.use_ranking:
-            ranking = fused_ranking_loss if self.fused else ranking_loss
-            ranking_term = ranking(
-                quantized,
-                labels,
-                self.prototypes,
-                tau=self.config.tau,
-                p=self.config.p,
+        if config.use_center:
+            center_term = fused_center_loss(quantized, labels, self.prototypes, p=config.p)
+            terms.append(center_term)
+            scales.append(config.alpha)
+        if config.use_ranking:
+            ranking_term = fused_ranking_loss(
+                quantized, labels, self.prototypes, tau=config.tau, p=config.p
             )
-            extra_terms.append((ranking_term, self.config.alpha))
-        if self.config.beta > 0 and embedding is not None:
+            terms.append(ranking_term)
+            scales.append(config.alpha)
+        if config.beta > 0 and embedding is not None:
             # VQ-VAE-style split: the codebook term pulls the reconstruction
             # toward the (frozen) embedding; the small commitment term keeps
             # the embedding near the codewords without letting the backbone
             # collapse its variance to cheat the objective.
-            if self.fused:
-                reconstruction_term = fused_commitment_loss(
-                    embedding, quantized, commitment=self.config.commitment
-                )
-            else:
-                codebook_diff = embedding.detach() - quantized
-                codebook_term = (codebook_diff * codebook_diff).sum(axis=1).mean()
-                commit_diff = embedding - quantized.detach()
-                commit_term = (commit_diff * commit_diff).sum(axis=1).mean()
-                reconstruction_term = (
-                    codebook_term + commit_term * self.config.commitment
-                )
-            extra_terms.append((reconstruction_term, self.config.beta))
-        if self.fused:
-            # One combine node in place of the scalar mul/add chain; the
-            # accumulation order mirrors the reference, so totals agree
-            # bit for bit.
-            total = fused_scaled_sum(
-                [classification, *(t for t, _ in extra_terms)],
-                [1.0, *(w for _, w in extra_terms)],
+            reconstruction_term = fused_commitment_loss(
+                embedding, quantized, commitment=config.commitment
             )
-        else:
-            total = classification
-            for term, weight in extra_terms:
-                total = total + term * weight
+            terms.append(reconstruction_term)
+            scales.append(config.beta)
+        # One combine node: ``ce + α·L_c + α·L_r + β·L_rec`` left to right,
+        # the tape's scalar mul/add chain bit for bit.
+        total = fused_scaled_sum(terms, scales)
         return LossBreakdown(
             total=total,
             classification=classification,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.dsq import DSQ, DSQOutput
+from repro.core.dsq import DSQ, SIMILARITIES, DSQOutput
 from repro.nn import MLP, Linear, Module, ResidualMLP, Tensor, no_grad
 from repro.retrieval.index import QuantizedIndex
 from repro.rng import make_rng, spawn
@@ -42,6 +42,12 @@ class LightLTConfig:
     dropout: float = 0.0
     ffn_hidden: int | None = None
     codebook_init_std: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.similarity not in SIMILARITIES:
+            raise ValueError(
+                f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}"
+            )
 
     @property
     def code_bits(self) -> float:
@@ -138,7 +144,7 @@ class LightLT(Module):
     def encode(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Discrete codes ``b_i`` (Eqn. 1) for raw feature rows.
 
-        Uses :meth:`DSQ.encode`'s fused batched inference kernel, so only
+        Uses :meth:`DSQ.encode`'s batched inference kernel, so only
         the backbone pass touches the autograd machinery. The codebooks are
         resolved — parameters hashed, chain re-run if they changed — once
         per call, not once per ``batch_size`` chunk.

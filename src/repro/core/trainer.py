@@ -68,13 +68,17 @@ class TrainingConfig:
     # quantization module adapts far faster; this scale reproduces that
     # two-speed optimisation (backbone LR = learning_rate × scale).
     backbone_lr_scale: float = 0.3
-    # Run the training fast path: batched single-node DSQ kernel, fused
-    # loss ops, and the flat-buffer AdamW. Same trajectory as the
-    # reference path up to documented float tolerance (see
-    # docs/architecture.md, "training fast path").
-    fused: bool = False
+    # Compatibility spelling: training always runs the single-node kernels
+    # (docs/architecture.md, "The training path"); ``True`` is the only
+    # value that means it.
+    fused: bool = True
 
     def __post_init__(self) -> None:
+        if self.fused is not True:
+            raise ValueError(
+                "TrainingConfig.fused is a compatibility spelling: training always "
+                f"runs the single-node kernels, so it only accepts True (got {self.fused!r})"
+            )
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -141,8 +145,8 @@ def clip_gradients(params, max_norm: float, flat_grad: np.ndarray | None = None)
     — all gradients set to 0 so a subsequent optimiser step is harmless —
     and the non-finite norm is returned so the caller can surface the event.
 
-    ``flat_grad`` (the fused optimiser's gradient arena, of which every
-    ``param.grad`` is a view) lets both the norm and the scale run as one
+    ``flat_grad`` (the AdamW gradient arena, of which every ``param.grad``
+    is a view) lets both the norm and the scale run as one
     whole-arena op instead of a per-parameter loop; the result differs from
     the loop only in floating-point summation order.
     """
@@ -284,19 +288,14 @@ class TrainingSession:
                 if step_ok:
                     breakdown.total.backward()
                     if config.max_grad_norm is not None:
-                        # The fused optimiser's arena holds every managed
-                        # gradient contiguously; zero_grad() at the top of
-                        # the step re-synced the views, so the whole-arena
-                        # clip sees exactly flat_params' gradients.
-                        flat_grad = (
-                            self.optimizer._flat_grad
-                            if getattr(self.optimizer, "fused", False)
-                            else None
-                        )
+                        # The optimiser's arena holds every managed gradient
+                        # contiguously; zero_grad() at the top of the step
+                        # re-synced the views, so the whole-arena clip sees
+                        # exactly flat_params' gradients.
                         norm = clip_gradients(
                             self.flat_params,
                             config.max_grad_norm,
-                            flat_grad=flat_grad,
+                            flat_grad=self.optimizer._flat_grad,
                         )
                         if math.isfinite(norm):
                             grad_norm_max = max(grad_norm_max, norm)
@@ -454,15 +453,6 @@ class Trainer:
         built_here = model is None or criterion is None
         if built_here:
             model, criterion = self.build(dataset)
-        if config.fused:
-            # One switch turns on the whole fast path; an externally-built
-            # model/criterion is adopted rather than rebuilt, so the flags
-            # are set directly (never force-disabled for a caller that
-            # enabled them independently).
-            model.dsq.fused = True
-            criterion.fused = True
-            if hasattr(model.backbone, "fused"):
-                model.backbone.fused = True
         if run_warm_start is None:
             run_warm_start = built_here and config.warm_start
         if run_warm_start:
@@ -490,7 +480,6 @@ class Trainer:
             groups,
             lr=config.learning_rate,
             weight_decay=config.weight_decay,
-            fused=config.fused,
         )
         num_epochs = epochs if epochs is not None else config.epochs
         loader = DataLoader(

@@ -251,11 +251,6 @@ def distill_query_encoder(
     """
     if training_config is None:
         training_config = default_distill_training_config()
-    if training_config.fused:
-        raise ValueError(
-            "distillation drives the reference training path; "
-            "set TrainingConfig(fused=False)"
-        )
     student = LightQueryEncoder(
         teacher.config.input_dim,
         teacher.config.embed_dim,

@@ -1,25 +1,25 @@
-"""Single-node fused training kernels.
+"""Single-node training kernels: how LightLT trains.
 
-The reference implementations in :mod:`repro.nn.functional` and
-:mod:`repro.core.losses` build every loss out of primitive tensor ops, so
-one softmax-cross-entropy costs a dozen autograd nodes and the backward
-pass walks (and allocates through) each of them. At the paper's training
-scale — §V-D measures exactly this phase — that Python-level tape walk, not
-the arithmetic, dominates each step.
+The primitive implementations in :mod:`repro.nn.functional` and
+:mod:`repro.core.losses` build every loss out of tensor ops, so one
+softmax-cross-entropy costs a dozen autograd nodes and the backward pass
+walks (and allocates through) each of them. At the paper's training scale
+— §V-D measures exactly this phase — that Python-level tape walk, not the
+arithmetic, dominates each step.
 
 Each op below computes its forward pass in plain NumPy and installs ONE
-backward closure with the hand-derived gradient. The reference tape stays
-untouched and acts as the oracle: every kernel is parity-checked in
-``tests/nn/test_fused.py``, via numerical gradient checks where the op is
-truly differentiable and via comparison against the unfused tape for the
+backward closure with the hand-derived gradient. The op-per-op tape is
+the oracle: every kernel is parity-checked in ``tests/nn/test_fused.py``,
+via numerical gradient checks where the op is truly differentiable and via
+comparison against the tape composition (``tests/tape_oracle.py``) for the
 straight-through paths (whose forward value is intentionally piecewise
 constant, so finite differences say nothing about the STE gradient).
 
-Numerical contract: forward *values* match the reference bit for bit
-except where documented (the fused straight-through assignment is an exact
-one-hot while the tape's ``soft + (hard - soft)`` carries ~1e-16 residue
-into its decode matmul); gradients match up to summation-order rounding,
-i.e. to ~1e-12 relative rather than bitwise.
+Numerical contract: forward *values* match the tape bit for bit except
+where documented (the straight-through assignment here is an exact one-hot
+while the tape's ``soft + (hard - soft)`` carries ~1e-16 residue into its
+decode matmul); gradients match up to summation-order rounding, i.e. to
+~1e-12 relative rather than bitwise.
 """
 
 from __future__ import annotations

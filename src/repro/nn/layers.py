@@ -140,10 +140,10 @@ class MLP(Module):
     Serves as the trainable backbone ``f(.)`` on top of the (simulated)
     pre-trained features — the role ResNet-34 / BERT play in the paper.
 
-    With ``fused=True`` (and no dropout layers) the whole Linear/ReLU stack
-    runs as one autograd node: the forward mirrors the layer ops bit for
-    bit and one backward closure walks the stack in reverse, accumulating
-    weight/bias gradients directly. Dropout keeps the reference path — its
+    A stack of only Linear and ReLU layers trains as one autograd node: the
+    forward keeps the layer ops' order bit for bit and one backward closure
+    walks the stack in reverse, accumulating weight/bias gradients
+    directly. A stack with dropout layers runs its layers on the tape — the
     RNG draw order is part of the training trajectory contract.
     """
 
@@ -166,37 +166,34 @@ class MLP(Module):
                 if dropout > 0:
                     layers.append(Dropout(dropout, rng))
         self.net = Sequential(*layers)
-        self.fused = False
-        self._stack_fusable = all(
-            isinstance(layer, (Linear, ReLU)) for layer in self.net
-        )
+        self._stacked = all(isinstance(layer, (Linear, ReLU)) for layer in self.net)
         # Dict-wrapped so Module's attribute scan does not register the
         # cached parameter tuple a second time.
-        self._fused_cache: dict[str, tuple] = {}
+        self._stack_cache: dict[str, tuple] = {}
 
-    def _fused_params(self) -> tuple:
-        params = self._fused_cache.get("params")
+    def _stack_params(self) -> tuple:
+        params = self._stack_cache.get("params")
         if params is None:
-            params = self._fused_cache["params"] = tuple(self.parameters())
+            params = self._stack_cache["params"] = tuple(self.parameters())
         return params
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.fused and self._stack_fusable:
-            out, cache = self._stack_forward(x.data)
+        if not self._stacked:
+            return self.net(x)
+        out, cache = self._stack_forward(x.data)
 
-            def backward(grad: np.ndarray) -> None:
-                g_input = self._stack_backward(grad, cache)
-                if x.requires_grad:
-                    accumulate_grad(x, g_input)
+        def backward(grad: np.ndarray) -> None:
+            g_input = self._stack_backward(grad, cache)
+            if x.requires_grad:
+                accumulate_grad(x, g_input)
 
-            return Tensor._from_op(out, (x, *self._fused_params()), backward)
-        return self.net(x)
+        return Tensor._from_op(out, (x, *self._stack_params()), backward)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval-mode forward on a bare float64 array, with no tape.
 
-        The fused op order (``x @ W + b``, then ``pre * (pre > 0)``) with
-        ``Dropout`` as the identity, so the values are the eval-mode
+        The stack node's op order (``x @ W + b``, then ``pre * (pre > 0)``)
+        with ``Dropout`` as the identity, so the values are the eval-mode
         :meth:`forward`'s bit for bit. It reads no mode flag and sets none.
         """
         for layer in self.net:
@@ -209,8 +206,8 @@ class MLP(Module):
     def _stack_forward(self, data: np.ndarray) -> tuple[np.ndarray, list]:
         """Run the Linear/ReLU stack in plain NumPy, caching for backward.
 
-        Same op order as the tape (``x @ W + b``, then ``pre * (pre > 0)``),
-        so outputs are bit-identical to the reference path.
+        Same op order as the layers' tape ops (``x @ W + b``, then
+        ``pre * (pre > 0)``), so outputs are bit-identical to them.
         """
         cache: list[tuple] = []
         out = data
@@ -249,30 +246,32 @@ class ResidualMLP(Module):
     training starts from the pre-trained retrieval quality instead of from a
     random embedding — matching the paper's setup where ResNet-34/BERT
     backbones begin already trained.
+
+    Without dropout the whole block, gate included, trains as one node over
+    the inner :class:`MLP`'s stack pass.
     """
 
     def __init__(self, dim: int, hidden_dims: list[int], rng: np.random.Generator, dropout: float = 0.0):
         super().__init__()
         self.inner = MLP([dim, *hidden_dims, dim], rng, dropout=dropout)
         self.gate = Parameter(np.zeros(1), name="gate")
-        self.fused = False
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.fused and self.inner._stack_fusable:
-            inner_out, cache = self.inner._stack_forward(x.data)
-            out = x.data + inner_out * self.gate.data
+        if not self.inner._stacked:
+            return x + self.inner(x) * self.gate
+        inner_out, cache = self.inner._stack_forward(x.data)
+        out = x.data + inner_out * self.gate.data
 
-            def backward(grad: np.ndarray) -> None:
-                if self.gate.requires_grad:
-                    accumulate_grad(self.gate, np.array([(grad * inner_out).sum()]))
-                g_input = self.inner._stack_backward(grad * self.gate.data, cache)
-                if x.requires_grad:
-                    accumulate_grad(x, grad + g_input)
+        def backward(grad: np.ndarray) -> None:
+            if self.gate.requires_grad:
+                accumulate_grad(self.gate, np.array([(grad * inner_out).sum()]))
+            g_input = self.inner._stack_backward(grad * self.gate.data, cache)
+            if x.requires_grad:
+                accumulate_grad(x, grad + g_input)
 
-            return Tensor._from_op(
-                out, (x, self.gate, *self.inner._fused_params()), backward
-            )
-        return x + self.inner(x) * self.gate
+        return Tensor._from_op(
+            out, (x, self.gate, *self.inner._stack_params()), backward
+        )
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval-mode ``x + inner(x) · gate`` on a bare array, no tape

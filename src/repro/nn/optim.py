@@ -184,18 +184,18 @@ class AdamW(Adam):
 
     This is the optimiser the paper uses for all LightLT training runs.
 
-    With ``fused=True`` the optimiser views every parameter (and its
-    gradient and both moment buffers) through one contiguous float64
-    arena: ``step`` then runs a handful of whole-arena in-place ufuncs
-    instead of a Python loop over per-parameter ndarrays. The arena update
-    mirrors the reference loop's exact operation order and grouping, so
-    the two paths produce bit-identical parameter trajectories whenever
-    every managed parameter receives a gradient each step (the training
-    loop's invariant). The one documented semantic difference: a
-    parameter whose gradient is ``None`` at ``step`` time is *skipped* by
-    the reference loop but treated as having a zero gradient by the fused
-    path (its moments decay and weight decay still applies). State dicts
-    are interchangeable between the two paths.
+    The optimiser views every parameter (and its gradient and both moment
+    buffers) through one contiguous float64 arena, so ``step`` is a
+    handful of whole-arena in-place ufuncs rather than a Python loop over
+    per-parameter ndarrays. Each ufunc keeps the per-parameter update's
+    operation order and grouping (the loop kept in ``tests/tape_oracle.py``),
+    so a trajectory is bit-identical to that loop's.
+
+    A parameter that no gradient reached since ``zero_grad`` (its ``grad``
+    is the zeroed arena view, or ``None``) is stepped with a zero gradient,
+    not skipped: its moments decay and decoupled weight decay still
+    applies. In LightLT training this happens to the criterion's
+    prototypes when both the center and the ranking term are off.
     """
 
     def __init__(
@@ -205,16 +205,13 @@ class AdamW(Adam):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 1e-2,
-        fused: bool = False,
     ):
         super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=0.0)
         self.decoupled_weight_decay = weight_decay
-        self.fused = bool(fused)
-        if self.fused:
-            self._build_arena()
+        self._build_arena()
 
     # ------------------------------------------------------------------
-    # Flat-buffer (fused) machinery
+    # Flat-buffer machinery
     # ------------------------------------------------------------------
     def _build_arena(self) -> None:
         """Repack data/grad/moment storage into contiguous arenas."""
@@ -278,22 +275,13 @@ class AdamW(Adam):
                 param.grad = grad_view
 
     def zero_grad(self, set_to_none: bool = False) -> None:
-        if self.fused and not set_to_none:
+        if set_to_none:
+            super().zero_grad(set_to_none)
+        else:
             self._sync_arena()
             self._flat_grad[...] = 0.0
-        else:
-            super().zero_grad(set_to_none)
 
     def step(self) -> None:
-        if not self.fused:
-            if self.decoupled_weight_decay:
-                for param, scale in zip(self.params, self.lr_scales):
-                    if param.grad is not None:
-                        param.data -= (
-                            self.lr * scale * self.decoupled_weight_decay * param.data
-                        )
-            super().step()
-            return
         self._sync_arena()
         self._step_count += 1
         beta1, beta2 = self.betas
@@ -302,9 +290,9 @@ class AdamW(Adam):
         data, grad = self._flat_data, self._flat_grad
         m, v = self._flat_m, self._flat_v
         num, den = self._scratch_num, self._scratch_den
-        # Every expression below mirrors the reference loop's grouping
-        # ((lr * scale) first, scalars folded the same way) so the fused
-        # trajectory is bit-identical to the per-parameter one.
+        # Every expression below keeps the per-parameter update's grouping
+        # ((lr * scale) first, scalars folded the same way), so the arena
+        # trajectory is bit-identical to that loop's.
         np.multiply(self._flat_scale, self.lr, out=num)  # num = lr * scale
         if self.decoupled_weight_decay:
             np.multiply(num, self.decoupled_weight_decay, out=den)
@@ -326,9 +314,6 @@ class AdamW(Adam):
         data -= num
 
     def load_state_dict(self, state: dict) -> None:
-        if not self.fused:
-            super().load_state_dict(state)
-            return
         Optimizer.load_state_dict(self, state)
         self._step_count = int(state["step_count"])
         for view, value in zip(self._m, self._load_buffers(state["m"], self._m, "m")):

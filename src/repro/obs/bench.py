@@ -1,9 +1,8 @@
 """The benchmark harness: seeded per-phase timing with a stable schema.
 
 This is the baseline every performance PR is judged against. One run
-times seven phases per dataset profile — **train-step** (optimisation
-steps through the real session loop), **train** (the fused-vs-reference
-training comparison), **encode** (DSQ encoding of the
+times six phases per dataset profile — **train-step** (optimisation
+steps through the real session loop), **encode** (DSQ encoding of the
 database), **index-build** (the full Fig. 3 indexing pipeline), **query**
 (ADC search, measured both one-query-at-a-time for honest latency
 percentiles and as one batch for throughput), **serve** (closed-loop
@@ -44,7 +43,8 @@ import numpy as np
 from repro import obs
 from repro.obs import names as metric_names
 
-#: v2 adds the ``train`` phase (fused-vs-reference training comparison);
+#: v2 added the ``train`` phase (fused-vs-reference training comparison),
+#: no longer written since training has one path — readers ignore it;
 #: v3 adds the ``serve`` phase (serving-daemon latency/QPS under closed-loop
 #: traffic); v4 adds the ``ivf`` phase (the ``ivf-large`` profile's
 #: recall@k-vs-speedup curve for the IVF-pruned engine over a memory-mapped
@@ -52,7 +52,7 @@ from repro.obs import names as metric_names
 #: insert throughput, recall decay vs periodic full rebuild, compaction
 #: pauses, quantization-drift flag); v6 adds the ``tune`` phase (the
 #: ``repro tune`` config-grid sweep: recall/latency/as-stored-memory per
-#: grid point, fused-train measurements, and the fitted cost model with
+#: grid point and the fitted cost model with
 #: its residuals — see :mod:`repro.tuning`); v7 adds the asymmetric
 #: query-encoder block under ``phases.query.encoder`` (light-vs-full
 #: encode latency, encode-inclusive end-to-end percentiles, recall@10
@@ -103,12 +103,6 @@ QUERY_LIGHT_SPEEDUP_FLOOR = 3.0
 QUERY_RECALL_DELTA_LIMIT = 0.02
 #: Timed repeats of each encode measurement (best-of, like the scans).
 _ENCODE_REPEATS = 5
-
-#: Relative tolerance for the fused-vs-reference final-loss parity bit.
-#: The two paths follow bit-identical loss values but accumulate gradients
-#: in different orders, so trajectories drift at float-rounding rate; over
-#: a few epochs the final epoch-mean losses agree to well under this.
-PARITY_RTOL = 1e-4
 
 
 def canonical_dataset(profile: str) -> str:
@@ -730,8 +724,6 @@ def bench_profile(
     :func:`bench_ivf_profile` (its corpus is memory-mapped and it runs a
     single ``ivf`` phase instead of the six regular ones).
     """
-    import dataclasses
-
     if canonical_dataset(profile) == IVF_LARGE_PROFILE:
         return bench_ivf_profile(quick=quick, seed=seed)
 
@@ -748,12 +740,6 @@ def bench_profile(
     loss_config = default_loss_config(dataset)
     training_config = default_training_config(dataset, fast=True)
     trainer = Trainer(model_config, loss_config, training_config, seed=seed)
-    fused_trainer = Trainer(
-        model_config,
-        loss_config,
-        dataclasses.replace(training_config, fused=True),
-        seed=seed,
-    )
     with obs.observed() as handle:
         tracer = handle.tracer
         registry = handle.registry
@@ -764,21 +750,10 @@ def bench_profile(
             with handle.span("bench.train_step"):
                 while not session.finished:
                     session.run_epoch()
-            # Snapshot reference-run training metrics before the fused run
-            # below adds its own steps/times to the same counters.
-            reference_steps = int(steps_counter.value)
-            reference_step_time = _latency_summary(
+            steps = int(steps_counter.value)
+            step_time = _latency_summary(
                 registry.histogram(metric_names.TRAIN_STEP_TIME)
             )
-            # Train phase: same seed, same data order, fused fast path. A
-            # fresh session (not a continuation) so both runs start from
-            # identical initialisation and their final losses compare.
-            with handle.span("bench.setup_fused"):
-                fused_session = fused_trainer.start_session(dataset, epochs=epochs)
-            with handle.span("bench.train_fused"):
-                while not fused_session.finished:
-                    fused_session.run_epoch()
-            fused_steps = int(steps_counter.value) - reference_steps
             model = session.model
             model.eval()
             database = dataset.database.features
@@ -815,33 +790,14 @@ def bench_profile(
                     dataset.num_classes, dataset.dim, quick, seed, handle,
                     stream_items=stream_items, stream_steps=stream_steps,
                 )
-        steps = reference_steps
         stream_wall = _span_duration(tracer, "bench.stream")
         serve_wall = _span_duration(tracer, "bench.serve")
         train_wall = _span_duration(tracer, "bench.train_step")
-        fused_wall = _span_duration(tracer, "bench.train_fused")
         encode_wall = _span_duration(tracer, "bench.encode")
         build_wall = _span_duration(tracer, "bench.index_build")
         single_wall = _span_duration(tracer, "bench.query.single")
         batch_wall = _span_duration(tracer, "bench.query.batch")
         encoder_wall = _span_duration(tracer, "bench.query.encoder")
-
-        reference_final = float(session.history.last()["total"])
-        fused_final = float(fused_session.history.last()["total"])
-        loss_rel_diff = abs(fused_final - reference_final) / max(
-            abs(reference_final), 1e-12
-        )
-        loss_parity = bool(loss_rel_diff <= PARITY_RTOL)
-        reference_sps = steps / train_wall if train_wall > 0 else None
-        fused_sps = fused_steps / fused_wall if fused_wall > 0 else None
-        speedup = (
-            fused_sps / reference_sps if fused_sps and reference_sps else None
-        )
-        if speedup is not None:
-            registry.gauge(metric_names.TRAIN_FUSED_SPEEDUP).set(speedup)
-        registry.gauge(metric_names.TRAIN_FUSED_LOSS_PARITY).set(
-            1.0 if loss_parity else 0.0
-        )
 
         return {
             "profile": profile,
@@ -857,29 +813,9 @@ def bench_profile(
                 "train_step": {
                     "wall_time_s": train_wall,
                     "epochs": epochs,
-                    "steps": int(steps),
-                    "steps_per_s": reference_sps,
-                    "step_time_s": reference_step_time,
-                },
-                "train": {
-                    "wall_time_s": train_wall + fused_wall,
-                    "epochs": epochs,
-                    "reference": {
-                        "wall_time_s": train_wall,
-                        "steps": int(steps),
-                        "steps_per_s": reference_sps,
-                        "final_loss": reference_final,
-                    },
-                    "fused": {
-                        "wall_time_s": fused_wall,
-                        "steps": int(fused_steps),
-                        "steps_per_s": fused_sps,
-                        "final_loss": fused_final,
-                    },
-                    "speedup": speedup,
-                    "loss_parity": loss_parity,
-                    "loss_rel_diff": loss_rel_diff,
-                    "parity_rtol": PARITY_RTOL,
+                    "steps": steps,
+                    "steps_per_s": steps / train_wall if train_wall > 0 else None,
+                    "step_time_s": step_time,
                 },
                 "encode": {
                     "wall_time_s": encode_wall,
@@ -1034,19 +970,6 @@ def format_summary(results: dict) -> str:
                 f"{profile:<16} {phase:<12} {wall:>9.3f} {rate_text:>18} "
                 f"{p50:>9} {p95:>9} {p99:>9}"
             )
-        train = phases.get("train")
-        if train:
-            fused = train["fused"]
-            sps = fused.get("steps_per_s")
-            rate_text = f"{sps:,.0f} steps/s" if sps else "-"
-            speedup = train.get("speedup")
-            speedup_text = f"x{speedup:.2f}" if speedup else "-"
-            parity = "ok" if train.get("loss_parity") else "MISMATCH"
-            lines.append(
-                f"{profile:<16} {'train.fused':<12} "
-                f"{fused['wall_time_s']:>9.3f} {rate_text:>18} "
-                f"{speedup_text} vs reference (loss parity {parity})"
-            )
         encoder = phases.get("query", {}).get("encoder")
         if encoder:
             speedup = encoder.get("encode_speedup")
@@ -1194,9 +1117,10 @@ def compare_results(old: dict, new: dict) -> str:
                 f"{profile:<16} {phase:<12} {old_wall:>9.3f} {new_wall:>9.3f} "
                 f"{delta:>+7.1f}%"
             )
-        # Train throughput: prefer the fused figure of the v2 ``train``
-        # phase; a v1 run (or one without it) falls back to the reference
-        # loop's steps/s, which every schema records.
+        # Train throughput: a file with the old two-path ``train`` phase
+        # reports its fused figure — what ``train_step`` measures since
+        # training has one path; otherwise ``train_step``'s steps/s, which
+        # every schema records.
         def _train_sps(phases: dict) -> float | None:
             fused = (phases.get("train") or {}).get("fused") or {}
             step = phases.get("train_step") or {}

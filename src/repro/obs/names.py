@@ -51,8 +51,6 @@ TRAIN_STEP_GRAD_NORM = "train.step.grad_norm"
 TRAIN_STEPS_TOTAL = "train.steps.total"
 TRAIN_STEPS_SKIPPED = "train.steps.skipped"
 TRAIN_GUARD_ROLLBACKS = "train.guard.rollbacks"
-TRAIN_FUSED_SPEEDUP = "train.fused.speedup"
-TRAIN_FUSED_LOSS_PARITY = "train.fused.loss_parity"
 
 # --- data loading (repro.data.loader) ---------------------------------------
 DATA_BATCH_FETCH_TIME = "data.batch.fetch_time_s"
@@ -173,24 +171,6 @@ SPECS: tuple[MetricSpec, ...] = (
         "events",
         "repro.resilience.guards.GuardedTrainer.fit",
         "Guard interventions: epoch rollbacks with LR backoff.",
-    ),
-    MetricSpec(
-        TRAIN_FUSED_SPEEDUP,
-        GAUGE,
-        "ratio",
-        "repro.obs.bench.bench_profile",
-        "Fused-over-reference training throughput multiplier "
-        "(fused steps/s divided by reference steps/s) measured by the "
-        "benchmark's train phase.",
-    ),
-    MetricSpec(
-        TRAIN_FUSED_LOSS_PARITY,
-        GAUGE,
-        "bool",
-        "repro.obs.bench.bench_profile",
-        "1 when the fused training run's final epoch-mean loss matches the "
-        "reference run within the documented tolerance "
-        "(phases.train.parity_rtol), else 0.",
     ),
     MetricSpec(
         DATA_BATCH_FETCH_TIME,

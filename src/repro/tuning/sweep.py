@@ -19,10 +19,7 @@ overlap recall — to measure every :class:`~repro.tuning.grid.GridPoint`:
   recall give-up);
 - **memory**: the analytic *as-stored* byte accounting
   (:func:`repro.retrieval.costs.serving_memory_bytes`) — what the process
-  actually allocates, not the paper's fractional-bit ideal;
-- **train**: per (M, K), one fused-vs-reference training comparison at a
-  single epoch, so the tuner can report the training-side speedup of a
-  recommended geometry.
+  actually allocates, not the paper's fractional-bit ideal.
 
 The measured ``(config, latency)`` points then calibrate
 :class:`~repro.retrieval.costs.CostModel` (seeded holdout split scores
@@ -103,52 +100,6 @@ def _measure_point(engine: QueryEngine, queries: np.ndarray, k: int,
     return latency_s, overlap_recall(ids, exact_ids)
 
 
-def _measure_train(dataset, num_codebooks: int, num_codewords: int,
-                   seed: int) -> dict:
-    """Fused-vs-reference training throughput at this (M, K), one epoch."""
-    import dataclasses
-
-    from repro.core.trainer import Trainer
-    from repro.experiments.config import (
-        default_loss_config,
-        default_model_config,
-        default_training_config,
-    )
-
-    model_config = dataclasses.replace(
-        default_model_config(dataset),
-        num_codebooks=num_codebooks,
-        num_codewords=num_codewords,
-    )
-    loss_config = default_loss_config(dataset)
-    training_config = default_training_config(dataset, fast=True)
-    timings = {}
-    for label, fused in (("reference", False), ("fused", True)):
-        trainer = Trainer(
-            model_config,
-            loss_config,
-            dataclasses.replace(training_config, fused=fused),
-            seed=seed,
-        )
-        session = trainer.start_session(dataset, epochs=1)
-        start = time.perf_counter()
-        while not session.finished:
-            session.run_epoch()
-        wall = time.perf_counter() - start
-        steps = session.steps_completed if hasattr(
-            session, "steps_completed") else None
-        timings[label] = {"wall_time_s": wall, "steps": steps}
-    reference = timings["reference"]["wall_time_s"]
-    fused = timings["fused"]["wall_time_s"]
-    return {
-        "num_codebooks": num_codebooks,
-        "num_codewords": num_codewords,
-        "reference_wall_s": reference,
-        "fused_wall_s": fused,
-        "speedup": reference / fused if fused > 0 else None,
-    }
-
-
 def _train_query_encoders(dataset, seed: int, modes) -> tuple:
     """One fast-config teacher (plus distilled student when asked).
 
@@ -186,14 +137,12 @@ def run_tune_sweep(
     seed: int = 0,
     k: int = 10,
     grid: tuple[GridPoint, ...] | None = None,
-    train_axis: bool = True,
 ) -> dict:
     """Measure the grid over one profile; returns the schema-v7 artifact.
 
     ``quick`` picks :func:`~repro.tuning.grid.tiny_grid` (the CI sweep);
     otherwise :func:`~repro.tuning.grid.default_grid`. An explicit
-    ``grid`` overrides both. ``train_axis=False`` skips the per-(M, K)
-    fused-vs-reference training comparison (pure search tuning).
+    ``grid`` overrides both.
     """
     if grid is None:
         grid = tiny_grid() if quick else default_grid()
@@ -291,18 +240,12 @@ def run_tune_sweep(
     for entry, config in zip(points, configs):
         entry["latency_model_ms"] = model.predict(config) * 1e3
 
-    train_rows = []
-    if train_axis:
-        for m, kk in sorted({key[:2] for key in indexes}):
-            train_rows.append(_measure_train(dataset, m, kk, seed))
-
     tune = {
         "wall_time_s": time.perf_counter() - sweep_start,
         "k": k,
         "n_queries": len(queries),
         "grid_points": len(points),
         "points": points,
-        "train": train_rows,
         "model": report.as_dict(),
     }
     return {

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.dsq import DSQ
+from repro.core.model import LightLTConfig
 from repro.core.warmstart import residual_kmeans_codebooks
 from repro.nn import Tensor
+from tests.tape_oracle import tape
 
 
 def make_dsq(seed: int = 0, **kwargs) -> DSQ:
@@ -126,58 +128,47 @@ class TestGradients:
 class TestFusedKernelParity:
     """The batched single-node kernel against the per-codebook tape loop."""
 
-    @staticmethod
-    def _pair(**kwargs):
-        return make_dsq(**kwargs), make_dsq(fused=True, **kwargs)
-
     @pytest.mark.parametrize("topology", ["residual", "independent"])
     @pytest.mark.parametrize("similarity", ["neg_l2", "dot"])
     @pytest.mark.parametrize("use_codebook_skip", [True, False])
     def test_outputs_bit_equal(self, topology, similarity, use_codebook_skip):
-        reference, fused = self._pair(
+        dsq = make_dsq(
             topology=topology,
             similarity=similarity,
             use_codebook_skip=use_codebook_skip,
             temperature=0.5,
         )
         x = np.random.default_rng(20).normal(size=(9, 6))
-        out_ref = reference(Tensor(x))
-        out_fused = fused(Tensor(x))
-        assert np.array_equal(out_fused.codes, out_ref.codes)
-        assert np.array_equal(
-            out_fused.reconstruction.data, out_ref.reconstruction.data
-        )
-        for k in range(reference.num_codebooks):
+        with tape():
+            out_ref = dsq(Tensor(x))
+        out = dsq(Tensor(x))
+        assert np.array_equal(out.codes, out_ref.codes)
+        assert np.array_equal(out.reconstruction.data, out_ref.reconstruction.data)
+        for k in range(dsq.num_codebooks):
             assert np.array_equal(
-                out_fused.soft_assignments[k].data,
+                out.soft_assignments[k].data,
                 out_ref.soft_assignments[k].data,
             ), f"soft assignment mismatch at level {k}"
             assert np.array_equal(
-                out_fused.level_outputs[k].data,
+                out.level_outputs[k].data,
                 out_ref.level_outputs[k].data,
             ), f"level output mismatch at level {k}"
 
     def test_single_sample_batch(self):
-        reference, fused = self._pair()
+        dsq = make_dsq()
         x = np.random.default_rng(21).normal(size=(1, 6))
-        out_ref = reference(Tensor(x))
-        out_fused = fused(Tensor(x))
-        assert np.array_equal(out_fused.codes, out_ref.codes)
-        assert np.array_equal(
-            out_fused.reconstruction.data, out_ref.reconstruction.data
-        )
+        with tape():
+            out_ref = dsq(Tensor(x))
+        out = dsq(Tensor(x))
+        assert np.array_equal(out.codes, out_ref.codes)
+        assert np.array_equal(out.reconstruction.data, out_ref.reconstruction.data)
 
-    def test_cosine_similarity_keeps_reference_path(self):
-        # cosine is outside FUSED_SIMILARITIES; fused modules must route
-        # it through the tape loop and still agree with the reference.
-        reference, fused = self._pair(similarity="cosine")
-        x = np.random.default_rng(22).normal(size=(5, 6))
-        out_ref = reference(Tensor(x))
-        out_fused = fused(Tensor(x))
-        assert np.array_equal(out_fused.codes, out_ref.codes)
-        assert np.array_equal(
-            out_fused.reconstruction.data, out_ref.reconstruction.data
-        )
+    def test_similarity_without_a_kernel_is_refused(self):
+        # Cosine has no DSQ kernel, so no DSQ (and no model config) takes it.
+        with pytest.raises(ValueError, match="similarity"):
+            make_dsq(similarity="cosine")
+        with pytest.raises(ValueError, match="similarity"):
+            LightLTConfig(input_dim=6, num_classes=3, similarity="cosine")
 
     def test_scratch_reuse_across_training_rounds(self):
         # The kernel reuses persistent scratch buffers between steps; a
@@ -198,11 +189,11 @@ class TestFusedKernelParity:
 
         # Second round on the reused-scratch module vs first round on a
         # fresh one: same weights (same seed), same data.
-        reused = make_dsq(fused=True)
+        reused = make_dsq()
         round_trip(reused, x1)
         recon_2, input_grad_2, grads_2 = round_trip(reused, x2)
 
-        fresh = make_dsq(fused=True)
+        fresh = make_dsq()
         recon_f, input_grad_f, grads_f = round_trip(fresh, x2)
 
         assert np.array_equal(recon_2, recon_f)

@@ -1,7 +1,8 @@
 """The tape-free backbone pass: ``infer``, and the model API built on it.
 
 ``Linear`` / ``MLP`` / ``ResidualMLP.infer`` must return the eval-mode tape
-forward's bits — fused or not, with dropout layers in the stack — because
+forward's bits — the stack node's or the tape oracle's, with dropout layers
+in the stack or not — because
 ``LightLT.embed`` / ``encode`` / ``build_index`` and the light query
 encoder now run on it. The tape path below (``eval()``, ``no_grad``, the
 same 512-row chunks) is the oracle those surfaces were computed with before
@@ -9,17 +10,22 @@ same 512-row chunks) is the oracle those surfaces were computed with before
 the middle of training used to switch every module to eval.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.model import LightLT, LightLTConfig
 from repro.encoding.light import LightQueryEncoder
 from repro.nn import MLP, Linear, ResidualMLP, Tensor, no_grad
+from tests.tape_oracle import tape
 
 
-def tape_eval(module, x):
+def tape_eval(module, x, fused=False):
+    """The eval-mode graph forward: the production stack node when
+    ``fused``, the tape oracle's layer-by-layer pass otherwise."""
     module.eval()
-    with no_grad():
+    with no_grad(), (contextlib.nullcontext() if fused else tape()):
         return module(Tensor(x)).data
 
 
@@ -38,17 +44,15 @@ class TestInferIsTheEvalTape:
     def test_mlp(self, rows, fused, dropout):
         rng = np.random.default_rng(rows)
         mlp = MLP([12, 20, 16, 9], rng, dropout=dropout, final_activation=True)
-        mlp.fused = fused
         x = rng.normal(size=(rows, 12))
-        assert same_bits(mlp.infer(x), tape_eval(mlp, x))
+        assert same_bits(mlp.infer(x), tape_eval(mlp, x, fused))
 
     def test_residual_mlp(self, rows, fused, dropout):
         rng = np.random.default_rng(rows + 1)
         block = ResidualMLP(10, [24, 8], rng, dropout=dropout)
         block.gate.data[:] = 0.41
-        block.fused = fused
         x = rng.normal(size=(rows, 10))
-        assert same_bits(block.infer(x), tape_eval(block, x))
+        assert same_bits(block.infer(x), tape_eval(block, x, fused))
 
 
 def test_linear_infer_with_and_without_bias():
@@ -62,9 +66,9 @@ def test_linear_infer_with_and_without_bias():
 
 
 def tape_embed(model, features, batch_size=512):
-    """``LightLT.embed`` as the tape computed it: eval mode, no tape, chunks."""
+    """``LightLT.embed`` as the tape computes it: eval mode, no grad, chunks."""
     model.eval()
-    with no_grad():
+    with no_grad(), tape():
         return np.concatenate([
             model.backbone(Tensor(features[lo:lo + batch_size])).data
             for lo in range(0, len(features), batch_size)

@@ -14,6 +14,7 @@ from repro.core.losses import (
 )
 from repro.nn import Tensor
 from repro.nn.gradcheck import check_gradient
+from tests.tape_oracle import tape
 
 
 def clustered_embeddings(seed: int = 0, per_class: int = 8, classes: int = 3, dim: int = 5):
@@ -249,7 +250,7 @@ class TestTripletVectorizationRegression:
 
 
 class TestFusedCriterionParity:
-    """fused=True criterion follows the reference term combination exactly."""
+    """The kernel criterion follows the tape's term combination exactly."""
 
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     def test_total_and_terms_bit_equal(self, beta):
@@ -260,14 +261,13 @@ class TestFusedCriterionParity:
             scale=0.05, size=points.shape
         )
 
-        def run(fused):
+        def run():
             criterion = LightLTCriterion(
                 num_classes=3,
                 dim=points.shape[1],
                 train_class_counts=np.bincount(labels),
                 config=config,
                 rng=0,
-                fused=fused,
             )
             quant = Tensor(quantized.copy(), requires_grad=True)
             emb = Tensor(points.copy(), requires_grad=True)
@@ -277,15 +277,16 @@ class TestFusedCriterionParity:
             out.total.backward()
             return out, quant, criterion
 
-        ref_out, ref_quant, ref_crit = run(fused=False)
-        fused_out, fused_quant, fused_crit = run(fused=True)
-        assert fused_out.total.data == ref_out.total.data
-        assert fused_out.classification.data == ref_out.classification.data
+        with tape():
+            ref_out, ref_quant, ref_crit = run()
+        out, quant, crit = run()
+        assert out.total.data == ref_out.total.data
+        assert out.classification.data == ref_out.classification.data
         np.testing.assert_allclose(
-            fused_quant.grad, ref_quant.grad, rtol=1e-10, atol=1e-12
+            quant.grad, ref_quant.grad, rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            fused_crit.prototypes.grad,
+            crit.prototypes.grad,
             ref_crit.prototypes.grad,
             rtol=1e-10,
             atol=1e-12,

@@ -16,6 +16,7 @@ from repro.core.trainer import (
 from repro.nn import Parameter
 from repro.retrieval.metrics import mean_average_precision
 from repro.retrieval.search import exhaustive_search
+from tests.tape_oracle import tape
 
 
 def quick_training_config(**overrides) -> TrainingConfig:
@@ -36,6 +37,11 @@ def model_config_for(dataset) -> LightLTConfig:
 
 
 class TestTrainingConfigValidation:
+    def test_fused_is_a_compatibility_spelling(self):
+        assert TrainingConfig(fused=True) == TrainingConfig()
+        with pytest.raises(ValueError, match="fused"):
+            TrainingConfig(fused=False)
+
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
             TrainingConfig(schedule="exponential")
@@ -177,11 +183,11 @@ class TestClipGradients:
 
 class TestFusedTrainingParity:
     def test_fused_session_follows_reference_trajectory(self, tiny_dataset):
-        def run(fused: bool):
+        def run():
             trainer = Trainer(
                 model_config_for(tiny_dataset),
                 LossConfig(),
-                quick_training_config(epochs=2, fused=fused),
+                quick_training_config(epochs=2),
                 seed=0,
             )
             session = trainer.start_session(tiny_dataset, epochs=2)
@@ -190,32 +196,49 @@ class TestFusedTrainingParity:
                 assert report.healthy
             return session
 
-        reference = run(fused=False)
-        fused = run(fused=True)
+        with tape():
+            reference = run()
+        session = run()
 
         # Loss values are built from bit-identical kernels; only gradient
-        # accumulation order differs between the two paths, so the final
-        # epoch-mean losses agree to parity tolerance (in practice they
-        # come out exactly equal on this profile) and the trained weights
-        # stay within accumulated float rounding.
+        # accumulation order differs from the tape, so the final epoch-mean
+        # losses agree to parity tolerance (in practice they come out
+        # exactly equal on this profile) and the trained weights stay
+        # within accumulated float rounding.
         ref_loss = reference.history.last()["total"]
-        fused_loss = fused.history.last()["total"]
-        assert fused_loss == pytest.approx(ref_loss, rel=1e-6)
+        assert session.history.last()["total"] == pytest.approx(ref_loss, rel=1e-6)
 
         ref_state = reference.model.state_dict()
-        fused_state = fused.model.state_dict()
-        assert ref_state.keys() == fused_state.keys()
+        state = session.model.state_dict()
+        assert ref_state.keys() == state.keys()
         for key, value in ref_state.items():
             np.testing.assert_allclose(
-                fused_state[key], value, rtol=1e-8, atol=1e-10,
+                state[key], value, rtol=1e-8, atol=1e-10,
                 err_msg=f"parameter {key} diverged",
             )
+
+    def test_prototypes_without_prototype_terms_only_decay(self, tiny_dataset):
+        # The CE-only objective (Figs. 5 and 8): no gradient reaches the
+        # prototypes, and AdamW steps them with a zero one — decoupled
+        # weight decay alone, the same factor for every entry.
+        trainer = Trainer(
+            model_config_for(tiny_dataset),
+            LossConfig(use_center=False, use_ranking=False),
+            quick_training_config(epochs=1),
+            seed=0,
+        )
+        session = trainer.start_session(tiny_dataset, epochs=1)
+        start = session.criterion.prototypes.data.copy()
+        session.run_epoch()
+        ratio = session.criterion.prototypes.data / start
+        assert 0.0 < ratio.min() and ratio.max() < 1.0
+        np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
 
     def test_fused_session_checkpoint_round_trip(self, tiny_dataset):
         trainer = Trainer(
             model_config_for(tiny_dataset),
             LossConfig(),
-            quick_training_config(epochs=3, fused=True),
+            quick_training_config(epochs=3),
             seed=1,
         )
         session = trainer.start_session(tiny_dataset, epochs=3)
@@ -224,11 +247,22 @@ class TestFusedTrainingParity:
 
         resumed = trainer.start_session(tiny_dataset, epochs=3)
         resumed.restore(state)
+        # The tape oracle resumes the same checkpoint: the state is the
+        # same whichever path wrote or reads it.
+        oracle = trainer.start_session(tiny_dataset, epochs=3)
+        oracle.restore(state)
         while not session.finished:
             session.run_epoch()
         while not resumed.finished:
             resumed.run_epoch()
+        with tape():
+            while not oracle.finished:
+                oracle.run_epoch()
 
         direct = session.model.state_dict()
         for key, value in resumed.model.state_dict().items():
             np.testing.assert_array_equal(value, direct[key], err_msg=key)
+        for key, value in oracle.model.state_dict().items():
+            np.testing.assert_allclose(
+                direct[key], value, rtol=1e-8, atol=1e-10, err_msg=key
+            )

@@ -20,6 +20,7 @@ from repro.experiments import (
 )
 from repro.nn import Tensor, no_grad
 from repro.obs.bench import load_profile_dataset
+from tests.tape_oracle import tape
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +155,28 @@ class TestDistillQueryEncoder:
         )
         assert student.hidden_dim == 16
 
-    def test_fused_training_config_rejected(self, teacher_and_dataset):
+    def test_hidden_student_follows_the_tape_oracle(self, teacher_and_dataset):
+        """A hidden-layer student trains through the MLP stack node and the
+        AdamW arena; the tape oracle's fit lands on the same weights within
+        the trainer's trajectory tolerances."""
         teacher, dataset = teacher_and_dataset
-        with pytest.raises(ValueError, match="fused"):
-            distill_query_encoder(
-                teacher,
-                dataset,
-                training_config=dataclasses.replace(
-                    short_budget(), fused=True
-                ),
+
+        def fit():
+            student, history = distill_query_encoder(
+                teacher, dataset, hidden_dim=16,
+                training_config=short_budget(5), seed=0,
+            )
+            return student, history.last()["total"]
+
+        with tape():
+            reference, ref_loss = fit()
+        student, loss = fit()
+        assert student.net._stacked
+        assert loss == pytest.approx(ref_loss, rel=1e-6)
+        ref_state = reference.state_dict()
+        for key, value in student.state_dict().items():
+            np.testing.assert_allclose(
+                value, ref_state[key], rtol=1e-8, atol=1e-10, err_msg=key
             )
 
     def test_teacher_parameters_frozen(self, teacher_and_dataset):

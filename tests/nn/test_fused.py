@@ -24,6 +24,7 @@ from repro.nn.fused import (
     fused_softmax_ste,
 )
 from repro.nn.gradcheck import check_gradient
+from tests.tape_oracle import tape
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -251,11 +252,11 @@ class TestBatchedDSQForward:
 
         reference = build()
         x_ref = Tensor(data.copy(), requires_grad=True)
-        out_ref = reference(x_ref)
-        (out_ref.reconstruction * Tensor(upstream)).sum().backward()
+        with tape():
+            out_ref = reference(x_ref)
+            (out_ref.reconstruction * Tensor(upstream)).sum().backward()
 
         fused = build()
-        fused.fused = True
         x_fused = Tensor(data.copy(), requires_grad=True)
         out_fused = fused(x_fused)
         (out_fused.reconstruction * Tensor(upstream)).sum().backward()

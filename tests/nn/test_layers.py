@@ -14,6 +14,7 @@ from repro.nn import (
     Tensor,
 )
 from repro.nn.gradcheck import check_gradient
+from tests.tape_oracle import tape
 
 
 class TestLinear:
@@ -111,66 +112,66 @@ class TestFeedForwardEmbeddingIdentity:
 
 
 class TestFusedStackParity:
-    """MLP / ResidualMLP single-node fast path against the tape stack."""
+    """MLP / ResidualMLP single-node stack against the layers' tape."""
 
     def test_mlp_fused_matches_reference(self):
-        reference = MLP([4, 8, 8, 3], np.random.default_rng(5))
-        fused = MLP([4, 8, 8, 3], np.random.default_rng(5))
-        fused.fused = True
+        mlp = MLP([4, 8, 8, 3], np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(7, 4))
 
         x_ref = Tensor(x.copy(), requires_grad=True)
-        reference(x_ref).sum().backward()
-        x_fused = Tensor(x.copy(), requires_grad=True)
-        out = fused(x_fused)
+        with tape():
+            reference = mlp(x_ref)
+            reference.sum().backward()
+        ref_grads = [p.grad.copy() for p in mlp.parameters()]
+        mlp.zero_grad()
+        x_stack = Tensor(x.copy(), requires_grad=True)
+        out = mlp(x_stack)
         out.sum().backward()
 
-        assert np.array_equal(out.data, reference(Tensor(x)).data)
-        np.testing.assert_allclose(x_fused.grad, x_ref.grad, rtol=0, atol=1e-12)
-        for ref_p, fused_p in zip(reference.parameters(), fused.parameters()):
-            np.testing.assert_allclose(
-                fused_p.grad, ref_p.grad, rtol=1e-12, atol=1e-14
-            )
+        assert np.array_equal(out.data, reference.data)
+        np.testing.assert_allclose(x_stack.grad, x_ref.grad, rtol=0, atol=1e-12)
+        for ref_grad, param in zip(ref_grads, mlp.parameters()):
+            np.testing.assert_allclose(param.grad, ref_grad, rtol=1e-12, atol=1e-14)
 
     def test_mlp_with_dropout_keeps_reference_path(self):
-        # Dropout draws from the module RNG; fusing it would change the
-        # draw order contract, so the fused flag must be a no-op here.
-        mlp = MLP([4, 8, 2], np.random.default_rng(7), dropout=0.5,
-                  final_activation=True)
-        mlp.fused = True
-        assert not mlp._stack_fusable
-        out = mlp(Tensor(np.random.default_rng(8).normal(size=(5, 4))))
-        assert out.shape == (5, 2)
+        # Dropout draws from the module RNG; a stack node would change the
+        # draw order contract, so a stack with dropout runs its layers.
+        def build():
+            return MLP([4, 8, 2], np.random.default_rng(7), dropout=0.5,
+                       final_activation=True)
+
+        x = np.random.default_rng(8).normal(size=(5, 4))
+        reference = build()
+        with tape():
+            expected = reference(Tensor(x)).data
+        mlp = build()
+        assert not mlp._stacked
+        assert np.array_equal(mlp(Tensor(x)).data, expected)
 
     def test_residual_mlp_fused_matches_reference(self):
-        reference = ResidualMLP(5, [10], np.random.default_rng(9))
-        fused = ResidualMLP(5, [10], np.random.default_rng(9))
-        for layer in (reference, fused):
-            layer.gate.data[:] = 0.7
-        fused.fused = True
+        block = ResidualMLP(5, [10], np.random.default_rng(9))
+        block.gate.data[:] = 0.7
         x = np.random.default_rng(10).normal(size=(6, 5))
 
         x_ref = Tensor(x.copy(), requires_grad=True)
-        reference(x_ref).sum().backward()
-        x_fused = Tensor(x.copy(), requires_grad=True)
-        out = fused(x_fused)
+        with tape():
+            reference = block(x_ref)
+            reference.sum().backward()
+        ref_gate = block.gate.grad.copy()
+        ref_grads = [p.grad.copy() for p in block.inner.parameters()]
+        block.zero_grad()
+        x_stack = Tensor(x.copy(), requires_grad=True)
+        out = block(x_stack)
         out.sum().backward()
 
-        assert np.array_equal(out.data, reference(Tensor(x)).data)
-        np.testing.assert_allclose(x_fused.grad, x_ref.grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            fused.gate.grad, reference.gate.grad, rtol=1e-12, atol=1e-14
-        )
-        for ref_p, fused_p in zip(
-            reference.inner.parameters(), fused.inner.parameters()
-        ):
-            np.testing.assert_allclose(
-                fused_p.grad, ref_p.grad, rtol=1e-12, atol=1e-14
-            )
+        assert np.array_equal(out.data, reference.data)
+        np.testing.assert_allclose(x_stack.grad, x_ref.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block.gate.grad, ref_gate, rtol=1e-12, atol=1e-14)
+        for ref_grad, param in zip(ref_grads, block.inner.parameters()):
+            np.testing.assert_allclose(param.grad, ref_grad, rtol=1e-12, atol=1e-14)
 
     def test_fused_gradcheck(self):
         mlp = MLP([3, 6, 2], np.random.default_rng(11))
-        mlp.fused = True
         x = np.random.default_rng(12).normal(size=(4, 3))
         ok, err = check_gradient(lambda t: (mlp(t) * mlp(t)).sum(), x)
-        assert ok, f"fused MLP gradcheck failed: {err}"
+        assert ok, f"stacked MLP gradcheck failed: {err}"

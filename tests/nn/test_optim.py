@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import SGD, Adam, AdamW, Parameter, Tensor
+from tests.tape_oracle import tape
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
@@ -127,22 +128,63 @@ def toy_loss(params: list[Parameter]) -> Tensor:
 class TestFusedAdamW:
     def test_matches_reference_bit_for_bit(self):
         reference = make_param_set(seed=1)
-        fused = make_param_set(seed=1)
+        arena = make_param_set(seed=1)
         ref_opt = AdamW(reference, lr=0.05, weight_decay=0.01)
-        fused_opt = AdamW(fused, lr=0.05, weight_decay=0.01, fused=True)
+        arena_opt = AdamW(arena, lr=0.05, weight_decay=0.01)
         for _ in range(25):
-            for opt, params in ((ref_opt, reference), (fused_opt, fused)):
-                opt.zero_grad()
-                toy_loss(params).backward()
-                opt.step()
-        for ref_p, fused_p in zip(reference, fused):
-            # The arena step mirrors the reference op grouping exactly, so
+            with tape():
+                ref_opt.zero_grad()
+                toy_loss(reference).backward()
+                ref_opt.step()
+            arena_opt.zero_grad()
+            toy_loss(arena).backward()
+            arena_opt.step()
+        for ref_p, arena_p in zip(reference, arena):
+            # The arena step keeps the per-parameter op grouping exactly, so
             # trajectories are bit-identical, not merely close.
-            np.testing.assert_array_equal(fused_p.data, ref_p.data)
+            np.testing.assert_array_equal(arena_p.data, ref_p.data)
+
+    def test_gradless_parameter_steps_with_a_zero_gradient(self):
+        # No gradient reaches ``idle`` after the first two steps. It is not
+        # skipped: its moments decay, the update they still carry applies,
+        # and so does decoupled weight decay.
+        params = make_param_set(seed=5)
+        idle = params[2]
+        opt = AdamW(params, lr=0.05, weight_decay=0.01)
+        for _ in range(2):
+            opt.zero_grad()
+            toy_loss(params).backward()
+            opt.step()
+        m, v, data = opt._m[2].copy(), opt._v[2].copy(), idle.data.copy()
+        opt.zero_grad()
+        toy_loss(params[:2]).backward()
+        opt.step()
+        beta1, beta2 = opt.betas
+        np.testing.assert_array_equal(opt._m[2], m * beta1)
+        np.testing.assert_array_equal(opt._v[2], v * beta2)
+        decayed = data - 0.05 * 0.01 * data
+        bias1, bias2 = 1.0 - beta1**3, 1.0 - beta2**3
+        moved = decayed - 0.05 * (m * beta1 / bias1) / (np.sqrt(v * beta2 / bias2) + opt.eps)
+        np.testing.assert_array_equal(idle.data, moved)
+
+    def test_never_reached_parameter_only_decays(self):
+        params = make_param_set(seed=6)
+        idle = params[2]
+        start = idle.data.copy()
+        opt = AdamW(params, lr=0.05, weight_decay=0.01)
+        expected = start.copy()
+        for _ in range(3):
+            opt.zero_grad()
+            toy_loss(params[:2]).backward()
+            opt.step()
+            expected -= 0.05 * 0.01 * expected
+        np.testing.assert_array_equal(idle.data, expected)
+        assert not np.array_equal(idle.data, start)
+        assert not opt._m[2].any() and not opt._v[2].any()
 
     def test_grads_live_in_arena_and_buffers_are_reused(self):
         params = make_param_set(seed=2)
-        opt = AdamW(params, lr=0.05, fused=True)
+        opt = AdamW(params, lr=0.05)
         opt.zero_grad()
         toy_loss(params).backward()
         opt.step()
@@ -162,9 +204,9 @@ class TestFusedAdamW:
 
     def test_state_dict_round_trip_resumes_exactly(self):
         steady = make_param_set(seed=3)
-        steady_opt = AdamW(steady, lr=0.05, weight_decay=0.01, fused=True)
+        steady_opt = AdamW(steady, lr=0.05, weight_decay=0.01)
         resumed = make_param_set(seed=3)
-        resumed_opt = AdamW(resumed, lr=0.05, weight_decay=0.01, fused=True)
+        resumed_opt = AdamW(resumed, lr=0.05, weight_decay=0.01)
 
         def advance(opt, params, steps):
             for _ in range(steps):
@@ -179,7 +221,7 @@ class TestFusedAdamW:
         fresh = make_param_set(seed=3)
         for fresh_p, resumed_p in zip(fresh, resumed):
             fresh_p.data[...] = resumed_p.data
-        fresh_opt = AdamW(fresh, lr=0.05, weight_decay=0.01, fused=True)
+        fresh_opt = AdamW(fresh, lr=0.05, weight_decay=0.01)
         fresh_opt.load_state_dict(state)
         advance(fresh_opt, fresh, 4)
 
@@ -188,10 +230,10 @@ class TestFusedAdamW:
 
     def test_out_of_band_rebind_is_readopted(self):
         # Code outside the optimiser may replace param.data wholesale
-        # (e.g. warm-start codebook injection); the fused step must adopt
+        # (e.g. warm-start codebook injection); the arena step must adopt
         # the new values instead of stepping a stale arena copy.
         params = make_param_set(seed=4)
-        opt = AdamW(params, lr=0.05, fused=True)
+        opt = AdamW(params, lr=0.05)
         params[0].data = np.full((4, 3), 2.0)
         opt.zero_grad()
         toy_loss(params).backward()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs import bench
@@ -37,25 +36,11 @@ class TestRunBench:
     def test_phases_have_positive_wall_times(self, results):
         phases = results["profiles"][bench.TINY_PROFILE]["phases"]
         assert set(phases) == {
-            "train_step", "train", "encode", "index_build", "query", "serve",
+            "train_step", "encode", "index_build", "query", "serve",
             "stream",
         }
         for name, phase in phases.items():
             assert phase["wall_time_s"] > 0, name
-
-    def test_train_phase_schema(self, results):
-        # Schema v2: the train phase carries the fused-vs-reference
-        # comparison — both runs' throughput, their ratio, and the
-        # final-loss parity bit.
-        train = results["profiles"][bench.TINY_PROFILE]["phases"]["train"]
-        for side in ("reference", "fused"):
-            sub = train[side]
-            assert sub["steps"] > 0
-            assert sub["steps_per_s"] > 0
-            assert np.isfinite(sub["final_loss"])
-        assert train["speedup"] > 0
-        assert train["loss_rel_diff"] <= bench.PARITY_RTOL
-        assert train["loss_parity"] is True
 
     def test_query_latency_percentiles_ordered(self, results):
         latency = results["profiles"][bench.TINY_PROFILE]["phases"]["query"][
@@ -272,7 +257,6 @@ class TestReporting:
                 "k": 5,
                 "grid_points": 18,
                 "points": [],
-                "train": [],
                 "model": {
                     "coefficients": {},
                     "n_points": 18,

@@ -33,11 +33,6 @@ def test_smoke_engine_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_smoke_fused_passes():
-    result = _run_script("smoke_fused.py")
-    assert result.returncode == 0, result.stdout + result.stderr
-
-
 def test_smoke_ivf_passes():
     result = _run_script("smoke_ivf.py")
     assert result.returncode == 0, result.stdout + result.stderr

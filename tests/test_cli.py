@@ -231,7 +231,7 @@ class TestTuneCommand:
         out = str(tmp_path / "TUNE_results.json")
         code = main([
             "tune", "--profile", "tiny", "--quick", "--seed", "0",
-            "--k", "5", "--no-train-axis", "--out", out,
+            "--k", "5", "--out", out,
         ])
         assert code == 0
         stdout = capsys.readouterr().out
@@ -259,7 +259,7 @@ class TestTuneCommand:
         out = str(tmp_path / "TUNE_results.json")
         assert main([
             "tune", "--profile", "tiny", "--quick", "--k", "5",
-            "--no-train-axis", "--out", out,
+            "--out", out,
         ]) == 0
         capsys.readouterr()
         code = main(["tune", "--from-results", out, "--recall", "0.5"])

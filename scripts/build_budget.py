@@ -1,0 +1,161 @@
+#!/usr/bin/env python
+"""Per-stage time budget of one index-build block at the benchmark shapes.
+
+    python scripts/build_budget.py [--repeats 7]
+
+Builds one block of each benchmark workload's index build, as
+``benchmarks/perf`` times it (synthetic clustered rows; one BLAS thread):
+
+- F: ``ShardedIndex(QuantizedIndex.build(codebooks, rows), 1)``, 16 384 rows
+  at M8 × K64, d 32 (residual k-means codebooks);
+- T: ``build_index`` of a warm-started ``LightLT`` and a 32-cell IVF build,
+  8 192 rows at M8 × K128, d 64;
+- Z: the same at M8 × K64, d 32.
+
+Each block runs clean (its median is the block), then instrumented, and its
+time is split four ways:
+
+- GEMM: inside ``np.matmul`` (every level GEMM of the encodes and k-means);
+- select: the compiled pick — scores, argmin / argmax, minima — timed by
+  replaying each compiled select call that moves row state without it;
+- update: the rest of those calls (residual, running decode, next DSQ input);
+- other: the instrumented block less the three (Python, checks, norms,
+  layouts, k-means seeding and sums).
+
+Prints one line per workload: the clean block and the four stage medians
+(ms), and their sum as a share of the clean block. Without a compiled kernel
+the select and update columns read 0 and the NumPy passes land in "other".
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+import numpy as np
+
+from repro import native
+from repro.core.model import LightLT, LightLTConfig
+from repro.core.warmstart import residual_kmeans_codebooks, warm_start_codebooks
+from repro.retrieval.engine import ShardedIndex
+from repro.retrieval.index import QuantizedIndex
+from repro.retrieval.ivf import IVFIndex
+
+#: ``select_rows`` argument positions of the row state a replay leaves out:
+#: book, target, recon, emb, x.
+_STATE = (11, 13, 14, 16, 17)
+
+
+def clustered(seed: int, n: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(40, dim)) * 3.0
+    return means[rng.integers(40, size=n)] + rng.normal(size=(n, dim))
+
+
+def f_block():
+    rows = clustered(0, 4096 + 16_384, 32)
+    codebooks = residual_kmeans_codebooks(rows[:4096], 8, 64, rng=0, max_iterations=10)
+    return lambda: ShardedIndex(QuantizedIndex.build(codebooks, rows[4096:]), 1)
+
+
+def model_block(seed: int, dim: int, k_words: int):
+    rows = clustered(seed, 4096 + 8192, dim)
+    model = LightLT(LightLTConfig(
+        input_dim=dim, num_classes=100, embed_dim=dim, num_codebooks=8, num_codewords=k_words,
+    ))
+    warm_start_codebooks(model, rows[:4096], rng=seed, max_iterations=4)
+    model.eval()
+    return lambda: IVFIndex.build(
+        model.build_index(rows[4096:]), 32, nprobe=8, train_sample=8192,
+        kmeans_iterations=10, seed=seed,
+    )
+
+
+BLOCKS = {"F": f_block, "T": lambda: model_block(1, 64, 128), "Z": lambda: model_block(2, 32, 64)}
+
+
+class Stages:
+    """Wraps ``np.matmul`` and the kernel's select entry with clocks."""
+
+    def __init__(self, kernel) -> None:
+        self.gemm = self.call = self.pick = self.replay = 0.0
+        self._matmul, self._kernel = np.matmul, kernel
+        self._select = None if kernel is None else kernel._select
+
+    def matmul(self, *args, **kwargs):
+        start = time.perf_counter()
+        out = self._matmul(*args, **kwargs)
+        self.gemm += time.perf_counter() - start
+        return out
+
+    def select(self, *args):
+        start = time.perf_counter()
+        moves = any(args[i] is not None for i in _STATE)
+        if moves:
+            picked = list(args)
+            for i in _STATE:
+                picked[i] = None
+            self._select(*picked)  # rewrites the same codes, scores and minima
+        mid = time.perf_counter()
+        self._select(*args)
+        end = time.perf_counter()
+        self.call += end - mid
+        self.pick += (mid - start) if moves else (end - mid)
+        self.replay += mid - start
+
+    def __enter__(self):
+        np.matmul = self.matmul
+        if self._kernel is not None:
+            self._kernel._select = self.select
+        return self
+
+    def __exit__(self, *exc):
+        np.matmul = self._matmul
+        if self._kernel is not None:
+            self._kernel._select = self._select
+
+
+def budget(block, repeats: int, kernel) -> dict:
+    block()  # warm: first-call allocations and the kernel's load
+    clean, stages = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        block()
+        clean.append(time.perf_counter() - start)
+        with Stages(kernel) as s:
+            start = time.perf_counter()
+            block()
+            total = time.perf_counter() - start - s.replay
+        stages.append((s.gemm, s.pick, s.call - s.pick, total - s.gemm - s.call))
+    medians = np.median(np.array(stages) * 1e3, axis=0)
+    return {"block": float(np.median(clean) * 1e3), **dict(zip(
+        ("gemm", "select", "update", "other"), medians.tolist()
+    ))}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    kernel = native.load()
+    print(f"kernel: {'c' if kernel else 'numpy'}; medians of {args.repeats}, ms")
+    for name, make in BLOCKS.items():
+        b = budget(make(), args.repeats, kernel)
+        parts = b["gemm"] + b["select"] + b["update"] + b["other"]
+        print(
+            f"{name}: block {b['block']:.2f} = GEMM {b['gemm']:.2f} + select {b['select']:.2f}"
+            f" + update {b['update']:.2f} + other {b['other']:.2f}"
+            f" (sum {100 * parts / b['block']:.1f} % of the block)"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,9 @@ Builds the same indexes twice — once with the compiled kernel
 benchmark shapes, and asserts the two are bit for bit the same:
 
 - F: residual k-means codebooks (M8 × K64, d 32), a ``QuantizedIndex`` that
-  encodes and decodes its rows, and an IVF layout over it;
+  encodes and decodes its rows, and an IVF layout over it; then the same
+  codebooks over 16 384 + 17 rows (a row count that is not a multiple of the
+  compiled encode's row block) and over one row;
 - T: a warm-started ``LightLT`` (M8 × K128, d 64) — ``build_index`` runs the
   DSQ encode — and an IVF layout;
 - Z: the same at M8 × K64, d 32.
@@ -54,6 +56,13 @@ def build_f() -> list[np.ndarray]:
     return [codebooks, *layout(QuantizedIndex.build(codebooks, rows[2048:]), 0)]
 
 
+def build_f_rows(n: int) -> list[np.ndarray]:
+    rows = clustered(3, 2048 + n, 32)
+    codebooks = residual_kmeans_codebooks(rows[:2048], 8, 64, rng=0, max_iterations=6)
+    index = QuantizedIndex.build(codebooks, rows[2048:])
+    return [codebooks, index.codes, index.db_sq_norms]
+
+
 def build_model(seed: int, dim: int, k_words: int) -> list[np.ndarray]:
     rows = clustered(seed, 4000, dim)
     model = LightLT(LightLTConfig(
@@ -64,7 +73,13 @@ def build_model(seed: int, dim: int, k_words: int) -> list[np.ndarray]:
     return [model.dsq.materialized_codebooks(), *layout(model.build_index(rows[1024:]), seed)]
 
 
-SHAPES = {"F": build_f, "T": lambda: build_model(1, 64, 128), "Z": lambda: build_model(2, 32, 64)}
+SHAPES = {
+    "F": build_f,
+    "F at 16 401 rows": lambda: build_f_rows(16_384 + 17),
+    "F at one row": lambda: build_f_rows(1),
+    "T": lambda: build_model(1, 64, 128),
+    "Z": lambda: build_model(2, 32, 64),
+}
 
 
 def main() -> int:
@@ -86,7 +101,10 @@ def main() -> int:
     if len(kernels) == 1:
         print("build select: numpy only (no compiled kernel); F, T and Z built")
     else:
-        print("build select: c == numpy at F, T and Z (codebooks, codes, norms, IVF layouts)")
+        print(
+            "build select: c == numpy at F (and at 16 401 rows and one row), T and Z"
+            " (codebooks, codes, norms, IVF layouts)"
+        )
     return 0
 
 

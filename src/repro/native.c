@@ -40,6 +40,10 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* Max-heap helpers over (v, s) with payload p: the root is evicted first. */
 #define DEFINE_HEAP(REAL, R)                                                  \
@@ -415,13 +419,17 @@ DEFINE_SEARCH(uint32_t, u32)
 /*
  * select_rows: the row-select pass of an index build, called once per
  * (codebook level, row block) right after that level's BLAS GEMM by
- * repro.retrieval.adc.encode_nearest, repro.core.dsq.DSQ._encode_fused and
+ * repro.retrieval.adc.encode_nearest, repro.core.dsq.DSQ._select_compiled and
  * repro.cluster.kmeans._nearest. For each of the n rows of the GEMM's (n, K)
  * output `cross` it
  *   1. forms every codeword's float64 score with the IEEE operations of the
- *      NumPy path, in its order (the forms below);
- *   2. picks NumPy's extremum -- argmin, or argmax for the DSQ forms: the
- *      first one, or the first NaN if the row holds one;
+ *      NumPy path, in its order (the forms below; no contraction), two
+ *      codewords to a vector register, and tracks their extremum (minimum,
+ *      or maximum for the DSQ forms) and whether any is NaN;
+ *   2. picks NumPy's argmin / argmax in a second sweep over the row, still in
+ *      L1: the first codeword whose score is NaN if one is, else the first
+ *      whose score equals the extremum. Ties -- -0.0 against 0.0 included --
+ *      keep the first codeword, +-inf are ordinary values, a NaN wins;
  *   3. updates the row's state from the chosen codeword: its code, its score
  *      (minima), the residual (target -= book[code]), the running decode
  *      (recon = 0 + book[code] at the first level, += after: NumPy's sum over
@@ -429,49 +437,107 @@ DEFINE_SEARCH(uint32_t, u32)
  *      (x = emb - recon).
  * A NULL pointer skips its part; scores, when given, receives the scores at a
  * row stride. No scratch and no static state: calls may run concurrently.
+ * The vectors are GCC vector extensions: SSE2 registers on x86-64, whatever
+ * the target has elsewhere, each lane rounding as the scalar operation does.
  */
 enum { NEAREST, KMEANS, DSQ_L2, DSQ_DOT };
 
-/* Score of codeword k in row c, per form: the NumPy path's passes on one
- * element (no contraction: each operation rounds). */
-#define SCORE_NEAREST(k) (c[k] * -2.0 + col[k]) /* *= -2; += code_sq */
-#define SCORE_KMEANS(k) (c[k] + col[k])         /* += c_sq */
-#define SCORE_DSQ_L2(k) ((c[k] * 2.0 - r) - col[k]) /* *= 2; -= x_sq; -= code_sq */
-#define SCORE_DSQ_DOT(k) (c[k])
-/* Whether v leaves the running extremum `best` (never NaN) in place:
- * NumPy's argmin / argmax keep the first extremum, and stop at a NaN. */
-#define KEEP_MIN(v, best) ((v) >= (best))
-#define KEEP_MAX(v, best) ((v) <= (best))
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2l __attribute__((vector_size(16)));
 
-/* One row's pick, scored as it is scanned: a single compare per codeword
- * (it fails for a better score and for a NaN alike). */
-#define PICK_ROWS(SCORE, KEEP)                                                \
-    for (int64_t i = 0; i < n; i++) {                                         \
-        const double *c = cross + i * k_words;                                \
-        const double r = row ? row[i] : 0;                                    \
-        (void)r;                                                              \
-        if (scores)                                                           \
-            for (int64_t k = 0; k < k_words; k++)                             \
-                scores[i * score_stride + k] = SCORE(k);                      \
-        double best = SCORE(0);                                               \
-        int64_t code = 0;                                                     \
-        if (best == best)                                                     \
-            for (int64_t k = 1; k < k_words; k++) {                           \
-                const double v = SCORE(k);                                    \
-                if (!KEEP(v, best)) {                                         \
-                    code = k;                                                 \
-                    if (v != v)                                               \
-                        break;                                                \
-                    best = v;                                                 \
-                }                                                             \
-            }                                                                 \
-        codes[i * code_stride] = code;                                        \
-        if (minima)                                                           \
-            minima[i] = SCORE(code);                                          \
-        if (book)                                                             \
-            update_row(book + code * dim, dim, i, target, recon, first, emb,  \
-                       x);                                                    \
+static inline v2d load2(const double *p)
+{
+    v2d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* Codeword k's score in row c, per form: the NumPy path's passes on one
+ * element, each operation rounding. SCORE2 is codewords k and k + 1. */
+#define SCORE_FORM(FORM, C, COL, R)                                           \
+    ((FORM) == NEAREST  ? (C) * -2.0 + (COL)       /* *= -2; += code_sq */    \
+     : (FORM) == KMEANS ? (C) + (COL)              /* += c_sq */              \
+     : (FORM) == DSQ_L2 ? ((C) * 2.0 - (R)) - (COL) /* *= 2; -= x_sq; -= c_sq */\
+                        : (C))
+#define SCORE1(FORM, k)                                                       \
+    SCORE_FORM(FORM, c[k], (FORM) == DSQ_DOT ? 0.0 : col[k], r)
+#define SCORE2(FORM, k)                                                       \
+    SCORE_FORM(FORM, load2(c + (k)),                                          \
+               (FORM) == DSQ_DOT ? ((v2d){0.0, 0.0}) : load2(col + (k)), r)
+
+/* Lane-wise helpers: SSE2 instructions where the target has them, the same
+ * results from plain vector operations elsewhere. Masks are all-ones lanes. */
+#ifdef __SSE2__
+#define MIN2(A, B) _mm_min_pd(A, B) /* A < B ? A : B: a NaN A keeps B */
+#define MAX2(A, B) _mm_max_pd(A, B) /* A > B ? A : B */
+#define UNORD2(A, B) _mm_cmpunord_pd(A, B) /* A or B is NaN */
+#define EQ2(A, B) _mm_cmpeq_pd(A, B)
+#define OR2(A, B) _mm_or_pd(A, B)
+#define MASK2(M) _mm_movemask_pd(M) /* lane 0 -> bit 0, lane 1 -> bit 1 */
+#else
+static inline v2d pick2(v2l m, v2d a, v2d b)
+{
+    return (v2d)(((v2l)a & m) | ((v2l)b & ~m));
+}
+#define MIN2(A, B) pick2((A) < (B), A, B)
+#define MAX2(A, B) pick2((A) > (B), A, B)
+#define UNORD2(A, B) ((v2d)(((A) != (A)) | ((B) != (B))))
+#define EQ2(A, B) ((v2d)((A) == (B)))
+#define OR2(A, B) ((v2d)((v2l)(A) | (v2l)(B)))
+#define MASK2(M) ((int)((((v2l)(M))[0] != 0) | ((((v2l)(M))[1] != 0) << 1)))
+#endif
+
+/* Row c's pick: pass 1 scores (writing them to out when given) and reduces
+ * them to the extremum and a NaN mask; pass 2 finds the first NaN, or the
+ * first occurrence of the extremum. */
+static inline __attribute__((always_inline)) int64_t
+pick_row(int64_t form, const double *c, int64_t k_words, const double *col,
+         double r, double *out)
+{
+    const int max = form == DSQ_L2 || form == DSQ_DOT;
+#define BEST2(A, B) (max ? MAX2(A, B) : MIN2(A, B))
+    const double none = max ? -__builtin_inf() : __builtin_inf();
+    v2d e0 = {none, none}, e1 = e0, e2 = e0, e3 = e0, nan = {0.0, 0.0};
+    int64_t k = 0;
+    for (; k + 8 <= k_words; k += 8) {
+        const v2d s0 = SCORE2(form, k), s1 = SCORE2(form, k + 2);
+        const v2d s2 = SCORE2(form, k + 4), s3 = SCORE2(form, k + 6);
+        if (out) {
+            memcpy(out + k, &s0, sizeof s0), memcpy(out + k + 2, &s1, sizeof s1);
+            memcpy(out + k + 4, &s2, sizeof s2), memcpy(out + k + 6, &s3, sizeof s3);
+        }
+        e0 = BEST2(s0, e0), e1 = BEST2(s1, e1), e2 = BEST2(s2, e2), e3 = BEST2(s3, e3);
+        nan = OR2(nan, OR2(UNORD2(s0, s1), UNORD2(s2, s3)));
     }
+    for (; k + 2 <= k_words; k += 2) {
+        const v2d s = SCORE2(form, k);
+        if (out)
+            memcpy(out + k, &s, sizeof s);
+        e0 = BEST2(s, e0);
+        nan = OR2(nan, UNORD2(s, s));
+    }
+    e0 = BEST2(BEST2(e0, e1), BEST2(e2, e3));
+    double best = max ? (e0[1] > e0[0] ? e0[1] : e0[0])
+                      : (e0[1] < e0[0] ? e0[1] : e0[0]);
+    int any_nan = MASK2(nan) != 0;
+    if (k < k_words) { /* odd K: the last codeword */
+        const double v = SCORE1(form, k);
+        if (out)
+            out[k] = v;
+        if (max ? v > best : v < best)
+            best = v;
+        any_nan |= v != v;
+    }
+#undef BEST2
+    const v2d target = {best, best};
+    for (k = 0; k + 2 <= k_words; k += 2) {
+        const v2d s = SCORE2(form, k);
+        const int hit = MASK2(any_nan ? UNORD2(s, s) : EQ2(s, target));
+        if (hit)
+            return k + !(hit & 1);
+    }
+    return k; /* odd K, and no earlier hit: the last codeword */
+}
 
 /* The row state the chosen codeword b moves on. */
 static inline void update_row(const double *b, int64_t dim, int64_t i,
@@ -500,6 +566,26 @@ static inline void update_row(const double *b, int64_t dim, int64_t i,
     }
 }
 
+static inline __attribute__((always_inline)) void
+select_form(int64_t form, const double *cross, int64_t n, int64_t k_words,
+            const double *row, const double *col, double *scores,
+            int64_t score_stride, int64_t *codes, int64_t code_stride,
+            double *minima, const double *book, int64_t dim, double *target,
+            double *recon, int64_t first, const double *emb, double *x)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *c = cross + i * k_words;
+        const double r = row ? row[i] : 0;
+        const int64_t code = pick_row(form, c, k_words, col, r,
+                                      scores ? scores + i * score_stride : NULL);
+        codes[i * code_stride] = code;
+        if (minima)
+            minima[i] = SCORE1(form, code);
+        if (book)
+            update_row(book + code * dim, dim, i, target, recon, first, emb, x);
+    }
+}
+
 void select_rows(const double *cross, int64_t n, int64_t k_words,
                  int64_t form, const double *row, const double *col,
                  double *scores, int64_t score_stride, int64_t *codes,
@@ -507,17 +593,22 @@ void select_rows(const double *cross, int64_t n, int64_t k_words,
                  int64_t dim, double *target, double *recon, int64_t first,
                  const double *emb, double *x)
 {
+#define SELECT(FORM)                                                          \
+    select_form(FORM, cross, n, k_words, row, col, scores, score_stride,      \
+                codes, code_stride, minima, book, dim, target, recon, first,  \
+                emb, x)
     switch (form) {
     case NEAREST:
-        PICK_ROWS(SCORE_NEAREST, KEEP_MIN)
+        SELECT(NEAREST);
         break;
     case KMEANS:
-        PICK_ROWS(SCORE_KMEANS, KEEP_MIN)
+        SELECT(KMEANS);
         break;
     case DSQ_L2:
-        PICK_ROWS(SCORE_DSQ_L2, KEEP_MAX)
+        SELECT(DSQ_L2);
         break;
     default:
-        PICK_ROWS(SCORE_DSQ_DOT, KEEP_MAX)
+        SELECT(DSQ_DOT);
     }
+#undef SELECT
 }

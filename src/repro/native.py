@@ -290,18 +290,23 @@ class Kernel:
         book=None, target=None, recon=None, first=False, emb=None, x=None,
     ):
         """One level's row-select pass over ``cross``, the ``(n, K)`` output
-        of its GEMM, in one call (see ``native.c``).
+        of its GEMM, in one call (see ``native.c``): called once per level
+        and row block, by :mod:`repro.cluster.kmeans` per row chunk and by
+        :meth:`repro.core.dsq.DSQ.encode` per level. (The blocked residual
+        encode of :mod:`repro.retrieval.adc` binds its arrays once instead,
+        through :meth:`nearest_levels`.)
 
         ``form`` is one of :data:`NEAREST`, :data:`KMEANS`, :data:`DSQ_L2`,
         :data:`DSQ_DOT`, with ``col`` the ``(K,)`` codeword term and ``row``
         the ``(n,)`` row term it reads. Writes each row's pick to ``codes``
-        (an ``(n,)`` int64 view, any stride) and, where given, its score to
-        ``minima``, all its scores to ``scores`` (an ``(n, K)`` view with
-        unit column stride), and — from ``book``, the level's ``(K, d)``
-        codebook — ``target −= book[code]``, ``recon = 0 + book[code]``
-        (``first``) or ``recon += book[code]``, and ``x = emb − recon``.
-        This checks what the C code would otherwise read or write out of
-        bounds: shapes, dtypes, strides, writability.
+        (an ``(n,)`` int64 view, any stride) — NumPy's first argmin / argmax,
+        or the first NaN — and, where given, its score to ``minima``, all its
+        scores to ``scores`` (an ``(n, K)`` view with unit column stride),
+        and — from ``book``, the level's ``(K, d)`` codebook — ``target −=
+        book[code]``, ``recon = 0 + book[code]`` (``first``) or ``recon +=
+        book[code]``, and ``x = emb − recon``. This checks what the C code
+        would otherwise read or write out of bounds: shapes, dtypes, strides,
+        writability.
         """
         n, k_words = cross.shape
         dim = 0 if book is None else book.shape[1]
@@ -341,6 +346,53 @@ class Kernel:
             *(None if a is None else a.ctypes.data for a in (target, recon)), int(first),
             *(None if a is None else a.ctypes.data for a in (emb, x)),
         )
+
+    def nearest_levels(self, scores, target, codes, books, code_sq, recon=None):
+        """The :data:`NEAREST` select pass of a row-blocked residual encode,
+        with its arrays checked once for the whole encode.
+
+        ``scores`` ``(B, K)`` and ``target`` ``(B, d)`` are one row block's
+        scratch: its GEMM output and its residual rows. ``codes`` is the
+        ``(n, M)`` output, ``books`` and ``code_sq`` the ``(M, K, d)``
+        codebooks and their ``(M, K)`` squared norms, ``recon``, when given,
+        the ``(n, d)`` running decode. Returns ``select(lo, hi, j, step)``:
+        level ``j``'s pass over rows ``[lo, hi)`` of the encode, whose GEMM
+        is in ``scores[: hi - lo]``; ``step`` moves the residual on. A call
+        checks only its integers.
+        """
+        rows, k_words = scores.shape
+        (n, m), dim = codes.shape, target.shape[1]
+        if not (
+            all(a.dtype == _F64 and a.flags.c_contiguous for a in (scores, target, books, code_sq))
+            and codes.dtype == _I64 and codes.flags.c_contiguous and k_words >= 1
+            and target.shape == (rows, dim) and books.shape == (m, k_words, dim)
+            and code_sq.shape == (m, k_words)
+            and all(a.flags.writeable for a in (scores, target, codes))
+            and (recon is None or (
+                recon.dtype == _F64 and recon.shape == (n, dim) and recon.flags.c_contiguous
+                and recon.flags.writeable
+            ))
+        ):
+            raise ValueError("select inputs do not match the compiled kernel's")
+        call = self._select
+        cross, residual, out = scores.ctypes.data, target.ctypes.data, codes.ctypes.data
+        book, sq = books.ctypes.data, code_sq.ctypes.data
+        decode = None if recon is None else recon.ctypes.data
+
+        def select(lo: int, hi: int, j: int, step: bool) -> None:
+            if not (0 <= lo <= hi <= n and hi - lo <= rows and 0 <= j < m):
+                raise ValueError("select block outside the bound arrays")
+            call(
+                cross, hi - lo, k_words, NEAREST, None, sq + 8 * j * k_words, None, 0,
+                out + 8 * (lo * m + j), m, None,
+                book + 8 * j * k_words * dim if step or decode is not None else None, dim,
+                residual if step else None,
+                None if decode is None else decode + 8 * lo * dim, int(j == 0),
+                None, None,
+            )
+
+        select.arrays = (scores, target, codes, books, code_sq, recon)  # outlive every call
+        return select
 
 
 def _batch(lut64, q_sq64, layout, ids) -> int:

@@ -19,8 +19,6 @@ import hashlib
 import json
 import os
 import tempfile
-import zipfile
-import zlib
 
 import numpy as np
 
@@ -100,6 +98,22 @@ def write_archive(
         raise
 
 
+def _end_record_members(path: str) -> int | None:
+    """The member count in a zip's end-of-central-directory record, when the
+    file ends in a plain one (no archive comment, not zip64) — as every
+    ``np.savez`` archive does; ``None`` otherwise."""
+    with open(path, "rb") as handle:
+        handle.seek(0, os.SEEK_END)
+        if handle.tell() < 22:
+            return None
+        handle.seek(-22, os.SEEK_END)
+        record = handle.read(22)
+    count = int.from_bytes(record[10:12], "little")
+    if record[:4] != b"PK\x05\x06" or count == 0xFFFF:
+        return None
+    return count
+
+
 def read_archive(
     path: str,
     kind: str | None = None,
@@ -117,15 +131,20 @@ def read_archive(
     try:
         with np.load(path, allow_pickle=False) as archive:
             raw = {key: archive[key] for key in archive.files}
-    except (
-        zipfile.BadZipFile,
-        zlib.error,
-        ValueError,
-        OSError,
-        EOFError,
-        KeyError,
-    ) as exc:
+    except Exception as exc:
+        # Whatever the zip or .npy reader raises on damaged bytes — beyond
+        # BadZipFile, zlib.error, OSError and the like, a flipped directory
+        # flag bit raises NotImplementedError ("strong encryption") or
+        # RuntimeError ("password required") — is corruption to the caller.
         raise CorruptArtifactError(f"unreadable archive {path!r}: {exc}") from exc
+    counted = _end_record_members(path)
+    if counted is not None and counted != len(raw):
+        # A damaged directory entry (say, its comment length) can hide the
+        # members after it — the manifest among them — and pass the rest
+        # off as a complete legacy archive.
+        raise CorruptArtifactError(
+            f"archive {path!r} lists {len(raw)} members but its end record counts {counted}"
+        )
 
     if MANIFEST_KEY not in raw:
         # Legacy archive: no integrity data to verify against.

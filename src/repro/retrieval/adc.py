@@ -177,6 +177,11 @@ def validate_codes(codes: np.ndarray, num_codebooks: int, num_codewords: int) ->
 #: Float64 cells :func:`reconstruct` gathers at a time (2 MB).
 RECONSTRUCT_CELLS = 1 << 18
 
+#: Float64 cells of one encode row block's working set — its ``(rows, K)``
+#: scores, ``(rows, d)`` residual and ``(rows, d)`` decode (1 MB: 1 024 rows
+#: at M8 × K64, d 32) — which every codebook level reuses from L2.
+ENCODE_CELLS = 1 << 17
+
 
 def reconstruct(codes: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     """Additive reconstruction ``o_i = Σ_j C_j[b_i[j]]``.
@@ -648,10 +653,9 @@ def encode_reconstruct(
 def _encode(features, codebooks, residual: bool, decode: bool):
     """:func:`encode_nearest`'s codes, and their decode when ``decode``.
 
-    Per level one GEMM in BLAS, then either one compiled select pass
-    (:meth:`repro.native.Kernel.select_rows`: scores, argmin, residual and
-    running decode, one sweep over the rows) or the NumPy passes below —
-    the reference, and the no-compiler path; both round the same.
+    Per level one GEMM in BLAS, then either the compiled select pass
+    (:func:`_encode_blocks`) or the NumPy passes below — the reference, and
+    the no-compiler path; both round the same.
     """
     features = np.asarray(features, dtype=np.float64)
     codebooks = np.asarray(codebooks, dtype=np.float64)
@@ -659,36 +663,60 @@ def _encode(features, codebooks, residual: bool, decode: bool):
         raise ValueError("rows to encode must be finite (found NaN or inf)")
     m, k, d = codebooks.shape
     n = len(features)
-    codes = np.empty((n, m), dtype=np.int64)
-    target = features.copy()
-    # Fused formulation: buffers are allocated once and every level runs
-    # ``cross·(−2) + ‖c‖²`` in place. Bit-identical to the textbook
-    # ``c_sq − 2·target@C.T`` — multiplying by −2.0 is an exact scale/sign
-    # flip and IEEE addition is commutative — so argmin ties break the same.
+    # ``cross·(−2) + ‖c‖²`` is bit-identical to the textbook ``c_sq −
+    # 2·target@C.T`` — multiplying by −2.0 is an exact scale/sign flip and
+    # IEEE addition is commutative — so argmin ties break the same.
     code_sq = (codebooks * codebooks).sum(axis=2)  # (M, K)
-    scores = np.empty((n, k))
     kernel = native.load() if n else None
-    recon = np.empty((n, d)) if decode and kernel is not None and d > 1 else None
-    if kernel is not None:  # the C code walks rows: copies keep the bits
-        books, code_sq = np.ascontiguousarray(codebooks), np.ascontiguousarray(code_sq)
+    if kernel is not None:
+        codes, recon = _encode_blocks(kernel, features, codebooks, code_sq, residual, decode)
     else:
+        codes = np.empty((n, m), dtype=np.int64)
+        target = features.copy()
+        scores = np.empty((n, k))
         level = np.empty((n, d))
-    for j in range(m):
-        np.matmul(target, codebooks[j].T, out=scores)
-        step = residual and j + 1 < m
-        if kernel is not None:
-            kernel.select_rows(
-                scores, native.NEAREST, codes[:, j], col=code_sq[j],
-                book=books[j] if step or recon is not None else None,
-                target=target if step else None, recon=recon, first=j == 0,
-            )
-            continue
-        scores *= -2.0
-        scores += code_sq[j]
-        codes[:, j] = scores.argmin(axis=1)
-        if step:
-            np.take(codebooks[j], codes[:, j], axis=0, out=level)
-            target -= level
+        for j in range(m):
+            np.matmul(target, codebooks[j].T, out=scores)
+            scores *= -2.0
+            scores += code_sq[j]
+            codes[:, j] = scores.argmin(axis=1)
+            if residual and j + 1 < m:
+                np.take(codebooks[j], codes[:, j], axis=0, out=level)
+                target -= level
+        recon = None
     if decode and recon is None:
         recon = reconstruct(codes, codebooks)
+    return codes, recon
+
+
+def _encode_blocks(kernel, features, codebooks, code_sq, residual: bool, decode: bool):
+    """:func:`_encode` on the compiled select pass, one row block at a time.
+
+    A block runs every level — its GEMM, then one
+    :meth:`repro.native.Kernel.nearest_levels` call that scores, picks and
+    moves the residual and the running decode — while its scores and
+    residual stay in cache. Blocks split the rows evenly, none shorter than
+    ``ENCODE_CELLS // (K + 2d)`` rows (or all ``n``), so no block is so
+    short that BLAS would switch to a kernel summing in another order (a
+    one-row GEMV, a small-matrix path): every score keeps the bits of the
+    whole-matrix GEMM. Scratch is one block of scores and residual rows,
+    allocated per call.
+    """
+    n, (m, k, d) = len(features), codebooks.shape
+    blocks = max(1, n // max(1, ENCODE_CELLS // (k + 2 * d)))
+    rows = -(-n // blocks)
+    codes = np.empty((n, m), dtype=np.int64)
+    recon = np.empty((n, d)) if decode and d > 1 else None
+    scores, target = np.empty((rows, k)), np.empty((rows, d))
+    select = kernel.nearest_levels(  # the C code walks rows: copies keep the bits
+        scores, target, codes, np.ascontiguousarray(codebooks), np.ascontiguousarray(code_sq),
+        recon,
+    )
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        cross, block_target = scores[: hi - lo], target[: hi - lo]
+        block_target[...] = features[lo:hi]
+        for j in range(m):
+            np.matmul(block_target, codebooks[j].T, out=cross)
+            select(lo, hi, j, residual and j + 1 < m)
     return codes, recon

@@ -82,6 +82,44 @@ class TestCorruptionDetection:
             read_archive(path, kind="test-kind")
 
 
+class TestDirectoryFlipSweep:
+    def test_every_directory_bit_flip_is_caught_or_harmless(self, tmp_path):
+        # Bits 0 and 6 of every byte of the zip central directory (and its
+        # end record) of a small index artifact: each flip makes the load
+        # raise a typed artifact error, or load the very arrays written.
+        from repro.retrieval import QuantizedIndex
+        from repro.retrieval.persistence import load_index, save_index
+
+        def arrays(index):
+            return [index.codebooks, index.codes, index.db_sq_norms, index.labels]
+
+        rng = np.random.default_rng(0)
+        index = QuantizedIndex.build(
+            rng.normal(size=(2, 4, 3)), rng.normal(size=(30, 3)), labels=np.arange(30) % 3
+        )
+        path = str(tmp_path / "index.npz")
+        save_index(index, path)
+        with open(path, "rb") as handle:
+            clean = handle.read()
+        want = arrays(load_index(path))
+        outcomes = {"caught": 0, "equal": 0}
+        for offset in range(clean.index(b"PK\x01\x02"), len(clean)):
+            for bit in (0, 6):
+                damaged = bytearray(clean)
+                damaged[offset] ^= 1 << bit
+                with open(path, "wb") as handle:
+                    handle.write(damaged)
+                try:
+                    got = arrays(load_index(path))
+                except (CorruptArtifactError, IncompatibleStateError):
+                    outcomes["caught"] += 1
+                    continue
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (offset, bit)
+                outcomes["equal"] += 1
+        assert outcomes["caught"] > 0 and outcomes["equal"] > 0
+
+
 class TestCompatibility:
     def test_wrong_kind(self, tmp_path):
         path = str(tmp_path / "artifact.npz")

@@ -87,6 +87,23 @@ class TestManager:
         assert len(manager.skipped) == 1
         assert manager.skipped[0][0] == manager.checkpoint_path(3)
 
+    def test_falls_back_past_a_flipped_directory_flag(self, tmp_path):
+        # Bit 6 of a zip directory entry's flags claims strong encryption:
+        # zipfile raises NotImplementedError, which must count as corruption.
+        manager = CheckpointManager(str(tmp_path), keep=3)
+        for epoch in (1, 2):
+            manager.save(sample_state(epoch=epoch))
+        path = manager.checkpoint_path(2)
+        with open(path, "r+b") as handle:
+            data = bytearray(handle.read())
+            flags = data.index(b"PK\x01\x02") + 8  # the first entry's flag word
+            data[flags] |= 1 << 6
+            handle.seek(0)
+            handle.write(data)
+        state = manager.load_latest_valid()
+        assert state["epoch"] == 1
+        assert [p for p, _ in manager.skipped] == [path]
+
     def test_all_corrupt_returns_none(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), keep=3)
         for epoch in (1, 2):

@@ -10,6 +10,7 @@ codes, decodes, norms, assignments, minima, centroids, inertia, iterations.
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,46 @@ class TestEncodeNearest:
         scan_kernels.agree(scan_kernels.each(lambda: build_outputs(strided, books_f)))
         for got in scan_kernels.each(lambda: build_outputs(features[:0, :8], codebooks)).values():
             assert got[1].shape == (0, 4) and got[2].shape == (0, 8)
+
+    @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "3B+5", "16B+17"])
+    def test_row_block_boundaries_agree(self, scan_kernels, rows):
+        # The compiled path encodes in blocks of B rows (ENCODE_CELLS cells),
+        # the NumPy reference all rows in one GEMM. Each row sits on the
+        # bisector of two level-0 codewords, so its first code turns on the
+        # last bit of two scores: a block whose GEMM summed in another order
+        # would show.
+        m, k, d = 8, 64, 32
+        block = adc.ENCODE_CELLS // (k + 2 * d)
+        n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+             "3B+5": 3 * block + 5, "16B+17": 16 * block + 17}[rows]
+        codebooks = residual_codebooks(9, m, k, d)
+        rng = np.random.default_rng(9)
+        first = rng.integers(k, size=n)
+        a, b = codebooks[0, first], codebooks[0, (first + rng.integers(1, k, size=n)) % k]
+        away = rng.normal(size=(n, d))
+        gap = a - b
+        away -= (away * gap).sum(axis=1, keepdims=True) / (gap * gap).sum(axis=1, keepdims=True) * gap
+        features = (a + b) / 2 + away
+        scan_kernels.agree(scan_kernels.each(lambda: [
+            *adc.encode_reconstruct(features, codebooks),
+            adc.encode_nearest(features, codebooks, residual=False),
+        ]))
+
+    def test_encode_scratch_is_two_blocks_not_n_rows(self):
+        if native.load() is None:
+            pytest.skip("the NumPy reference encodes all rows at once")
+        n, m, k, d = 100_000, 8, 64, 32
+        codebooks = residual_codebooks(10, m, k, d)
+        features = np.random.default_rng(10).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            codes, decode = adc.encode_reconstruct(features, codebooks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = codes.nbytes + decode.nbytes
+        # An (n, K) score matrix and an (n, d) residual copy would be 77 MB.
+        assert peak <= outputs + 2 * adc.ENCODE_CELLS * 8
 
     def test_mutable_add_and_drift_baseline_agree(self, scan_kernels):
         codebooks = residual_codebooks(5, 4, 16, 8)
@@ -179,6 +220,32 @@ class TestSelectRows:
         assert codes.tolist() == pick(want, axis=1).tolist() == [codes[0], 4, 0, 0, 8, codes[5]]
         assert scores.tobytes() == want.tobytes()
         assert minima.tobytes() == want[np.arange(6), codes].tobytes()
+
+    @pytest.mark.parametrize("k_words", [1, 2, 3, 7, 8, 9, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_picks_match_numpy(self, kernel, form, k_words):
+        # Rows drawn from a few values — exact ties, -0.0 against 0.0, ±inf —
+        # plus all-equal rows and rows with a NaN first, in the middle, last.
+        rng = np.random.default_rng(100 * form + k_words)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf])
+        cross = rng.choice(values, size=(64, k_words))
+        cross[:8] = rng.choice(values, size=(8, 1))  # all equal
+        cross[8:16] = rng.choice(values[:5], size=(8, k_words))  # finite ties only
+        nan_at = {16: 0, 17: k_words // 2, 18: k_words - 1}
+        for i, at in nan_at.items():
+            cross[i, at] = np.nan
+        cross[19, [k_words - 1, k_words // 3]] = np.nan  # the first of two
+        row = rng.choice(values[:5], size=64)
+        col = rng.choice(values[:5], size=k_words)
+        with np.errstate(invalid="ignore"):
+            want, pick = self.FORMS[form](cross, row, col)
+        codes, minima, scores = np.empty(64, np.int64), np.empty(64), np.empty((64, k_words))
+        kernel.select_rows(cross, form, codes, row=row, col=col, scores=scores, minima=minima)
+        assert codes.tolist() == pick(want, axis=1).tolist()
+        assert [codes[i] for i in nan_at] == list(nan_at.values())
+        assert codes[19] == min(k_words - 1, k_words // 3)
+        assert scores.tobytes() == want.tobytes()
+        assert minima.tobytes() == want[np.arange(64), codes].tobytes()
 
     def test_mismatched_inputs_are_refused(self, kernel):
         cross, codes = np.zeros((4, 3)), np.empty(4, np.int64)

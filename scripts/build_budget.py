@@ -13,23 +13,30 @@ Builds one block of each benchmark workload's index build, as
 - Z: the same at M8 × K64, d 32.
 
 Each block runs clean (its median is the block), then instrumented, and its
-time is split four ways:
+time is split six ways:
 
 - GEMM: inside ``np.matmul`` (every level GEMM of the encodes and k-means);
 - select: the compiled pick — scores, argmin / argmax, minima — timed by
   replaying each compiled select call that moves row state without it;
 - update: the rest of those calls (residual, running decode, next DSQ input);
-- other: the instrumented block less the three (Python, checks, norms,
-  layouts, k-means seeding and sums).
+- decode: inside ``adc.reconstruct`` (the compiled row decode, or NumPy's
+  gather and sum) — the norms of supplied codes and the IVF sample;
+- kmeans: inside k-means' seeding (``_seed_rows``) and update-step sums
+  (``_cluster_sums``, the compiled cluster-sum pass or NumPy's sort, gather
+  and slice sums); its assignment passes are GEMM and select;
+- other: the instrumented block less the five (the embed, Python, checks,
+  norms, layouts).
 
-Prints one line per workload: the clean block and the four stage medians
+Prints one line per workload: the clean block and the six stage medians
 (ms), and their sum as a share of the clean block. Without a compiled kernel
-the select and update columns read 0 and the NumPy passes land in "other".
+the select and update columns read 0 and the NumPy select passes land in
+"other"; decode and kmeans time whichever path runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
@@ -51,6 +58,20 @@ from repro.retrieval.ivf import IVFIndex
 #: ``select_rows`` argument positions of the row state a replay leaves out:
 #: book, target, recon, emb, x.
 _STATE = (11, 13, 14, 16, 17)
+
+#: Functions timed as columns of their own: (module, name, column). The
+#: decode is looked up by name in each module that imported it.
+_TIMED = [
+    (importlib.import_module(module), name, column) for module, name, column in (
+        ("repro.retrieval.adc", "reconstruct", "decode"),
+        ("repro.retrieval.index", "reconstruct", "decode"),
+        ("repro.retrieval.ivf", "reconstruct", "decode"),
+        ("repro.cluster.kmeans", "_seed_rows", "kmeans"),
+        ("repro.cluster.kmeans", "_cluster_sums", "kmeans"),
+    )
+]
+
+COLUMNS = ("GEMM", "select", "update", "decode", "kmeans", "other")
 
 
 def clustered(seed: int, n: int, dim: int) -> np.ndarray:
@@ -82,12 +103,25 @@ BLOCKS = {"F": f_block, "T": lambda: model_block(1, 64, 128), "Z": lambda: model
 
 
 class Stages:
-    """Wraps ``np.matmul`` and the kernel's select entry with clocks."""
+    """Wraps ``np.matmul``, the kernel's select entry and the :data:`_TIMED`
+    functions with clocks."""
 
     def __init__(self, kernel) -> None:
         self.gemm = self.call = self.pick = self.replay = 0.0
+        self.columns = dict.fromkeys((column for *_, column in _TIMED), 0.0)
         self._matmul, self._kernel = np.matmul, kernel
         self._select = None if kernel is None else kernel._select
+        self._originals = [getattr(module, name) for module, name, _ in _TIMED]
+
+    def timed(self, function, column: str):
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.columns[column] += time.perf_counter() - start
+
+        return run
 
     def matmul(self, *args, **kwargs):
         start = time.perf_counter()
@@ -114,12 +148,16 @@ class Stages:
         np.matmul = self.matmul
         if self._kernel is not None:
             self._kernel._select = self.select
+        for (module, name, column), function in zip(_TIMED, self._originals):
+            setattr(module, name, self.timed(function, column))
         return self
 
     def __exit__(self, *exc):
         np.matmul = self._matmul
         if self._kernel is not None:
             self._kernel._select = self._select
+        for (module, name, _), function in zip(_TIMED, self._originals):
+            setattr(module, name, function)
 
 
 def budget(block, repeats: int, kernel) -> dict:
@@ -133,11 +171,13 @@ def budget(block, repeats: int, kernel) -> dict:
             start = time.perf_counter()
             block()
             total = time.perf_counter() - start - s.replay
-        stages.append((s.gemm, s.pick, s.call - s.pick, total - s.gemm - s.call))
+        decode, fit = s.columns["decode"], s.columns["kmeans"]
+        stages.append((
+            s.gemm, s.pick, s.call - s.pick, decode, fit,
+            total - s.gemm - s.call - decode - fit,
+        ))
     medians = np.median(np.array(stages) * 1e3, axis=0)
-    return {"block": float(np.median(clean) * 1e3), **dict(zip(
-        ("gemm", "select", "update", "other"), medians.tolist()
-    ))}
+    return {"block": float(np.median(clean) * 1e3), **dict(zip(COLUMNS, medians.tolist()))}
 
 
 def main() -> int:
@@ -148,12 +188,9 @@ def main() -> int:
     print(f"kernel: {'c' if kernel else 'numpy'}; medians of {args.repeats}, ms")
     for name, make in BLOCKS.items():
         b = budget(make(), args.repeats, kernel)
-        parts = b["gemm"] + b["select"] + b["update"] + b["other"]
-        print(
-            f"{name}: block {b['block']:.2f} = GEMM {b['gemm']:.2f} + select {b['select']:.2f}"
-            f" + update {b['update']:.2f} + other {b['other']:.2f}"
-            f" (sum {100 * parts / b['block']:.1f} % of the block)"
-        )
+        parts = " + ".join(f"{column} {b[column]:.2f}" for column in COLUMNS)
+        share = 100 * sum(b[column] for column in COLUMNS) / b["block"]
+        print(f"{name}: block {b['block']:.2f} = {parts} (sum {share:.1f} % of the block)")
     return 0
 
 

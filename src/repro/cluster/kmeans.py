@@ -13,7 +13,14 @@ no ``(x − c)²`` matrix is ever formed. Sums are reassociated against the
 difference form, so results agree with it to rounding rather than bit for
 bit; ``tests/cluster/reference_kmeans.py`` keeps the difference form as the
 oracle. Scratch is bounded by :data:`SCRATCH_CELLS` whatever ``n`` and
-``k`` are.
+``k`` are (plus one ``(k, d)`` block of partial sums in the update step).
+
+Two passes run in the compiled kernel (:mod:`repro.native`) where it loads,
+each doing the NumPy path's float operations in its order, so the results
+are the same bits either way: the assignment pass's select after each GEMM
+(:func:`_nearest`), and the update step's cluster sums
+(:func:`_cluster_sums`). The NumPy paths are their reference and the
+no-compiler path. Seeding stays in NumPy: its cost is the BLAS GEMV.
 """
 
 from __future__ import annotations
@@ -150,17 +157,28 @@ def _cluster_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate sums and sizes of every cluster.
 
-    Each row chunk is gathered into cluster order once and every cluster
-    present sums its own contiguous slice: ``O(n·d)`` work where one
-    boolean mask per cluster costs ``O(n·k)``. (``np.add.reduceat`` over
-    the same grouping dispatches per row on axis 0 and ran 2.5x slower at
-    8 192 × 64, k = 32.) Within a chunk a cluster's rows add up in row
-    order, as a masked ``mean`` adds them.
+    Rows are taken a :func:`_chunk_rows` chunk at a time. Within a chunk a
+    cluster's rows add up in row order, as a masked ``mean`` adds them, into
+    a partial sum that starts at ``+0.0``; the partial then adds into the
+    cluster's sum. The compiled cluster-sum pass
+    (:meth:`repro.native.Kernel.cluster_sums`) does exactly that, row by
+    row, with no sort and no gathered copy. The NumPy path below — the
+    reference, and the no-compiler path — gathers each chunk into cluster
+    order once and sums every cluster's contiguous slice: ``O(n·d)`` work
+    where one boolean mask per cluster costs ``O(n·k)`` (``np.add.reduceat``
+    over the same grouping dispatches per row on axis 0 and ran 2.5x slower
+    at 8 192 × 64, k = 32). At ``d = 1`` a slice's sum runs along the row
+    axis, which NumPy sums pairwise, so NumPy sums there.
     """
     n, dim = points.shape
+    rows = _chunk_rows(dim)
+    kernel = native.load() if dim > 1 and n else None
+    if kernel is not None:
+        return kernel.cluster_sums(
+            points, np.ascontiguousarray(assignments, dtype=np.int64), num_clusters, rows
+        )
     sums = np.zeros((num_clusters, dim))
     counts = np.zeros(num_clusters, dtype=np.int64)
-    rows = _chunk_rows(dim)
     grouped = np.empty((min(rows, n), dim))
     # A stable sort of 16-bit keys is a radix sort (5x faster here).
     keys = assignments.astype(np.uint16) if num_clusters <= 1 << 16 else assignments

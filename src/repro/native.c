@@ -1,7 +1,11 @@
 /*
  * The compiled kernels of repro.native: the ADC search behind
  * repro.retrieval.adc.search_ranges and repro.retrieval.adc.scan_topk, and
- * the row-select pass of index builds (select_rows, at the end of the file).
+ * three passes of index builds, after it in this file: the row-select pass
+ * (select_rows), the row decode behind repro.retrieval.adc.reconstruct
+ * (decode_<code>) and the cluster-sum pass of k-means' update step
+ * (cluster_sums). Each build pass does the NumPy path's float operations in
+ * its order, so the two agree bit for bit.
  *
  * search_<code> runs a float32 layout's whole query path, one query after
  * another, in one call:
@@ -611,4 +615,125 @@ void select_rows(const double *cross, int64_t n, int64_t k_words,
         SELECT(DSQ_DOT);
     }
 #undef SELECT
+}
+
+/*
+ * decode_<code>: the row decode behind repro.retrieval.adc.reconstruct. Row i
+ * of out is ((0.0 + C_0[c_0]) + C_1[c_1]) + ..., element by element: the
+ * operations of NumPy's sum over the level axis of the gathered (rows, M, d)
+ * block, which starts from +0.0 and adds the levels in order (for d >= 2; at
+ * d = 1 NumPy sums the levels pairwise, so reconstruct keeps its NumPy path
+ * there). No (rows, M, d) gather: a row is summed DECODE_LANES elements at a
+ * time in vector registers across all M levels, then stored once (adding
+ * into the output row level by level measured twice as slow: its loads and
+ * stores, not its adds, set the pace). codes is (n, m) at element strides
+ * (row_stride, col_stride), books the contiguous (m, k_words, dim)
+ * codebooks, m >= 1. Returns -1 at the first code outside [0, k_words) --
+ * reconstruct has refused those already; this keeps the reads in bounds for
+ * any caller -- -2 when its m row offsets cannot be allocated, else 0.
+ */
+enum { DECODE_LANES = 16 };
+
+/* Elements [e, e + width) of one row's decode, width a multiple of 2 up to
+ * DECODE_LANES; level j's codeword row starts at books + at[j]. */
+static inline __attribute__((always_inline)) void
+decode_lanes(const double *books, const int64_t *at, int64_t m, int64_t e,
+             int64_t width, double *o)
+{
+    v2d acc[DECODE_LANES / 2];
+    for (int64_t l = 0; l < width / 2; l++)
+        acc[l] = (v2d){0.0, 0.0} + load2(books + at[0] + e + 2 * l);
+    for (int64_t j = 1; j < m; j++)
+        for (int64_t l = 0; l < width / 2; l++)
+            acc[l] += load2(books + at[j] + e + 2 * l);
+    memcpy(o + e, acc, sizeof(double) * width);
+}
+
+#define DEFINE_DECODE(CODE, C)                                                \
+    int64_t decode_##C(const CODE *codes, int64_t n, int64_t m,               \
+                       int64_t row_stride, int64_t col_stride,                \
+                       const double *books, int64_t k_words, int64_t dim,     \
+                       double *out)                                           \
+    {                                                                         \
+        int64_t *at = malloc(sizeof(int64_t) * m);                            \
+        if (!at)                                                              \
+            return -2;                                                        \
+        for (int64_t i = 0; i < n; i++) {                                     \
+            const CODE *c = codes + i * row_stride;                           \
+            double *o = out + i * dim;                                        \
+            for (int64_t j = 0; j < m; j++) {                                 \
+                const int64_t code = c[j * col_stride];                       \
+                if (code >= k_words) {                                        \
+                    free(at);                                                 \
+                    return -1;                                                \
+                }                                                             \
+                at[j] = (j * k_words + code) * dim;                           \
+            }                                                                 \
+            int64_t e = 0;                                                    \
+            for (; e + DECODE_LANES <= dim; e += DECODE_LANES)                \
+                decode_lanes(books, at, m, e, DECODE_LANES, o);               \
+            if (dim - e >= 2)                                                 \
+                decode_lanes(books, at, m, e, (dim - e) & ~1, o);             \
+            if (dim & 1) {                                                    \
+                double v = 0.0 + books[at[0] + dim - 1];                      \
+                for (int64_t j = 1; j < m; j++)                               \
+                    v += books[at[j] + dim - 1];                              \
+                o[dim - 1] = v;                                               \
+            }                                                                 \
+        }                                                                     \
+        free(at);                                                             \
+        return 0;                                                             \
+    }
+
+DEFINE_DECODE(uint8_t, u8)
+DEFINE_DECODE(uint16_t, u16)
+DEFINE_DECODE(uint32_t, u32)
+
+/*
+ * cluster_sums: the update step's sums behind
+ * repro.cluster.kmeans._cluster_sums. The n rows (dim wide, at an element
+ * row stride) are walked in chunks of `chunk` rows. Within a chunk each row
+ * is added, in row order, into its cluster's partial sum, which starts at
+ * +0.0 (partial = 0.0 + row at the cluster's first row); at the chunk's end
+ * every cluster present adds its partial into sums and its row count into
+ * counts. That is the NumPy path's arithmetic -- a stable sort of the chunk
+ * by cluster, then per cluster sums += slice.sum(axis=0), whose reduction
+ * starts from +0.0 and adds rows in order for dim >= 2 -- without the sort
+ * or the gathered copy. partial (k, dim) and sizes (k, zeroed) are the
+ * caller's scratch; sums and counts are accumulated into. Returns -1 at the
+ * first assignment outside [0, k), else 0.
+ */
+int64_t cluster_sums(const double *points, int64_t n, int64_t dim,
+                     int64_t row_stride, const int64_t *assign, int64_t k,
+                     int64_t chunk, double *restrict sums,
+                     int64_t *restrict counts, double *restrict partial,
+                     int64_t *restrict sizes)
+{
+    for (int64_t lo = 0; lo < n; lo += chunk) {
+        const int64_t hi = n - lo < chunk ? n : lo + chunk;
+        for (int64_t i = lo; i < hi; i++) {
+            const int64_t a = assign[i];
+            if (a < 0 || a >= k)
+                return -1;
+            const double *restrict x = points + i * row_stride;
+            double *restrict p = partial + a * dim;
+            if (sizes[a]++ == 0)
+                for (int64_t e = 0; e < dim; e++)
+                    p[e] = 0.0 + x[e];
+            else
+                for (int64_t e = 0; e < dim; e++)
+                    p[e] += x[e];
+        }
+        for (int64_t c = 0; c < k; c++) {
+            if (!sizes[c])
+                continue;
+            double *restrict s = sums + c * dim;
+            const double *restrict p = partial + c * dim;
+            for (int64_t e = 0; e < dim; e++)
+                s[e] += p[e];
+            counts[c] += sizes[c];
+            sizes[c] = 0;
+        }
+    }
+    return 0;
 }

@@ -1,16 +1,24 @@
 """Build, cache and bind the compiled kernels (``native.c``).
 
-Two kernels share one C source, one artifact and one fallback:
+The ADC scan and three passes of index builds share one C source, one
+artifact and one fallback:
 
 - *the ADC scan* behind :mod:`repro.retrieval.adc`'s searches;
-- *the row-select pass* of index builds (:meth:`Kernel.select_rows`): after
-  each codebook level's BLAS GEMM, one call scores every row against the
-  level's codewords with the NumPy path's float operations, picks NumPy's
-  extremum and updates the row's residual, running decode and next input —
-  for :func:`repro.retrieval.adc.encode_nearest`,
-  :meth:`repro.core.dsq.DSQ.encode` and :mod:`repro.cluster.kmeans`. It
-  lives here, below both :mod:`repro.retrieval` and :mod:`repro.cluster`, so
-  either imports it without a cycle.
+- *the row-select pass* (:meth:`Kernel.select_rows`): after each codebook
+  level's BLAS GEMM, one call scores every row against the level's
+  codewords with the NumPy path's float operations, picks NumPy's extremum
+  and updates the row's residual, running decode and next input — for
+  :func:`repro.retrieval.adc.encode_nearest`,
+  :meth:`repro.core.dsq.DSQ.encode` and :mod:`repro.cluster.kmeans`;
+- *the row decode* (:meth:`Kernel.decode`) behind
+  :func:`repro.retrieval.adc.reconstruct`: each row's codewords summed level
+  by level in registers, with no ``(rows, M, d)`` gather;
+- *the cluster-sum pass* (:meth:`Kernel.cluster_sums`) behind k-means'
+  update step: each row added into its cluster's partial sum in row order,
+  with no sort and no gathered copy.
+
+The build passes live here, below both :mod:`repro.retrieval` and
+:mod:`repro.cluster`, so either imports them without a cycle.
 
 :func:`load` is the one entry: on first use in a process it compiles the
 library with the system C compiler into a per-user cache directory — or
@@ -86,6 +94,10 @@ _CELLS_ARGS = _SEARCH_ARGS[:12] + [_P, _P, _P, _I, _I] + _SEARCH_ARGS[15:] + [_P
 #: select_rows: the GEMM's output, the score form's terms, then the outputs
 #: and row state.
 _SELECT_ARGS = [_P, _I, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P]
+#: decode_<code>: the codes and their element strides, the codebooks, the output.
+_DECODE_ARGS = [_P, _I, _I, _I, _I, _P, _I, _I, _P]
+#: cluster_sums: the rows, their assignments and chunk, the outputs, the scratch.
+_SUMS_ARGS = [_P, _I, _I, _I, _P, _I, _I, _P, _P, _P, _P]
 
 #: :meth:`Kernel.select_rows`' score forms — the NumPy operations each
 #: replaces, on a level's ``cross = rows @ book.T``, and the extremum taken:
@@ -180,13 +192,15 @@ class Kernel:
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))  # kept: the functions live in it
-        self._scans, self._searches, self._cells = {}, {}, {}
+        self._scans, self._searches, self._cells, self._decodes = {}, {}, {}, {}
         for code, c in _CODES.items():
             for real, r in _REALS.items():
                 self._scans[real, code] = self._bind(f"scan_topk_{r}_{c}", _SCAN_ARGS)
             self._searches[code] = self._bind(f"search_{c}", _SEARCH_ARGS)
             self._cells[code] = self._bind(f"search_cells_{c}", _CELLS_ARGS)
+            self._decodes[code] = self._bind(f"decode_{c}", _DECODE_ARGS)
         self._select = self._bind("select_rows", _SELECT_ARGS, restype=None)
+        self._sums = self._bind("cluster_sums", _SUMS_ARGS)
 
     def _bind(self, name: str, argtypes: list, restype=_I):
         function = getattr(self._lib, name)
@@ -394,6 +408,73 @@ class Kernel:
         select.arrays = (scores, target, codes, books, code_sq, recon)  # outlive every call
         return select
 
+    def decode(self, codes, books):
+        """``(n, d)``: each row of ``codes`` decoded through ``books``, in
+        one call (see ``native.c``) — ``((0.0 + C_0[c_0]) + C_1[c_1]) + …``
+        with no ``(n, M, d)`` gather.
+
+        ``codes`` is ``(n, M)`` in a compact unsigned dtype (uint8 to
+        uint32), at any strides (copied first if they are not whole
+        elements); ``books`` the contiguous float64 ``(M, K, d)`` codebooks.
+        These are :func:`repro.retrieval.adc.reconstruct`'s operations for
+        ``d ≥ 2``; at ``d = 1`` NumPy sums the levels pairwise, so there the
+        caller keeps NumPy. Raises ``ValueError`` for inputs of the wrong
+        shape or dtype and for a code outside ``[0, K)``.
+        """
+        n, m = codes.shape
+        if not codes.flags.aligned:  # strides the C code cannot step in elements
+            codes = codes.copy()
+        if not (
+            codes.dtype in self._decodes and books.dtype == _F64 and books.ndim == 3
+            and len(books) == m and books.flags.c_contiguous
+        ):
+            raise ValueError("decode inputs do not match the compiled kernel's")
+        _, k_words, dim = books.shape
+        if m == 0:  # no levels: every row is the empty sum
+            return np.zeros((n, dim))
+        out = np.empty((n, dim))
+        status = n and dim and self._decodes[codes.dtype](
+            codes.ctypes.data, n, m, *(s // codes.itemsize for s in codes.strides),
+            books.ctypes.data, k_words, dim, out.ctypes.data,
+        )
+        if status == -2:
+            raise MemoryError("no scratch for the compiled decode")
+        if status:
+            raise ValueError("code ids out of codebook range")
+        return out
+
+    def cluster_sums(self, points, assignments, num_clusters: int, chunk: int):
+        """``(sums, counts)``: every cluster's coordinate sums and sizes, in
+        one call (see ``native.c``).
+
+        ``points`` is ``(n, d)`` float64 (copied first unless its rows are
+        at an element stride with unit column stride); ``assignments`` the
+        ``(n,)`` contiguous int64 cluster of each row. Rows are walked in
+        chunks of ``chunk``; within one each row adds into its cluster's
+        partial sum (from ``+0.0``) in row order, and the chunk's partials
+        then add into ``sums`` — the arithmetic of
+        :func:`repro.cluster.kmeans._cluster_sums`' NumPy path for ``d ≥ 2``.
+        Raises ``ValueError`` for inputs of the wrong shape or dtype and for
+        an assignment outside ``[0, num_clusters)``.
+        """
+        n, dim = points.shape
+        if not (points.flags.aligned and (dim <= 1 or points.strides[1] == 8)):
+            points = points.copy()  # rows the C code can step in whole elements
+        if not (
+            points.dtype == _F64 and _vector(assignments, _I64, n)
+            and num_clusters >= 1 and chunk >= 1
+        ):
+            raise ValueError("cluster-sum inputs do not match the compiled kernel's")
+        sums, counts = np.zeros((num_clusters, dim)), np.zeros(num_clusters, dtype=np.int64)
+        partial, sizes = np.empty((num_clusters, dim)), np.zeros(num_clusters, dtype=np.int64)
+        if n and self._sums(
+            points.ctypes.data, n, dim, points.strides[0] // 8, assignments.ctypes.data,
+            num_clusters, chunk, sums.ctypes.data, counts.ctypes.data, partial.ctypes.data,
+            sizes.ctypes.data,
+        ):
+            raise ValueError("cluster assignments outside [0, num_clusters)")
+        return sums, counts
+
 
 def _batch(lut64, q_sq64, layout, ids) -> int:
     """A search batch's query count, after checking its arrays against the
@@ -465,7 +546,7 @@ def load() -> Kernel | None:
 def _resolve() -> Kernel | None:
     compiler = find_compiler()
     if compiler is None:
-        log.warning("no C compiler on PATH; the ADC scan and the build select run on NumPy")
+        log.warning("no C compiler on PATH; the ADC scan and the build passes run on NumPy")
         return None
     try:
         return Kernel(build(compiler, cache_dir()))

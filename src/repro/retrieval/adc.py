@@ -192,16 +192,26 @@ def reconstruct(codes: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
         ``(n, M)`` codeword ids.
     codebooks:
         ``(M, K, d)`` stacked codebooks.
+
+    Each row is ``((0.0 + C_0[b_0]) + C_1[b_1]) + …``: NumPy's sum over the
+    level axis, which starts from ``+0.0``. The compiled row decode
+    (:meth:`repro.native.Kernel.decode`) adds the levels straight into the
+    output row; the NumPy path below — the reference, and the no-compiler
+    path — gathers a ``(rows, M, d)`` block at a time and sums it. 8 192 rows
+    at M8 × K128, d 64 decode in about 0.5 ms compiled and 4 ms on NumPy
+    (one core). At ``d = 1`` NumPy sums the levels pairwise from ``M = 8``
+    on, so NumPy decodes there.
     """
     codebooks = np.asarray(codebooks, dtype=np.float64)
     m, k, dim = codebooks.shape
     codes = validate_codes(codes, m, k)
+    kernel = native.load() if dim > 1 and len(codes) else None
+    if kernel is not None:
+        return kernel.decode(codes, np.ascontiguousarray(codebooks))
     levels = np.arange(m)[None, :]
     out = np.empty((len(codes), dim))
-    # Gather each codebook's selected rows then sum over the M axis, a row
-    # chunk at a time: the gathered (rows, M, d) block stays in cache
-    # (8 192 x 8 x 64 decodes in 5.5 ms, 11.7 ms in one 33 MB piece) and
-    # every row's sum is the one the whole-matrix form computes.
+    # A row chunk at a time: the gathered (rows, M, d) block stays in cache
+    # and every row's sum is the one the whole-matrix form computes.
     rows = max(1, RECONSTRUCT_CELLS // max(m * dim, 1))
     for lo in range(0, len(codes), rows):
         out[lo : lo + rows] = codebooks[levels, codes[lo : lo + rows]].sum(axis=1)

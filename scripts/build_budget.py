@@ -27,15 +27,20 @@ time is split six ways:
 - other: the instrumented block less the five (the embed, Python, checks,
   norms, layouts).
 
-Prints one line per workload: the clean block and the six stage medians
-(ms), and their sum as a share of the clean block. Without a compiled kernel
-the select and update columns read 0 and the NumPy select passes land in
-"other"; decode and kmeans time whichever path runs.
+Prints a header naming the kernel that served and, for the compiled one,
+each hot kernel's entry address mod 64 (``search_u8``, ``search_cells_u8``,
+``select_rows``, ``decode_u8``, ``cluster_sums``): an edit anywhere in
+``native.c`` moves them, and a block's time can move with the alignment
+alone. Then one line per workload: the clean block and the six stage
+medians (ms), and their sum as a share of the clean block. Without a
+compiled kernel the select and update columns read 0 and the NumPy select
+passes land in "other"; decode and kmeans time whichever path runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import importlib
 import os
 import sys
@@ -180,12 +185,25 @@ def budget(block, repeats: int, kernel) -> dict:
     return {"block": float(np.median(clean) * 1e3), **dict(zip(COLUMNS, medians.tolist()))}
 
 
+#: The compiled entries the blocks (and the served search) spend their time in.
+_HOT = ("search_u8", "search_cells_u8", "select_rows", "decode_u8", "cluster_sums")
+
+
+def alignment(kernel) -> str:
+    """Each hot entry's address mod 64: where it starts in a cache line."""
+    return ", ".join(
+        f"{name} @{ctypes.cast(getattr(kernel._lib, name), ctypes.c_void_p).value % 64}"
+        for name in _HOT
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     kernel = native.load()
-    print(f"kernel: {'c' if kernel else 'numpy'}; medians of {args.repeats}, ms")
+    served = f"c ({alignment(kernel)} mod 64)" if kernel else "numpy"
+    print(f"kernel: {served}; medians of {args.repeats}, ms")
     for name, make in BLOCKS.items():
         b = budget(make(), args.repeats, kernel)
         parts = " + ".join(f"{column} {b[column]:.2f}" for column in COLUMNS)

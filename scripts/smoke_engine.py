@@ -44,8 +44,8 @@ from repro.serving import ServingConfig, ServingDaemon
 
 def composition(lut64, q_sq64, layout, ranges, k, ids=None, rerank=True):
     """``adc.search_ranges`` as the NumPy stages it stands for, one by one."""
-    tables, q_sq = adc.scan_tables(lut64, q_sq64, np.float32, layout.fused)
-    values, positions, _, _ = adc.scan_topk(
+    tables, q_sq = adc.scan_tables(lut64, q_sq64, layout.fused)
+    values, positions = adc.scan_topk(
         tables, q_sq, layout.codes_t, layout.norms, ranges, k + RERANK_PAD if rerank else k
     )
     found = positions if ids is None else ids[positions]

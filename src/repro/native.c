@@ -1,18 +1,19 @@
 /*
  * The compiled kernels of repro.native: the ADC search behind
- * repro.retrieval.adc.search_ranges and repro.retrieval.adc.scan_topk, and
- * three passes of index builds, after it in this file: the row-select pass
- * (select_rows), the row decode behind repro.retrieval.adc.reconstruct
- * (decode_<code>) and the cluster-sum pass of k-means' update step
- * (cluster_sums). Each build pass does the NumPy path's float operations in
- * its order, so the two agree bit for bit.
+ * repro.retrieval.adc.search_ranges, and three passes of index builds, after
+ * it in this file: the row-select pass (select_rows), the row decode behind
+ * repro.retrieval.adc.reconstruct (decode_<code>) and the cluster-sum pass of
+ * k-means' update step (cluster_sums). Each does the NumPy path's float
+ * operations in its order, so the two agree bit for bit.
  *
- * search_<code> runs a float32 layout's whole query path, one query after
- * another, in one call:
+ * search_<code> runs a float32 layout's whole query path -- the flat engine's,
+ * an IVF layer's or a mutable segment's -- one query after another, in one
+ * call:
  *   1. its float32 tables from the float64 ones: (float)(-2.0 * x), and for a
  *      pair-fused layout the pair sums a + b -- the IEEE operations of the
  *      NumPy adc.scan_tables, so the same bits;
- *   2. the scan of its [lo, hi) column ranges, keeping the top k_scan;
+ *   2. the scan of its [lo, hi) column ranges, keeping the top k_scan (the
+ *      operations of the NumPy adc.scan_topk);
  *   3. the selection of its k best survivors on (distance, id): re-scored in
  *      float64 with the NumPy rerank's operations (per-codebook entries summed
  *      left to right, joint codes split by / and % K, then (q_sq + norm) -
@@ -22,10 +23,6 @@
  * search_cells_<code> is search_<code> behind an IVF layer's coarse probe:
  * from the BLAS product cross = queries @ centroids.T it ranks each query's
  * cells (probe_cells below) and walks them as its ranges, in the same call.
- *
- * scan_topk_<real>_<code> is step 2 alone over tables the caller built: the
- * float64 scans (mutable segments, float64 layouts) and the pool workers'
- * shards use it.
  *
  * The scan sums a row's table entries (already scaled by -2) left to right,
  * then acc + (q_sq + norm) is clamped at 0 the way np.maximum(d, 0.0) clamps
@@ -38,9 +35,8 @@
  * round exactly as NumPy does. Heaps and tables live in the caller's output
  * rows or in scratch allocated per call: no static state, so calls may run
  * concurrently (the ctypes binding releases the GIL). Outputs are ascending.
- * Both entry points return -1 for a range outside [0, n]; scan_topk also for
- * a query with fewer than kk candidates, search -2 when scratch cannot be
- * allocated.
+ * Both entry points return -1 for a range outside [0, n] and -2 when scratch
+ * cannot be allocated.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -97,82 +93,62 @@
  * a loop over a run-time column count measured twice as slow). The
  * fill-then-replace shape below is also measured: folding the two heap
  * branches into one helper spilled the column pointers out of registers. */
-#define WALK_RANGES(REAL, R, COLS)                                            \
+#define WALK_RANGES(COLS)                                                     \
     for (int64_t r = 0; r < n_ranges; r++) {                                  \
         const int64_t lo = spans[2 * r], hi = spans[2 * r + 1];               \
         if (lo < 0 || hi > n || lo > hi)                                      \
             return -1;                                                        \
         for (int64_t i = lo; i < hi; i++, visit++) {                          \
-            REAL acc = t[c[i]];                                               \
+            float acc = t[c[i]];                                              \
             for (int64_t j = 1; j < (COLS); j++)                              \
                 acc += t[j * width + c[j * stride + i]];                      \
-            REAL d = acc + (qs + norms[i]);                                   \
+            float d = acc + (qs + norms[i]);                                  \
             if (d <= 0)                                                       \
                 d = 0;                                                        \
             if (size < kk) {                                                  \
                 v[size] = d, s[size] = visit, p[size] = i;                    \
-                sift_up_##R(v, s, p, size++);                                 \
+                sift_up_f32(v, s, p, size++);                                 \
                 top = v[0];                                                   \
             } else if (d < top) {                                             \
                 v[0] = d, s[0] = visit, p[0] = i;                             \
-                sift_down_##R(v, s, p, kk, 0);                                \
+                sift_down_f32(v, s, p, kk, 0);                                \
                 top = v[0];                                                   \
             }                                                                 \
         }                                                                     \
     }
 
-#define CASE_COLS(REAL, R, COLS)                                              \
+#define CASE_COLS(COLS)                                                       \
     case COLS: {                                                              \
-        WALK_RANGES(REAL, R, COLS)                                            \
+        WALK_RANGES(COLS)                                                     \
     } break;
 
-/* One query's scan of its n_ranges spans over tables t: its kk best, in
- * ascending (value, visit) order, into v / s (visits) / p (positions).
+/* One query's scan of its n_ranges spans over float32 tables t: its kk best,
+ * in ascending (value, visit) order, into v / s (visits) / p (positions).
  * Forced inline: as a called function it measured 15-30 % slower. */
-#define DEFINE_SCAN_ONE(REAL, R, CODE, C)                                     \
-    static inline __attribute__((always_inline)) int64_t scan_one_##R##_##C(  \
-        const REAL *t, REAL qs, int64_t cols, int64_t width, const CODE *c,   \
-        int64_t stride, int64_t n, const REAL *norms, const int64_t *spans,   \
-        int64_t n_ranges, int64_t kk, REAL *v, int64_t *s, int64_t *p)        \
+#define DEFINE_SCAN_ONE(CODE, C)                                              \
+    static inline __attribute__((always_inline)) int64_t scan_one_##C(        \
+        const float *t, float qs, int64_t cols, int64_t width, const CODE *c, \
+        int64_t stride, int64_t n, const float *norms, const int64_t *spans,  \
+        int64_t n_ranges, int64_t kk, float *v, int64_t *s, int64_t *p)       \
     {                                                                         \
-        REAL top = 0;                                                         \
+        float top = 0;                                                        \
         int64_t size = 0, visit = 0;                                          \
         switch (cols) {                                                       \
-            CASE_COLS(REAL, R, 1)                                             \
-            CASE_COLS(REAL, R, 2)                                             \
-            CASE_COLS(REAL, R, 3)                                             \
-            CASE_COLS(REAL, R, 4)                                             \
-            CASE_COLS(REAL, R, 5)                                             \
-            CASE_COLS(REAL, R, 6)                                             \
-            CASE_COLS(REAL, R, 7)                                             \
-            CASE_COLS(REAL, R, 8)                                             \
+            CASE_COLS(1)                                                      \
+            CASE_COLS(2)                                                      \
+            CASE_COLS(3)                                                      \
+            CASE_COLS(4)                                                      \
+            CASE_COLS(5)                                                      \
+            CASE_COLS(6)                                                      \
+            CASE_COLS(7)                                                      \
+            CASE_COLS(8)                                                      \
         default: {                                                            \
-            WALK_RANGES(REAL, R, cols)                                        \
+            WALK_RANGES(cols)                                                 \
         }                                                                     \
         }                                                                     \
         if (size < kk)                                                        \
             return -1;                                                        \
-        sort_heap_##R(v, s, p, kk);                                           \
-        return 0;                                                             \
-    }
-
-#define DEFINE_SCAN(REAL, R, CODE, C)                                         \
-    DEFINE_SCAN_ONE(REAL, R, CODE, C)                                         \
-    int64_t scan_topk_##R##_##C(                                              \
-        const REAL *tables, const REAL *q_sq, int64_t n_q, int64_t cols,      \
-        int64_t width, const CODE *c, int64_t stride, int64_t n,              \
-        const REAL *norms, const int64_t *ranges, int64_t n_ranges,           \
-        int64_t range_stride, int64_t kk, REAL *out_values,                   \
-        int64_t *out_columns)                                                 \
-    {                                                                         \
-        int64_t *s = out_columns + n_q * kk; /* scratch: kk visits */         \
-        for (int64_t q = 0; q < n_q; q++) {                                   \
-            if (scan_one_##R##_##C(                                           \
-                    tables + q * cols * width, q_sq[q], cols, width, c,       \
-                    stride, n, norms, ranges + q * range_stride, n_ranges,    \
-                    kk, out_values + q * kk, s, out_columns + q * kk))        \
-                return -1;                                                    \
-        }                                                                     \
+        sort_heap_f32(v, s, p, kk);                                           \
         return 0;                                                             \
     }
 
@@ -221,6 +197,7 @@
 /* Writes min(k, fewest candidates of any query) answers per query, at a row
  * stride of k, and returns that count (or -1 / -2). */
 #define DEFINE_SEARCH(CODE, C)                                                \
+    DEFINE_SCAN_ONE(CODE, C)                                                  \
     DEFINE_SELECT(CODE, C)                                                    \
     int64_t search_##C(                                                       \
         const double *lut, const double *q_sq, int64_t n_q, int64_t m,        \
@@ -275,7 +252,7 @@
                 for (int64_t i = 0; i < m * k_words; i++)                     \
                     t32[i] = (float)(-2.0 * l[i]);                            \
             }                                                                 \
-            if (scan_one_f32_##C(t32, (float)q_sq[q], cols, width, c,         \
+            if (scan_one_##C(t32, (float)q_sq[q], cols, width, c,             \
                                  stride, n, norms, ranges + q * range_stride, \
                                  n_ranges, kk, v32, visits, positions)) {     \
                 status = -1;                                                  \
@@ -410,12 +387,6 @@ static int64_t probe_cells(const double *cross, const double *c_sq,
 
 DEFINE_HEAP(float, f32)
 DEFINE_HEAP(double, f64)
-DEFINE_SCAN(float, f32, uint8_t, u8)
-DEFINE_SCAN(float, f32, uint16_t, u16)
-DEFINE_SCAN(float, f32, uint32_t, u32)
-DEFINE_SCAN(double, f64, uint8_t, u8)
-DEFINE_SCAN(double, f64, uint16_t, u16)
-DEFINE_SCAN(double, f64, uint32_t, u32)
 DEFINE_SEARCH(uint8_t, u8)
 DEFINE_SEARCH(uint16_t, u16)
 DEFINE_SEARCH(uint32_t, u32)

@@ -3,7 +3,7 @@
 The ADC scan and three passes of index builds share one C source, one
 artifact and one fallback:
 
-- *the ADC scan* behind :mod:`repro.retrieval.adc`'s searches;
+- *the ADC search* behind :func:`repro.retrieval.adc.search_ranges`;
 - *the row-select pass* (:meth:`Kernel.select_rows`): after each codebook
   level's BLAS GEMM, one call scores every row against the level's
   codewords with the NumPy path's float operations, picks NumPy's extremum
@@ -77,11 +77,9 @@ FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 #: Seconds a first build may take before it counts as failed.
 COMPILE_TIMEOUT_S = 120
 
-_REALS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _CODES = {np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16", np.dtype(np.uint32): "u32"}
 _F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
 _P, _I = ctypes.c_void_p, ctypes.c_int64
-_SCAN_ARGS = [_P, _P, _I, _I, _I, _P, _I, _I, _P, _P, _I, _I, _I, _P, _P]
 #: search_<code>: the batch's tables, the layout's :func:`layout_args`, then
 #: the batch's ranges, id map, widths and outputs.
 _SEARCH_ARGS = [
@@ -192,10 +190,8 @@ class Kernel:
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))  # kept: the functions live in it
-        self._scans, self._searches, self._cells, self._decodes = {}, {}, {}, {}
+        self._searches, self._cells, self._decodes = {}, {}, {}
         for code, c in _CODES.items():
-            for real, r in _REALS.items():
-                self._scans[real, code] = self._bind(f"scan_topk_{r}_{c}", _SCAN_ARGS)
             self._searches[code] = self._bind(f"search_{c}", _SEARCH_ARGS)
             self._cells[code] = self._bind(f"search_cells_{c}", _CELLS_ARGS)
             self._decodes[code] = self._bind(f"decode_{c}", _DECODE_ARGS)
@@ -207,39 +203,6 @@ class Kernel:
         function.argtypes = argtypes
         function.restype = restype
         return function
-
-    def scan_topk(self, tables, q_sq, codes_t, norms, ranges, kk):
-        """``(values, columns)``: each query's ``kk`` best, in one call.
-
-        The arguments are :func:`repro.retrieval.adc.scan_topk`'s; this
-        checks what the C code would otherwise read out of bounds (shapes,
-        dtypes, contiguity) — the ranges themselves it checks in C.
-        """
-        n_q, cols, width = tables.shape
-        real, code = tables.dtype, codes_t.dtype
-        if not (
-            (real, code) in self._scans
-            and tables.flags.c_contiguous and q_sq.flags.c_contiguous
-            and norms.flags.c_contiguous and ranges.flags.c_contiguous
-            and q_sq.dtype == real and norms.dtype == real
-            and ranges.dtype == np.int64 and q_sq.shape == (n_q,)
-            and codes_t.shape[0] == cols and norms.shape == codes_t.shape[1:]
-            and codes_t.strides[1] == code.itemsize and ranges.shape[-1] == 2
-            and ranges.ndim in (2, 3) and (ranges.ndim == 2 or len(ranges) == n_q)
-        ):
-            raise ValueError("scan inputs do not match the compiled kernel's layout")
-        values = np.empty((n_q, kk), dtype=real)
-        columns = np.empty(n_q * kk + kk, dtype=np.int64)  # + the heap's scratch
-        status = self._scans[real, code](
-            _address(tables), _address(q_sq), n_q, cols, width,
-            _address(codes_t), codes_t.strides[0] // code.itemsize, codes_t.shape[1],
-            _address(norms), _address(ranges), ranges.shape[-2],
-            ranges.shape[-2] * 2 if ranges.ndim == 3 else 0, kk,
-            _address(values), _address(columns),
-        )
-        if status:
-            raise ValueError("scan ranges fall outside the layout or hold fewer than k rows")
-        return values, columns[: n_q * kk].reshape(n_q, kk)
 
     def search(self, lut64, q_sq64, layout, ranges, ids, k_scan, k, rerank):
         """``(ids, distances)``: :func:`repro.retrieval.adc.search_ranges`'

@@ -21,17 +21,17 @@ blocks they hand to it:
   (through a :class:`~repro.retrieval.lut_cache.LUTCache` when one is
   attached);
 - :func:`search_ranges` — everything after the tables for a float32
-  layout (:class:`ScanLayout`), the flat engine's and the IVF probes'
-  stage: a float32 preselect over ``[lo, hi)`` column ranges, the float64
-  rerank of its survivors, the id map, the answer (see "One call per
-  batch" below);
-- :func:`scan_codes` / :func:`scan_tables` / :func:`scan_topk` — the scan
-  on its own: a sealed ``(columns, n)`` code layout, the batch's tables
-  laid out for it, and the kernel that walks column ranges of the layout
-  and keeps each query's tie-stable top-k. The mutable index's float64
-  sealed-segment scans use it directly;
-- :func:`rerank_exact` — the same arithmetic in float64 at the scattered
-  *positions* of a float32 scan's survivors;
+  layout (:class:`ScanLayout`), the stage of every search surface: a
+  float32 preselect over ``[lo, hi)`` column ranges (one for the flat
+  engine and for each mutable segment, the probed cells for IVF), the
+  float64 rerank of its survivors, the id map, the answer (see "One call
+  per batch" below);
+- :func:`scan_codes` — a sealed ``(columns, n)`` code layout;
+- :func:`scan_tables` / :func:`scan_topk` / :func:`rerank_exact` — the
+  NumPy stages :func:`search_ranges` is made of: the batch's float32
+  tables laid out for the scan, the scan of column ranges keeping each
+  query's tie-stable top-k, and the float64 re-score at the scattered
+  *positions* of its survivors;
 - :func:`merge_topk` — the tie-stable reduction on ``(distance, id)``.
 
 :func:`adc_distances` stays the float64 reference every one of them is
@@ -53,24 +53,23 @@ also its reference. What stays in NumPy, and why: the float64 table build
 answer is defined by, and the LUT cache reuses its rows) and query
 validation.
 
-The scan kernel. :func:`scan_topk` takes ranges — one for a flat layout,
-the probed cells in probe order for an IVF one — and returns layout
-positions. It is served by one of two kernels with one contract:
+The scan. :func:`search_ranges` is served by one of two kernels with one
+contract:
 
 - *compiled* (``native.c``, built and bound by
-  :mod:`repro.native`): one ``ctypes`` call scans the whole
-  batch with the GIL released, query by query and row by row with the
-  columns unrolled, and keeps a running top-k heap per query, testing each
-  row against the current k-th value before the heap is touched. The same
-  loop is the scan inside :func:`search_ranges`' one call.
-- *NumPy*: the reference, and the fallback where no compiler exists or the
-  build fails. A chunk of up to :data:`QUERY_CHUNK` queries has its tables
-  transposed to query-minor ``(columns, width, n_q)``, so one code gathers
-  ``n_q`` contiguous floats (a lone query gathers from its 1-D tables);
-  each block of rows (:data:`BLOCK_ELEMENTS` floats) is gathered,
-  accumulated and turned into distances while cache-resident; a
-  tie-stable top-k (:func:`~repro.retrieval.search.topk_tie_stable`)
-  selects; several ranges are gathered into one block in walk order.
+  :mod:`repro.native`): one ``ctypes`` call serves the whole batch with the
+  GIL released, query by query and row by row with the columns unrolled,
+  and keeps a running top-k heap per query, testing each row against the
+  current k-th value before the heap is touched.
+- *NumPy* (:func:`scan_topk`): the reference, and the fallback where no
+  compiler exists or the build fails. A chunk of up to :data:`QUERY_CHUNK`
+  queries has its tables transposed to query-minor ``(columns, width,
+  n_q)``, so one code gathers ``n_q`` contiguous floats (a lone query
+  gathers from its 1-D tables); each block of rows (:data:`BLOCK_ELEMENTS`
+  floats) is gathered, accumulated and turned into distances while
+  cache-resident; a tie-stable top-k
+  (:func:`~repro.retrieval.search.topk_tie_stable`) selects; several
+  ranges are gathered into one block in walk order.
 
 One rule dispatches: the compiled kernel if it loaded, NumPy otherwise
 (:data:`SCAN_KERNEL` says which). Both compute the same float operations in
@@ -88,12 +87,11 @@ walked first, so they return the same bits. Shared by both:
   ranges). Building a layout is also where the compiled kernel is built or
   loaded, once per process, so no request waits on a compiler.
 
-A float64 scan is never fused and reproduces :func:`adc_distances`'
-left-to-right summation and ``(‖q‖² + ‖o‖²) − 2·cross`` order bit for
-bit. A float32 scan — fused or not — is only ever a preselect: its
-``k + RERANK_PAD`` survivors are re-scored in float64 (:func:`rerank_exact`'s
-arithmetic), decoding joint codes with ``divmod(code, K)`` at those few
-positions.
+The float32 scan — fused or not — is only ever a preselect: its ``k +
+RERANK_PAD`` survivors are re-scored in float64 with :func:`adc_distances`'
+left-to-right summation and ``(‖q‖² + ‖o‖²) − 2·cross`` order
+(:func:`rerank_exact`'s arithmetic), decoding joint codes with
+``divmod(code, K)`` at those few positions.
 
 The two stages are observable separately (:mod:`repro.obs`): with
 observability enabled, :func:`query_tables` emits the lookup-table build
@@ -117,8 +115,8 @@ from repro.retrieval.search import topk_tie_stable
 
 
 def __getattr__(name: str):
-    # SCAN_KERNEL: "c" or "numpy", whichever serves scan_topk and
-    # search_ranges. Read-only, and resolved on first read, so importing
+    # SCAN_KERNEL: "c" or "numpy", whichever serves search_ranges.
+    # Read-only, and resolved on first read, so importing
     # this module builds nothing.
     if name == "SCAN_KERNEL":
         return "numpy" if native.load() is None else "c"
@@ -348,7 +346,8 @@ class ScanLayout:
     and the layout holds the arrays it points into, so they live as long as
     it does. No copy is made: the arrays are the owner's (a
     :class:`~repro.retrieval.engine.ShardedIndex`, an
-    :class:`~repro.retrieval.ivf.IVFIndex`).
+    :class:`~repro.retrieval.ivf.IVFIndex`, a mutable
+    :class:`~repro.retrieval.mutable.Segment`).
     """
 
     __slots__ = ("codes_t", "norms", "norms64", "num_codewords", "fused", "binding")
@@ -360,28 +359,28 @@ class ScanLayout:
 
 
 def scan_tables(
-    lut64: np.ndarray, q_sq64: np.ndarray, dtype: np.dtype, fuse: bool = False
+    lut64: np.ndarray, q_sq64: np.ndarray, fuse: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's tables as :func:`scan_topk` reads them.
+    """The batch's float32 tables as :func:`scan_topk` reads them.
 
     Returns ``(tables, q_sq)``: one fresh, contiguous, query-major
-    ``(n_q, columns, width)`` array in the scan ``dtype``, pre-scaled by −2
-    (exact: a power of two), so accumulating looked-up entries yields
-    Eqn. 24's ``−2·cross`` term directly — and ``‖q‖²`` in the same dtype.
-    With ``fuse`` consecutive table pairs are summed to ``(n_q, M/2, K²)`` —
-    entry ``a·K + b`` of pair ``j`` is ``lut[2j, a] + lut[2j+1, b]``,
-    matching the joint codes of :func:`scan_codes`.
+    ``(n_q, columns, width)`` float32 array, pre-scaled by −2 (exact: a
+    power of two), so accumulating looked-up entries yields Eqn. 24's
+    ``−2·cross`` term directly — and ``‖q‖²`` in float32. With ``fuse``
+    consecutive table pairs are summed to ``(n_q, M/2, K²)`` — entry ``a·K +
+    b`` of pair ``j`` is ``lut[2j, a] + lut[2j+1, b]``, matching the joint
+    codes of :func:`scan_codes`.
     """
     n_q, m, width = lut64.shape
-    # Always a fresh array: scaling a view of a float64 batch would corrupt
-    # the caller's tables (the LUT cache's rows and the rerank's input).
-    tables = np.empty(lut64.shape, dtype=dtype)
+    # Always a fresh array: scaling a view of the batch would corrupt the
+    # caller's tables (the LUT cache's rows and the rerank's input).
+    tables = np.empty(lut64.shape, dtype=np.float32)
     np.multiply(lut64, -2.0, out=tables, casting="same_kind")
     if fuse:
         tables = (tables[:, 0::2, :, None] + tables[:, 1::2, None, :]).reshape(
             n_q, m // 2, width * width
         )
-    return tables, np.ascontiguousarray(q_sq64, dtype=dtype)
+    return tables, np.ascontiguousarray(q_sq64, dtype=np.float32)
 
 
 def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
@@ -391,12 +390,11 @@ def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
     :func:`scan_tables`, transposed here to query-minor ``(columns, width,
     n_c)`` so one code gathers ``n_c`` contiguous floats (a lone query
     gathers from its own 1-D tables). Per block of rows: gather table 0 into
-    a query-minor accumulator and add the other tables left to right
-    (``0 + x == x`` in IEEE, so this is :func:`adc_distances`' accumulation,
-    of entries already scaled by −2); then ``(‖q‖² + ‖o‖²) − 2·cross`` is
-    one transposing add into the block's slab of the output — as ``−2·cross
-    + (‖q‖² + ‖o‖²)``, the same float operations with commuted operands,
-    hence the same bits — clamped at 0 while the slab is cache-resident.
+    a query-minor accumulator and add the other tables left to right (``0 +
+    x == x`` in IEEE, so this is :func:`adc_distances`' accumulation, of
+    entries already scaled by −2); then ``−2·cross + (‖q‖² + ‖o‖²)`` is one
+    transposing add into the block's slab of the output, clamped at 0 while
+    the slab is cache-resident.
     """
     n_c, columns = tables.shape[:2]
     single = n_c == 1
@@ -418,8 +416,10 @@ def _scan_distances(tables, q_sq, codes_t, norms, lo, hi):
 
 
 def scan_topk(tables, q_sq, codes_t, norms, ranges, k):
-    """Distances + tie-stable top-k over column ranges of one layout.
+    """Float32 distances + tie-stable top-k over column ranges of one layout.
 
+    The NumPy scan: the reference for the scan inside the compiled
+    :func:`search_ranges`, and that function's no-compiler path.
     ``tables`` / ``q_sq`` come from :func:`scan_tables` and ``codes_t`` from
     :func:`scan_codes` (or :func:`seal_scan_codes`): the lookups trust its
     range. ``ranges`` holds ``[lo, hi)`` column ranges — ``(R, 2)`` walked
@@ -428,48 +428,28 @@ def scan_topk(tables, q_sq, codes_t, norms, ranges, k):
     its ranges' columns in walk order; it keeps the ``min(k, fewest
     candidates of any query)`` smallest, sorted on (value, walk order), so a
     tie goes to the row walked first. A ``+inf`` norm (a tombstoned row)
-    scans at ``+inf``.
+    scans at ``+inf``. One range is scanned in place; several are gathered
+    into one block in walk order, whose columns map back to layout
+    positions.
 
-    Returns ``(values, columns, scan_seconds, block_seconds)``: values in
-    the tables' dtype, columns as positions in ``codes_t``.
-    ``scan_seconds`` covers the lookups and distance assembly — the work
-    ``adc.scan.time_s`` measures — and ``block_seconds`` adds the top-k
-    selection; the compiled kernel selects as it scans, so there the two
-    are one figure.
+    Returns ``(values, columns)``: float32 values, and columns as positions
+    in ``codes_t``.
     """
-    start = time.perf_counter()
     ranges = np.ascontiguousarray(ranges, dtype=np.int64)
-    kk = max(0, min(k, int((ranges[..., 1] - ranges[..., 0]).sum(axis=-1).min())))
-    kernel = native.load()
-    if kernel is not None and kk:
-        values, columns = kernel.scan_topk(tables, q_sq, codes_t, norms, ranges, kk)
-        elapsed = time.perf_counter() - start
-        return values, columns, elapsed, elapsed
-    return _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start)
-
-
-def _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start):
-    """:func:`scan_topk` in NumPy: the reference, and the no-compiler path.
-
-    One range is scanned in place; several are gathered into one block in
-    walk order, whose columns map back to layout positions.
-    """
     if (ranges < 0).any() or (ranges[..., 1] > codes_t.shape[1]).any() or (
         ranges[..., 0] > ranges[..., 1]
     ).any():
         raise ValueError("scan ranges fall outside the layout")
+    kk = max(0, min(k, int((ranges[..., 1] - ranges[..., 0]).sum(axis=-1).min())))
     if kk == 0:
         return (
             np.empty((len(tables), 0), dtype=tables.dtype),
             np.empty((len(tables), 0), dtype=np.int64),
-            0.0,
-            time.perf_counter() - start,
         )
     if ranges.ndim == 2:
         groups = [(slice(None), ranges)]
     else:
         groups = [(slice(q, q + 1), spans) for q, spans in enumerate(ranges)]
-    scan_seconds = 0.0
     values, columns = [], []
     for rows, spans in groups:
         group_tables, group_q_sq, spans = tables[rows], q_sq[rows], spans.tolist()
@@ -484,21 +464,14 @@ def _scan_topk_numpy(tables, q_sq, codes_t, norms, ranges, kk, start):
             lo, hi = 0, len(positions)
         for first in range(0, len(group_tables), QUERY_CHUNK):
             last = first + QUERY_CHUNK
-            chunk_start = time.perf_counter()
             d = _scan_distances(
                 group_tables[first:last], group_q_sq[first:last],
                 block, block_norms, lo, hi,
             )
-            scan_seconds += time.perf_counter() - chunk_start
             local, vals = topk_tie_stable(d, kk)
             values.append(vals)
             columns.append(local + lo if positions is None else positions[local])
-    return (
-        np.concatenate(values),
-        np.concatenate(columns),
-        scan_seconds,
-        time.perf_counter() - start,
-    )
+    return np.concatenate(values), np.concatenate(columns)
 
 
 def merge_topk(
@@ -561,15 +534,16 @@ def search_ranges(lut64, q_sq64, layout, ranges, k, *, ids=None, rerank=True):
     """A float32 layout's answer: each query's top-``k`` over its ranges.
 
     The one stage between :func:`query_tables` and an answer, for the flat
-    engine and the IVF probes. ``lut64`` / ``q_sq64`` are a non-empty
-    batch's float64 tables, ``layout`` a :class:`ScanLayout` and ``ranges``
-    :func:`scan_topk`'s ``[lo, hi)`` column ranges. Each query keeps the
+    engine, the IVF probes and the mutable segments. ``lut64`` /
+    ``q_sq64`` are a non-empty batch's float64 tables, ``layout`` a
+    :class:`ScanLayout` and ``ranges`` :func:`scan_topk`'s ``[lo, hi)``
+    column ranges. Each query keeps the
     ``k + RERANK_PAD`` survivors of its float32 scan (as :func:`scan_topk`
     does, no more than the fewest candidates of any query) and returns the
     ``k`` best of them on (distance, id): re-scored in float64
     (``rerank``), or their float32 values read as float64. Ids are layout
     positions, or their image under the id map ``ids`` (an IVF
-    permutation). Returns ``(ids, distances)``, ``(n_q, min(k, fewest
+    permutation, a segment's external ids). Returns ``(ids, distances)``, ``(n_q, min(k, fewest
     candidates))``.
 
     With the compiled kernel it is one call per batch — tables, scan,
@@ -584,8 +558,8 @@ def search_ranges(lut64, q_sq64, layout, ranges, k, *, ids=None, rerank=True):
     kernel = native.load()
     if kernel is not None:
         return kernel.search(lut64, q_sq64, layout, ranges, ids, k_scan, k, rerank)
-    tables, q_sq = scan_tables(lut64, q_sq64, np.float32, layout.fused)
-    values, positions, _, _ = scan_topk(
+    tables, q_sq = scan_tables(lut64, q_sq64, layout.fused)
+    values, positions = scan_topk(
         tables, q_sq, layout.codes_t, layout.norms, ranges, k_scan
     )
     found = positions if ids is None else ids[positions]

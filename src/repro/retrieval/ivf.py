@@ -309,10 +309,17 @@ class IVFIndex(SearchSurface):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Ranked ``(indices, squared distances)`` over the probed cells.
 
-        Shapes and tie-breaking match the exhaustive paths — ``(n_q,
-        min(k, n_db))``, ordered by (distance, global index) — but only
-        candidates from the probed cells compete, so results are
-        approximate with a measured recall (see ``docs/tuning.md``). When
+        Shapes match the exhaustive paths — ``(n_q, min(k, n_db))``, ordered
+        by (distance, global index) — but only candidates from the probed
+        cells compete, so results are approximate with a measured recall
+        (see ``docs/tuning.md``). Exact ties are broken by walk order: each
+        query keeps the ``k + RERANK_PAD`` float32 smallest in the order it
+        walks its cells (probe order, then layout position), and answers the
+        ``k`` best of those on (distance, global index). So where more than
+        ``RERANK_PAD`` rows tie exactly at the k-th distance, the rows kept
+        are those of the cells probed first — not the smallest ids the flat
+        engine keeps. Even at full probe only the distances are the flat
+        engine's bit for bit; the ids come from the same tie set. When
         the probed cells hold fewer than ``k`` candidates the probe set
         widens in centroid-distance order until ``k`` is met, so the shape
         contract always holds. ``k=None`` (the exhaustive paths' full

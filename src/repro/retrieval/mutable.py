@@ -24,11 +24,13 @@ LSM-style decomposition:
 **Exactness.** Search results are *bit-identical* to a from-scratch
 rebuild over the live rows (parity-tested in
 ``tests/retrieval/test_mutable.py``): ADC distances are per-row
-independent, segment rows are id-sorted so the tie-stable per-segment
-top-k's column order is id order, and the cross-segment merge is a
-``lexsort`` on ``(distance, external id)`` — the exact order the rebuilt
-index's stable ranking produces. Tombstones cannot perturb live rows: a
-dead row's norm is ``+inf``, which only ever loses comparisons.
+independent; each segment is searched as the flat engine searches its
+layout (:func:`~repro.retrieval.adc.search_ranges`: a float32 preselect,
+then the survivors re-scored in float64 and ranked on ``(distance,
+external id)``); and the cross-segment merge is a ``lexsort`` on the same
+key — the exact order the rebuilt index's stable ranking produces.
+Tombstones cannot perturb live rows: a dead row's norm is ``+inf`` in both
+the float32 and the float64 norms, so it only ever loses comparisons.
 
 **Drift.** Each add batch's mean quantization error is compared against a
 baseline (the first batch, unless set explicitly); the ratio lands in the
@@ -53,12 +55,12 @@ import numpy as np
 from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import (
+    ScanLayout,
     encode_reconstruct,
     merge_topk,
     query_tables,
     scan_codes,
-    scan_tables,
-    scan_topk,
+    search_ranges,
 )
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import (
@@ -157,15 +159,16 @@ class Segment:
     """One sealed, immutable run of encoded rows.
 
     Rows are sorted by ascending external id at seal time, so the
-    tie-stable per-segment top-k (which breaks distance ties by column
-    index) breaks them by external id — the invariant the cross-segment
-    merge and the rebuild-parity contract rest on. ``dead`` is the
-    tombstone mask; ``scan_norms`` bakes it in as ``+inf`` norms so the
-    scan itself needs no masking pass. ``codes_t`` is the segment's one
-    code array: the frozen :func:`~repro.retrieval.adc.scan_codes` layout —
-    unfused, since segments scan in float64 — laid out once at seal time,
-    shared by every copy-on-write tombstoning of the segment and, for a
-    base, by its engine's index and flat layout. ``codes`` is its
+    segment's walk order is id order: an exact tie deeper than
+    ``RERANK_PAD`` at the k-th distance keeps its lowest ids through the
+    float32 preselect, as a rebuild does. ``dead`` is the tombstone mask;
+    ``layout`` is the segment's bound
+    :class:`~repro.retrieval.adc.ScanLayout`, whose float32 and float64
+    norms bake it in as ``+inf`` so the search itself needs no masking
+    pass. ``codes_t`` is the segment's one code array: the frozen, unfused
+    :func:`~repro.retrieval.adc.scan_codes` layout, laid out once at seal
+    time, shared by every copy-on-write tombstoning of the segment and, for
+    a base, by its engine's index and flat layout. ``codes`` is its
     ``(n, M)`` view.
     """
 
@@ -174,7 +177,7 @@ class Segment:
     ids: np.ndarray
     labels: np.ndarray | None
     dead: np.ndarray
-    scan_norms: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    layout: ScanLayout = field(repr=False, default=None)  # type: ignore[assignment]
     n_dead: int = 0
 
     @classmethod
@@ -205,18 +208,21 @@ class Segment:
             dead = np.zeros(len(ids), dtype=bool)
         else:
             dead = np.asarray(dead, dtype=bool)[order]
-        return cls._assemble(codes_t, norms, ids, labels, dead)
+        return cls._assemble(codes_t, norms, ids, labels, dead, num_codewords)
 
     @classmethod
-    def _assemble(cls, codes_t, norms, ids, labels, dead) -> "Segment":
-        scan_norms = np.where(dead, np.inf, norms)
+    def _assemble(cls, codes_t, norms, ids, labels, dead, num_codewords) -> "Segment":
+        # A segment with no tombstones scans its stored norms as they are.
+        norms64 = np.where(dead, np.inf, norms) if dead.any() else norms
         return cls(
             codes_t=codes_t,
             norms=norms,
             ids=ids,
             labels=labels,
             dead=dead,
-            scan_norms=scan_norms,
+            layout=ScanLayout(
+                codes_t, norms64.astype(np.float32), norms64, num_codewords, False
+            ),
             n_dead=int(dead.sum()),
         )
 
@@ -225,7 +231,8 @@ class Segment:
         dead = self.dead.copy()
         dead[rows] = True
         return type(self)._assemble(
-            self.codes_t, self.norms, self.ids, self.labels, dead
+            self.codes_t, self.norms, self.ids, self.labels, dead,
+            self.layout.num_codewords,
         )
 
     @property
@@ -270,12 +277,13 @@ class MutableIndex(SearchSurface):
     codebooks:
         ``(M, K, d)`` codeword tables all segments encode against.
     engine_kwargs:
-        When given, a :class:`~repro.retrieval.engine.QueryEngine` with
-        these kwargs is kept over the base segment and rebuilt at every
-        compaction (pass ``ivf=<cells>`` for a coarse IVF layer whose cell
-        blocks are re-balanced with each compacted base). Freshly added
-        segments are always scanned exactly in-process; the engine
-        accelerates the (large) base.
+        When given (``{}`` for the defaults), a
+        :class:`~repro.retrieval.engine.QueryEngine` with these kwargs is
+        kept over the base segment and rebuilt at every compaction (pass
+        ``ivf=<cells>`` for a coarse IVF layer whose cell blocks are
+        re-balanced with each compacted base). Freshly added segments are
+        always searched exactly, in-process, over their own layouts; the
+        engine accelerates the (large) base.
     auto_compact_segments:
         Compact automatically when the generation exceeds this many
         segments (``None`` disables; ``compact()`` stays available).
@@ -311,7 +319,7 @@ class MutableIndex(SearchSurface):
             raise ValueError("auto_compact_dead_fraction must lie in (0, 1]")
         if drift_threshold <= 1.0:
             raise ValueError("drift_threshold must exceed 1")
-        self._engine_kwargs = dict(engine_kwargs) if engine_kwargs else None
+        self._engine_kwargs = None if engine_kwargs is None else dict(engine_kwargs)
         self.auto_compact_segments = auto_compact_segments
         self.auto_compact_dead_fraction = auto_compact_dead_fraction
         self.drift_threshold = float(drift_threshold)
@@ -647,7 +655,8 @@ class MutableIndex(SearchSurface):
 
         The batch's lookup tables are built once — through the base
         engine's LUT cache when there is one — and shared by the base scan
-        and every sealed segment's float64 scan.
+        and every other segment's :func:`~repro.retrieval.adc.search_ranges`
+        call.
         """
         gen = self._gen
         engine = self._engine
@@ -666,9 +675,6 @@ class MutableIndex(SearchSurface):
             tables = query_tables(queries, self.codebooks)
         else:
             tables = engine.tables(queries, nprobe)
-        # Sealed segments scan in float64 (the reference summation order),
-        # so one query-minor float64 layout serves all of them.
-        segment_tables = None
 
         id_blocks: list[np.ndarray] = []
         dist_blocks: list[np.ndarray] = []
@@ -683,16 +689,14 @@ class MutableIndex(SearchSurface):
                 rows, dists = engine.scan(
                     queries, tables, base_k, rerank=rerank, nprobe=nprobe
                 )
+                found = segment.ids[rows]
                 dists = np.where(segment.dead[rows], np.inf, dists)
             else:
-                # A segment's id-sorted rows make its column order id order.
-                if segment_tables is None:
-                    segment_tables = scan_tables(*tables, np.float64)
-                dists, rows, _, _ = scan_topk(
-                    *segment_tables, segment.codes_t, segment.scan_norms,
-                    [(0, len(segment))], k_eff,
+                found, dists = search_ranges(
+                    *tables, segment.layout, [(0, len(segment))], k_eff,
+                    ids=segment.ids,
                 )
-            id_blocks.append(segment.ids[rows])
+            id_blocks.append(found)
             dist_blocks.append(dists)
         return merge_topk(dist_blocks, id_blocks, k_eff)
 

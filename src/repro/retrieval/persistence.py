@@ -173,9 +173,9 @@ def save_mutable_index(index, path: str) -> None:
 def load_mutable_index(path: str, *, engine_kwargs: dict | None = None):
     """Load an archive produced by :func:`save_mutable_index`.
 
-    ``engine_kwargs`` is a runtime concern (process pools, IVF cells) and
-    is not persisted; pass it here to attach an engine to the restored
-    base segment.
+    ``engine_kwargs`` is a runtime concern (rerank, IVF cells, LUT cache)
+    and is not persisted; pass it here — ``{}`` for the default engine — to
+    attach an engine to the restored base segment.
     """
     from repro.retrieval.mutable import MutableIndex, Segment, _Generation
 

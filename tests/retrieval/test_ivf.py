@@ -7,7 +7,7 @@ from repro.cluster.kmeans import assign_to_centroids, kmeans
 from repro.data.longtail import labels_from_sizes, zipf_class_sizes
 from repro.data.synthetic import make_feature_model
 from repro.retrieval import ivf as ivf_module
-from repro.retrieval.adc import compact_code_dtype
+from repro.retrieval.adc import RERANK_PAD, compact_code_dtype
 from repro.retrieval.engine import QueryEngine
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.ivf import IVFIndex, default_num_cells
@@ -226,6 +226,36 @@ class TestSearch:
         got = ivf.search(SearchRequest(queries, k=7, nprobe=8)).indices
         want = QueryEngine(index).search(queries, k=7)
         np.testing.assert_array_equal(got, want)
+
+    def test_exact_ties_at_full_probe_keep_walk_order(self, scan_kernels):
+        """The tie contract: at full probe the distances are the flat
+        engine's bit for bit, but which rows of an exact tie survive is
+        walk order. Here all 64 rows tie at 1.0 (M = 1, K = 16, codebook
+        I₁₆, codes 5·i mod 16, query 0): flat answers [0 1 2 3 4]; IVF
+        keeps the first ``k + RERANK_PAD`` rows its probe walks and answers
+        the ``k`` smallest ids of those, ordered on (distance, id)."""
+        k = 5
+        codes = (5 * np.arange(64) % 16)[:, None]
+        index = QuantizedIndex.build(np.eye(16)[None], np.zeros((64, 16)), codes=codes)
+        query = np.zeros((1, 16))
+
+        def run():
+            ivf = IVFIndex.build(index, num_cells=4, seed=0)
+            flat_ids, flat_d = QueryEngine(index).search_with_distances(query, k)
+            return (flat_ids, flat_d, *ivf.search_with_distances(query, k, nprobe=4))
+
+        flat_ids, flat_d, ivf_ids, ivf_d = scan_kernels.agree(scan_kernels.each(run))
+        assert flat_ids.tolist() == [[0, 1, 2, 3, 4]]
+        assert ivf_d.tobytes() == flat_d.tobytes() and (flat_d == 1.0).all()
+        pairs = list(zip(ivf_d[0].tolist(), ivf_ids[0].tolist()))
+        assert pairs == sorted(pairs) and len(set(ivf_ids[0].tolist())) == k
+        ivf = IVFIndex.build(index, num_cells=4, seed=0)
+        ranges, _, _ = ivf_module.probe_cells(
+            query @ ivf.centroids.T, (ivf.centroids**2).sum(axis=1), ivf.cell_offsets,
+            4, k + RERANK_PAD,
+        )
+        walked = np.concatenate([np.arange(lo, hi) for lo, hi in ranges[0]])
+        assert ivf_ids[0].tolist() == sorted(ivf.ids[walked[: k + RERANK_PAD]].tolist())[:k]
 
     def test_nprobe_clamped_above_num_cells(self):
         index, queries = make_clustered_index()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cluster.kmeans import assign_to_centroids
 from repro.obs import names
-from repro.retrieval import IVFIndex, QuantizedIndex
+from repro.retrieval import IVFIndex, QuantizedIndex, QueryEngine
 from repro.retrieval.adc import RERANK_PAD, adc_distances, reconstruct
 
 DIM = 5
@@ -151,3 +151,43 @@ def test_probe_scan_is_the_reference_over_the_probed_cells(
         assert hist.total == values.sum()
         assert (hist.min, hist.max) == (values.min(), values.max())
     assert expanded == int((used > min(nprobe, num_cells)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(10, 300),
+    m=st.integers(1, 3),
+    k_words=st.sampled_from([2, 4, 16]),
+    num_cells=st.integers(1, 8),
+    k=st.integers(1, 30),
+)
+def test_integer_ties_at_full_probe_keep_the_flat_distances(
+    scan_kernels, seed, n, m, k_words, num_cells, k
+):
+    """Integer-valued codebooks and queries: every distance is exact in
+    float32 and float64, so exact ties are everywhere, across cells too. At
+    full probe IVF's distances are the flat engine's bit for bit, and its
+    ids are rows at those distances, ordered on (distance, id); which rows
+    of a tie deeper than ``RERANK_PAD`` survive is walk order (the
+    documented contract), so the ids themselves may differ from flat's."""
+    rng = np.random.default_rng(seed)
+    codebooks = rng.integers(-2, 3, size=(m, k_words, DIM)).astype(np.float64)
+    codes = rng.integers(0, k_words, size=(n, m))
+    index = QuantizedIndex.build(codebooks, np.zeros((n, DIM)), codes=codes)
+    queries = rng.integers(-2, 3, size=(4, DIM)).astype(np.float64)
+    k = min(k, n)
+
+    def run():
+        ivf = IVFIndex.build(index, num_cells=num_cells, seed=seed)
+        flat = QueryEngine(index).search_with_distances(queries, k)
+        return (*flat, *ivf.search_with_distances(queries, k, nprobe=ivf.num_cells))
+
+    _, flat_d, ivf_ids, ivf_d = scan_kernels.agree(scan_kernels.each(run))
+    assert ivf_d.tobytes() == flat_d.tobytes()
+    exact = adc_distances(queries, index.codes, index.codebooks, index.db_sq_norms)
+    for q in range(len(queries)):
+        assert np.array_equal(exact[q, ivf_ids[q]], ivf_d[q])
+        assert len(set(ivf_ids[q].tolist())) == k
+        pairs = list(zip(ivf_d[q].tolist(), ivf_ids[q].tolist()))
+        assert pairs == sorted(pairs)

@@ -19,6 +19,7 @@ from repro.retrieval import (
     MutationRequest,
     MutationResult,
     QuantizedIndex,
+    QueryEngine,
     SearchRequest,
     Segment,
 )
@@ -158,10 +159,17 @@ class TestLifecycle:
         assert index.generation == generation
         index.close()
 
-    def test_close_is_idempotent_and_context_managed(self):
-        index, _, _, _ = make_mutable(engine_kwargs={})
+    def test_close_is_idempotent_and_context_managed(self, monkeypatch):
+        # engine_kwargs={} asks for an engine with the default settings.
+        index, _, queries, _ = make_mutable(engine_kwargs={})
+        calls = []
+        scan = QueryEngine.scan
+        monkeypatch.setattr(
+            QueryEngine, "scan", lambda *a, **kw: calls.append(1) or scan(*a, **kw)
+        )
         with index:
-            pass
+            index.search(queries, k=5)
+        assert calls, "the base was not scanned through the engine"
         index.close()
 
 
@@ -268,6 +276,30 @@ class TestParityInterleavings:
         fresh = {index.id_bound - 4 + row: new[row] for row in range(4)}
         assert_parity(index, fresh, queries)
         index.close()
+
+    def test_tombstone_heavy_segments_match_rebuild(self, scan_kernels):
+        """Segments with fewer live rows than ``k + RERANK_PAD``: every row,
+        dead ones included, survives the float32 preselect, so only the
+        ``+inf`` float64 norms keep dead rows out of the answer. Ids and
+        distances equal the rebuild's, under both kernels."""
+
+        def run():
+            index, _, queries, rng = make_mutable(seed=7, n_base=12)
+            index.add(rng.normal(size=(12, 8)), ids=np.arange(100, 112))
+            index.remove(np.arange(100, 110))  # 2 of 12 rows live
+            index.remove(np.arange(0, 9))  # 3 of 12 base rows live
+            rebuilt, ids = index.rebuild()
+            answers = []
+            for k in (1, 5, None):
+                got_ids, got_d = index.search_with_distances(queries, k)
+                rows, want_d = rebuilt.search_with_distances(queries, k)
+                assert np.array_equal(got_ids, ids[rows])
+                assert np.array_equal(got_d, want_d) and np.isfinite(got_d).all()
+                answers += [got_ids, got_d]
+            index.close()
+            return answers
+
+        scan_kernels.agree(scan_kernels.each(run))
 
     def test_k_exceeding_live_count_truncates(self):
         index, vectors, queries, _ = make_mutable(n_base=12)
@@ -404,12 +436,14 @@ class TestSegmentInternals:
         )
         dead = segment.with_dead(np.array([1, 3]))
         assert dead.n_dead == 2 and dead.n_live == 2
-        assert np.isinf(dead.scan_norms[[1, 3]]).all()
-        assert np.isfinite(dead.scan_norms[[0, 2]]).all()
+        # Both the preselect's float32 norms and the rerank's float64 ones.
+        for norms in (dead.layout.norms, dead.layout.norms64):
+            assert np.isinf(norms[[1, 3]]).all()
+            assert np.array_equal(norms[[0, 2]], segment.norms[[0, 2]].astype(norms.dtype))
         # Copy-on-write: the original segment is untouched.
-        assert segment.n_dead == 0
-        # ... and the scan layout is shared, not rebuilt per tombstoning.
-        assert dead.codes_t is segment.codes_t
+        assert segment.n_dead == 0 and np.isfinite(segment.layout.norms64).all()
+        # ... and the code layout is shared, not rebuilt per tombstoning.
+        assert dead.codes_t is segment.codes_t is dead.layout.codes_t
 
     def test_scan_layout_is_sealed_once_compact_and_contiguous(self):
         rng = np.random.default_rng(3)

@@ -1,19 +1,21 @@
-"""The scan kernels against the reference scan, as a property.
+"""The NumPy scan stages against the reference scan, as a property.
 
-``adc.scan_codes`` / ``scan_tables`` / ``scan_topk`` are checked, under the
-compiled kernel and the NumPy kernel in the same process (the
-``scan_kernels`` fixture), against ``adc_distances`` + a stable argsort,
-and against each other bit for bit (pre-rerank values and columns), over
-the shapes where a kernel changes behaviour: batch widths on both sides of
-a chunk, odd and even ``M``, every ``K`` class (uint8, uint16 and, fused,
-uint32 codes), row counts on both sides of the block, lane-group and fusion
-thresholds, ``+inf`` norms (tombstones), duplicated rows (ties inside, at
-and across the k-th value), queries sitting on database items (distances
-that round below 0 and are clamped), ``k`` past the candidates, the dtype the codes
-arrive in, and the walk: one range, or the candidates split into shuffled
-ranges with empty ones between them (an IVF probe order), shared or one
-list per query. The block and top-k thresholds are lowered so small inputs
-cross them; the fusion threshold is the real one.
+``adc.scan_codes`` / ``scan_tables`` / ``scan_topk`` — the float32
+preselect that ``adc.search_ranges`` runs in one compiled call, and its
+no-compiler path — are checked against ``adc_distances`` + a stable
+argsort (the compiled call is checked against them bit for bit in
+``test_search_ranges.py``), over the shapes where the scan changes
+behaviour: batch widths on both sides of a chunk, odd and even ``M``, every
+``K`` class (uint8, uint16 and, fused, uint32 codes), row counts on both
+sides of the block, lane-group and fusion thresholds, ``+inf`` norms
+(tombstones), duplicated rows (ties inside, at and across the k-th value),
+queries sitting on database items (distances that round below 0 and are
+clamped), ``k`` past the candidates, the dtype the codes arrive in, and the
+walk: one range, or the candidates split into shuffled ranges with empty
+ones between them (an IVF probe order), shared or one list per query. The
+block and top-k thresholds are lowered so small inputs cross them; the
+fusion threshold is the real one. The engine and the concurrency tests run
+the compiled call and the NumPy one in the same process (``scan_kernels``).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def oracle(queries, index, norms, ranges, k):
     return answers
 
 
-def kernel(queries, index, norms, dtype, fuse, ranges, k, code_dtype):
+def kernel(queries, index, norms, fuse, ranges, k, code_dtype):
     if np.iinfo(code_dtype).max < index.num_codewords - 1:
         code_dtype = np.int64  # ids past uint8 arrive in something wider
     codes = index.codes.astype(code_dtype)
@@ -115,11 +117,9 @@ def kernel(queries, index, norms, dtype, fuse, ranges, k, code_dtype):
     assert np.array_equal(
         codes_t, adc.scan_codes(codes.astype(np.int64), index.num_codewords, fuse)
     )
-    tables, q_sq = adc.scan_tables(
-        *adc.query_tables(queries, index.codebooks), dtype, fuse
-    )
-    values, columns, _, _ = adc.scan_topk(
-        tables, q_sq, codes_t, norms.astype(dtype), ranges, k
+    tables, q_sq = adc.scan_tables(*adc.query_tables(queries, index.codebooks), fuse)
+    values, columns = adc.scan_topk(
+        tables, q_sq, codes_t, norms.astype(np.float32), ranges, k
     )
     return columns, values
 
@@ -142,36 +142,14 @@ shapes = dict(
 
 
 @settings(max_examples=150, deadline=None)
-@given(**shapes)
-def test_float64_scan_is_the_reference_bit_for_bit(
-    scan_kernels, seed, n_q, m, k_words, n, lo_fraction, walk, k_mode,
-    dup_fraction, dead_fraction, code_dtype,
-):
-    rng, index, norms = make_case(seed, m, k_words, n, dup_fraction, dead_fraction)
-    queries = make_queries(rng, index, n_q)
-    lo = int(lo_fraction * n)
-    k = pick_k(k_mode, n - lo)
-    ranges = make_ranges(rng, walk, n_q, lo, n)
-    columns, values = scan_kernels.agree(scan_kernels.each(lambda: kernel(
-        queries, index, norms, np.float64, False, ranges, k, code_dtype
-    )))
-    assert columns.shape == (n_q, min(k, n - lo))
-    for q, (_, _, want_columns, want_values) in enumerate(
-        oracle(queries, index, norms, ranges, k)
-    ):
-        assert np.array_equal(columns[q], want_columns)
-        assert np.array_equal(values[q], want_values)
-
-
-@settings(max_examples=150, deadline=None)
 @given(fuse=st.booleans(), **shapes)
 def test_float32_scan_is_a_tie_stable_preselect(
-    scan_kernels, fuse, seed, n_q, m, k_words, n, lo_fraction, walk, k_mode,
+    fuse, seed, n_q, m, k_words, n, lo_fraction, walk, k_mode,
     dup_fraction, dead_fraction, code_dtype,
 ):
     """Fused or not: values within float32 tolerance of the reference at the
     returned columns, sorted on (value, walk order), and nothing closer left
-    out — the same bits from both kernels."""
+    out."""
     if fuse and m % 2:
         m += 1  # a fused layout has an even M
     if fuse and k_words >= 256:
@@ -181,9 +159,7 @@ def test_float32_scan_is_a_tie_stable_preselect(
     lo = int(lo_fraction * n)
     k = pick_k(k_mode, n - lo)
     ranges = make_ranges(rng, walk, n_q, lo, n)
-    columns, values = scan_kernels.agree(scan_kernels.each(lambda: kernel(
-        queries, index, norms, np.float32, fuse, ranges, k, code_dtype
-    )))
+    columns, values = kernel(queries, index, norms, fuse, ranges, k, code_dtype)
     k = min(k, n - lo)
     assert columns.shape == values.shape == (n_q, k)
     assert values.dtype == np.float32
@@ -245,52 +221,55 @@ def test_engine_float32_rerank_equals_the_reference(
 
 
 @pytest.mark.parametrize("n_q", [1, 3])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scan_tables_leave_the_batch_tables_alone(n_q, dtype):
-    """They are the LUT cache's rows and the rerank's input; a float64
-    batch is the case where scaling in place would alias them."""
+def test_scan_tables_leave_the_batch_tables_alone(n_q):
+    """They are the LUT cache's rows and the rerank's input."""
     rng = np.random.default_rng(0)
     lut64, q_sq64 = rng.normal(size=(n_q, 4, 8)), rng.random(n_q)
     before = lut64.copy()
     for fuse in (False, True):
-        tables, q_sq = adc.scan_tables(lut64, q_sq64, dtype, fuse=fuse)
+        tables, q_sq = adc.scan_tables(lut64, q_sq64, fuse=fuse)
         assert np.array_equal(lut64, before)
-        assert tables.flags.c_contiguous and tables.dtype == q_sq.dtype == dtype
+        assert tables.flags.c_contiguous and tables.dtype == q_sq.dtype == np.float32
         assert tables.shape == ((n_q, 2, 64) if fuse else (n_q, 4, 8))
         assert not np.shares_memory(tables, lut64)
 
 
-def test_scan_ranges_outside_the_layout_are_refused(scan_kernels):
+def test_scan_ranges_outside_the_layout_are_refused():
     codes_t = adc.scan_codes(np.zeros((5, 2), dtype=np.int64), 4)
-    tables, q_sq = adc.scan_tables(np.zeros((1, 2, 4)), np.zeros(1), np.float32)
+    tables, q_sq = adc.scan_tables(np.zeros((1, 2, 4)), np.zeros(1))
     norms = np.zeros(5, dtype=np.float32)
     for bad in ([(0, 6)], [(-1, 3)], [(0, 2), (4, 3)]):
-        for name in scan_kernels.names:
-            with scan_kernels.use(name), pytest.raises(ValueError, match="ranges"):
-                adc.scan_topk(tables, q_sq, codes_t, norms, bad, 2)
+        for k in (2, 0):
+            with pytest.raises(ValueError, match="ranges"):
+                adc.scan_topk(tables, q_sq, codes_t, norms, bad, k)
 
 
 def test_concurrent_scans_get_the_serial_answers(scan_kernels):
-    """Four threads scan one layout at once, with the GIL released inside
-    the compiled kernel, and each gets the answers of a serial scan: the
-    kernel keeps no state between or across calls."""
+    """Four threads search one unfused layout with tombstones and an id map
+    — a mutable segment's — at once, with the GIL released inside the
+    compiled call, and each gets the answers of a serial search: the kernel
+    keeps no state between or across calls."""
     rng = np.random.default_rng(3)
     n, m, k_words = 60_000, 8, 64
-    codes_t = adc.scan_codes(rng.integers(0, k_words, size=(n, m)), k_words, fuse=True)
-    norms = rng.random(n).astype(np.float32) * 10
+    codes_t = adc.scan_codes(rng.integers(0, k_words, size=(n, m)), k_words)
+    norms64 = rng.random(n) * 10
+    norms64[rng.random(n) < 0.3] = np.inf
+    layout = adc.ScanLayout(codes_t, norms64.astype(np.float32), norms64, k_words, False)
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False)).astype(np.int64)
     batches = [
-        adc.scan_tables(rng.normal(size=(n_q, m, k_words)), rng.random(n_q), np.float32, True)
+        adc.query_tables(rng.normal(size=(n_q, DIM)), rng.normal(size=(m, k_words, DIM)))
         for n_q in (1, 2, 8, 1, 3, 9, 1, 2)
     ]
     ranges = [(0, n // 3), (n // 2, n), (n // 3, n // 2)]
 
     def scan(batch):
-        values, columns, _, _ = adc.scan_topk(*batch, codes_t, norms, ranges, 18)
-        return values, columns
+        return adc.search_ranges(*batch, layout, ranges, 18, ids=ids)
 
+    answers = {}
     for name in scan_kernels.names:
         with scan_kernels.use(name):
             serial = [scan(batch) for batch in batches]
+            answers[name] = [array for answer in serial for array in answer]
             mismatches, errors = [], []
 
             def worker(offset):
@@ -316,6 +295,7 @@ def test_concurrent_scans_get_the_serial_answers(scan_kernels):
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads), name
             assert not errors and not mismatches, (name, errors, mismatches)
+    scan_kernels.agree(answers)
 
 
 class TestFusionRule:

@@ -17,7 +17,9 @@ Over flat layouts, pair-fused (uint16 joint codes) and unfused (uint8, and
 uint16 at K = 300); one range, shuffled ranges with empty ones, or per-query
 IVF cell lists with an id map; ``n_q`` ∈ {1, 2, 8, 9, 64}; ``k`` up to and
 past the candidates; ``+inf`` tombstone norms; and rows copied in groups, so
-ties sit at every rank, the k-th included. The block and top-k thresholds of
+ties sit at every rank, the k-th included — or nine rows in ten copied from
+a few, so more than ``RERANK_PAD`` rows tie at the k-th value and the walk
+order decides which of them survive the preselect. The block and top-k thresholds of
 the NumPy kernel are lowered so small inputs cross them.
 """
 
@@ -43,14 +45,21 @@ def small_thresholds(monkeypatch):
     monkeypatch.setattr(search, "TOPK_MIN_GROUPS", 4)
 
 
-def make_layout(seed, m, k_words, n, fuse, dead_fraction):
-    """Codes with disjoint groups of 2-6 equal rows, tombstoned norms, the
-    bound layout over them."""
+def make_layout(seed, m, k_words, n, fuse, dead_fraction, ties="groups"):
+    """Codes with planted ties, tombstoned norms, the bound layout over them.
+
+    ``ties="groups"``: disjoint groups of 2-6 equal rows over half the rows;
+    ``"heavy"``: nine rows in ten are copies of one of a few source rows.
+    """
     rng = np.random.default_rng(seed)
     codebooks = rng.normal(size=(m, k_words, DIM))
     codes = rng.integers(0, k_words, size=(n, m))
+    if ties == "heavy":
+        copies = rng.choice(n, size=9 * n // 10, replace=False)
+        sources = rng.integers(0, n, size=max(1, n // 40))
+        codes[copies] = codes[rng.choice(sources, size=len(copies))]
     order, start = rng.permutation(n), 0
-    while start < n // 2:
+    while ties == "groups" and start < n // 2:
         group = order[start:start + rng.integers(2, 7)]
         codes[group] = codes[group[0]]
         start += len(group)
@@ -122,8 +131,8 @@ def oracle(queries, index, norms64, ranges, k, ids, rerank):
 
 def composition(lut64, q_sq64, layout, ranges, k, ids, rerank):
     """The NumPy stages ``search_ranges`` stands for, called one by one."""
-    tables, q_sq = adc.scan_tables(lut64, q_sq64, np.float32, layout.fused)
-    values, positions, _, _ = adc.scan_topk(
+    tables, q_sq = adc.scan_tables(lut64, q_sq64, layout.fused)
+    values, positions = adc.scan_topk(
         tables, q_sq, layout.codes_t, layout.norms, ranges, k + RERANK_PAD if rerank else k
     )
     found = positions if ids is None else ids[positions]
@@ -147,15 +156,18 @@ def composition(lut64, q_sq64, layout, ranges, k, ids, rerank):
     k_mode=st.sampled_from(["one", "ten", "all-but-one", "all", "past-all"]),
     dead_fraction=st.sampled_from([0.0, 0.1, 0.97]),
     rerank=st.booleans(),
+    ties=st.sampled_from(["groups", "heavy"]),
 )
 def test_search_ranges_is_the_composition_and_the_reference(
     scan_kernels, seed, n_q, m, k_words, fuse, n, walk, id_map, k_mode,
-    dead_fraction, rerank,
+    dead_fraction, rerank, ties,
 ):
     fuse = fuse and k_words <= 64  # fused tables are K² wide
     if fuse and m % 2:
         m += 1
-    rng, index, norms64, layout = make_layout(seed, m, k_words, n, fuse, dead_fraction)
+    rng, index, norms64, layout = make_layout(
+        seed, m, k_words, n, fuse, dead_fraction, ties
+    )
     queries = make_queries(rng, index, n_q)
     ranges = make_ranges(rng, walk, n_q, n)
     ids = rng.permutation(n).astype(np.int64) if id_map else None

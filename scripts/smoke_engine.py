@@ -104,7 +104,7 @@ def check_ivf_probe(fused_index, queries) -> int:
             k_scan = 10 + RERANK_PAD if rerank else 10
             *got, probe = kernel.search_cells(
                 lut64, q_sq64, ivf.layout, cross, (c_sq, ivf.cell_offsets), nprobe,
-                ivf.ids, k_scan, 10, rerank,
+                min(k_scan, len(ivf)), ivf.ids, k_scan, 10, rerank,
             )
             ranges, used, candidates = probe_cells(
                 cross, c_sq, ivf.cell_offsets, nprobe, min(k_scan, len(ivf))

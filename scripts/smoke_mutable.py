@@ -12,7 +12,10 @@ Exercises the headline mutable contract end to end on a tiny corpus:
   ``daemon.mutate`` and invalidates its cache, so a cached answer is
   re-scanned after the corpus changed underneath it,
 - the unified :class:`SearchRequest` API answers identically to the raw
-  array path, and ``nprobe`` without an IVF layer raises ``ValueError``.
+  array path, and ``nprobe`` without an IVF layer raises ``ValueError``,
+- an IVF-backed base keeps its engine through removals: ``nprobe`` still
+  prunes, full probe equals the rebuild, and a save/load round trip
+  answers the same at both.
 
 Budget: well under 5 seconds. Run from the repository root::
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
+import tempfile
 import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -38,6 +42,7 @@ from repro.retrieval import (
     QuantizedIndex,
     SearchRequest,
 )
+from repro.retrieval.persistence import load_mutable_index, save_mutable_index
 from repro.serving import ServingConfig, ServingDaemon
 
 
@@ -86,6 +91,33 @@ def main() -> int:
     else:
         raise AssertionError("nprobe without an IVF layer must raise")
 
+    # An IVF-backed base with removals: the probe still prunes it, and the
+    # tombstones survive a save/load round trip.
+    ivf_kwargs = {"ivf": 12, "nprobe": 1}
+    backed = MutableIndex.from_index(
+        QuantizedIndex.build(codebooks, rng.normal(size=(600, dim))),
+        engine_kwargs=ivf_kwargs,
+    )
+    backed.remove(backed.live_ids()[::7])
+    pruned = backed.search_with_distances(queries, k)
+    full = backed.search_with_distances(queries, k, nprobe=12)
+    assert not np.array_equal(pruned[0], full[0]), "nprobe ignored after a removal"
+    rebuilt, external = backed.rebuild()
+    assert np.array_equal(full[0], external[rebuilt.search(queries, k=k)]), (
+        "full probe lost rebuild parity"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutable.npz")
+        save_mutable_index(backed, path)
+        loaded = load_mutable_index(path, engine_kwargs=ivf_kwargs)
+    for nprobe, want in ((1, pruned), (12, full)):
+        got = loaded.search_with_distances(queries, k, nprobe=nprobe)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
+            f"save/load changed answers at nprobe={nprobe}"
+        )
+    backed.close()
+    loaded.close()
+
     # Daemon path: mutations flow through, the cache never serves stale.
     async def daemon_round() -> tuple:
         daemon = ServingDaemon(
@@ -125,7 +157,8 @@ def main() -> int:
     print(
         f"mutable smoke ok: {mutations} mutations across "
         f"{compacted.generation} generations, rebuild parity exact, "
-        f"daemon cache invalidated ({elapsed:.2f}s)"
+        f"daemon cache invalidated, IVF base pruned through removals and "
+        f"save/load ({elapsed:.2f}s)"
     )
     return 0
 

@@ -22,7 +22,9 @@
  *
  * search_cells_<code> is search_<code> behind an IVF layer's coarse probe:
  * from the BLAS product cross = queries @ centroids.T it ranks each query's
- * cells (probe_cells below) and walks them as its ranges, in the same call.
+ * cells (probe_cells below) until they hold the caller's `need` rows (k_scan
+ * plus the layout's +inf tombstoned rows, at most n) and walks them as its
+ * ranges, in the same call.
  *
  * The scan sums a row's table entries (already scaled by -2) left to right,
  * then acc + (q_sq + norm) is clamped at 0 the way np.maximum(d, 0.0) clamps
@@ -270,11 +272,10 @@
         int64_t k_words, const CODE *c, int64_t cols, int64_t stride,         \
         int64_t n, const float *norms, const double *norms64, int64_t fused,  \
         const double *cross, const double *c_sq, const int64_t *offsets,      \
-        int64_t n_cells, int64_t nprobe, const int64_t *ids, int64_t k_scan,  \
-        int64_t k, int64_t rerank, double *out_values, int64_t *out_ids,      \
-        int64_t *out_probe)                                                   \
+        int64_t n_cells, int64_t nprobe, int64_t need, const int64_t *ids,    \
+        int64_t k_scan, int64_t k, int64_t rerank, double *out_values,        \
+        int64_t *out_ids, int64_t *out_probe)                                 \
     {                                                                         \
-        const int64_t need = k_scan < n ? k_scan : n;                         \
         int64_t *ranges = malloc(sizeof(int64_t) * (2 * n_q + 1) * n_cells +  \
                                  sizeof(double) * n_cells);                   \
         if (!ranges)                                                          \

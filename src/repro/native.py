@@ -87,8 +87,8 @@ _SEARCH_ARGS = [
 ]
 #: search_cells_<code>: search_<code>'s arguments with the ranges replaced by
 #: the probe's inputs (the batch's centroid GEMM, the layer's ``‖c‖²``, cell
-#: offsets and cell count, ``nprobe``), then one more output.
-_CELLS_ARGS = _SEARCH_ARGS[:12] + [_P, _P, _P, _I, _I] + _SEARCH_ARGS[15:] + [_P]
+#: offsets and cell count, ``nprobe``, the rows to probe), then one more output.
+_CELLS_ARGS = _SEARCH_ARGS[:12] + [_P, _P, _P, _I, _I, _I] + _SEARCH_ARGS[15:] + [_P]
 #: select_rows: the GEMM's output, the score form's terms, then the outputs
 #: and row state.
 _SELECT_ARGS = [_P, _I, _I, _I, _P, _P, _P, _I, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P]
@@ -231,15 +231,18 @@ class Kernel:
         )
         return _answer(count, found, values, k)
 
-    def search_cells(self, lut64, q_sq64, layout, cross, cells, nprobe, ids, k_scan, k, rerank):
+    def search_cells(
+        self, lut64, q_sq64, layout, cross, cells, nprobe, need, ids, k_scan, k, rerank
+    ):
         """``(ids, distances, probe)``: :meth:`search` over each query's
         probed cells, the coarse probe included in the one call.
 
         ``cross`` is the batch's ``queries @ centroids.T``, ``cells`` an IVF
         layer's ``(‖c‖², cell offsets)``; the C code ranks each query's cells
         with the operations of :func:`repro.retrieval.ivf.probe_cells`, its
-        NumPy reference (see ``native.c``). ``probe`` is ``(2, n_q)``: each
-        query's cells probed and the rows they hold.
+        NumPy reference (see ``native.c``), widening until they hold
+        ``need`` rows. ``probe`` is ``(2, n_q)``: each query's cells probed
+        and the rows they hold.
         """
         n_q = _batch(lut64, q_sq64, layout, ids)
         c_sq, offsets = cells
@@ -256,7 +259,7 @@ class Kernel:
         probe = np.empty((2, n_q), dtype=np.int64)
         count = self._cells[layout.codes_t.dtype](
             _address(lut64), _address(q_sq64), *lut64.shape, *layout.binding,
-            _address(cross), _address(c_sq), _address(offsets), n_cells, nprobe,
+            _address(cross), _address(c_sq), _address(offsets), n_cells, nprobe, need,
             _address(ids), k_scan, k, int(rerank),
             _address(values), _address(found), _address(probe),
         )

@@ -41,6 +41,7 @@ layout gathers, so one metric compares every path), plus
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -102,11 +103,15 @@ class ShardedIndex:
         self.dim = index.dim
         self.fused = fuses_pairs(index.num_codebooks, index.num_codewords, len(index))
         self.codes_t = scan_codes(index.codes, index.num_codewords, self.fused)
-        self.norms64 = np.ascontiguousarray(index.db_sq_norms, dtype=np.float64)
-        self.norms = self.norms64.astype(np.float32)
         self.codebooks64 = np.ascontiguousarray(index.codebooks, dtype=np.float64)
         # The flat scan's one range.
         self.full_range = np.array([(0, len(self))], dtype=np.int64)
+        self._bind(index.db_sq_norms)
+
+    def _bind(self, norms64: np.ndarray) -> None:
+        """Bind the layout to row norms ``norms64`` (float32 derived)."""
+        self.norms64 = np.ascontiguousarray(norms64, dtype=np.float64)
+        self.norms = self.norms64.astype(np.float32)
         self.layout = ScanLayout(
             self.codes_t, self.norms, self.norms64, self.num_codewords, self.fused
         )
@@ -239,6 +244,17 @@ class QueryEngine(SearchSurface):
     def matches(self, index: QuantizedIndex) -> bool:
         return self.sharded.matches(index)
 
+    def with_norms(self, norms64: np.ndarray) -> "QueryEngine":
+        """This engine with its flat and IVF layouts rebound to the row
+        norms ``norms64`` (in index order; a tombstoned base's, dead rows at
+        ``+inf``): the code layouts and LUT caches are shared, not rebuilt."""
+        engine = copy.copy(self)
+        engine.sharded = copy.copy(self.sharded)
+        engine.sharded._bind(norms64)
+        if self.ivf is not None:
+            engine.ivf = self.ivf.with_norms(norms64)
+        return engine
+
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
@@ -317,6 +333,7 @@ class QueryEngine(SearchSurface):
         if self._closed:
             raise RuntimeError("engine is closed")
         probes = self._probes(nprobe)
+        rerank = self.rerank if rerank is None else bool(rerank)
         if probes:
             self.last_dispatch = "ivf"
             return self.ivf.scan(queries, tables, k, rerank=rerank, nprobe=probes)
@@ -326,8 +343,7 @@ class QueryEngine(SearchSurface):
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
         indices, values = search_ranges(
-            lut64, q_sq64, sharded.layout, sharded.full_range, k,
-            rerank=self.rerank if rerank is None else bool(rerank),
+            lut64, q_sq64, sharded.layout, sharded.full_range, k, rerank=rerank
         )
         if obs.enabled:
             elapsed = time.perf_counter() - scan_start

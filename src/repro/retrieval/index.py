@@ -30,6 +30,11 @@ from repro.retrieval.search import (
     validate_query_batch,
 )
 
+#: Distances (queries × rows) the reference search holds at once: 8 MB of
+#: float64, so a large batch's scan keeps a few block-sized temporaries, not
+#: a few ``(n_q, n_db)`` matrices.
+SEARCH_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass
 class QuantizedIndex(SearchSurface):
@@ -155,20 +160,30 @@ class QuantizedIndex(SearchSurface):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Ranked ``(indices, squared distances)`` by the reference scan.
 
-        One float64 :func:`~repro.retrieval.adc.adc_distances` matrix and a
-        stable ranking of it — the oracle the engines are tested against.
-        ``rerank`` has nothing to do here (the scan is already exact) and
-        ``nprobe`` raises: there is no IVF layer to probe.
+        A float64 :func:`~repro.retrieval.adc.adc_distances` matrix and a
+        stable ranking of it — the oracle the engines are tested against —
+        built for blocks of queries of at most
+        :data:`SEARCH_BLOCK_ELEMENTS` distances (each query's row is the
+        same whatever its block). ``rerank`` has nothing to do here (the
+        scan is already exact) and ``nprobe`` raises: there is no IVF layer
+        to probe.
         """
         queries, _ = validate_query_batch(
             queries, k, nprobe, dim=self.dim, n_db=len(self), has_ivf=False
         )
-        distance_matrix = adc_distances(
-            queries, self.codes, self.codebooks, db_sq_norms=self.db_sq_norms
-        )
-        indices = rank_by_distance(distance_matrix, k=k)
-        rows = np.arange(len(indices))[:, None]
-        return indices, distance_matrix[rows, indices]
+        step = max(1, SEARCH_BLOCK_ELEMENTS // max(len(self), 1))
+        blocks = []
+        # An empty batch still runs one (empty) block, for the answer's shape.
+        for lo in range(0, max(len(queries), 1), step):
+            distances = adc_distances(
+                queries[lo : lo + step], self.codes, self.codebooks,
+                db_sq_norms=self.db_sq_norms,
+            )
+            indices = rank_by_distance(distances, k=k)
+            blocks.append((indices, np.take_along_axis(distances, indices, axis=1)))
+        if len(blocks) == 1:
+            return blocks[0]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def serve(self, request: SearchRequest) -> SearchResult:
         """Serve one :class:`SearchRequest` via ADC lookups.

@@ -36,6 +36,7 @@ candidate counts, scan time, probe expansions).
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -100,6 +101,10 @@ class IVFIndex(SearchSurface):
     layout:
         ``codes_t`` with its float32 and float64 norms, bound once for
         :func:`repro.retrieval.adc.search_ranges`.
+    n_dead:
+        Rows whose norm is ``+inf`` — a mutable base's tombstones
+        (:meth:`with_norms`); a probe widens until its cells hold
+        ``k + RERANK_PAD`` rows past them.
     nprobe:
         Default number of cells probed per query.
     """
@@ -122,8 +127,6 @@ class IVFIndex(SearchSurface):
         self.cell_offsets = np.asarray(cell_offsets, dtype=np.int64)
         self.codes_t = np.ascontiguousarray(codes_t)
         self.ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self.norms64 = np.ascontiguousarray(norms64, dtype=np.float64)
-        self.norms32 = self.norms64.astype(np.float32)
         self.codebooks64 = np.asarray(codebooks64, dtype=np.float64)
         self.nprobe = int(nprobe)
         self.rerank = bool(rerank)
@@ -131,7 +134,7 @@ class IVFIndex(SearchSurface):
             raise ValueError(f"codes_t must be (M, n), got shape {self.codes_t.shape}")
         # Range-checked once and frozen: the scan kernel's gathers trust it.
         seal_scan_codes(self.codes_t, self.num_codewords)
-        if not len(self.ids) == len(self.norms64) == len(self):
+        if not len(self.ids) == len(norms64) == len(self):
             raise ValueError("ids and norms64 must have one entry per code column")
         if len(self.cell_offsets) != self.num_cells + 1:
             raise ValueError("cell_offsets must have num_cells + 1 entries")
@@ -145,11 +148,26 @@ class IVFIndex(SearchSurface):
             (self.centroids**2).sum(axis=1),
             np.ascontiguousarray(self.cell_offsets),
         )
+        self._bind(norms64)
+        #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
+        self.lut_cache: LUTCache | None = LUTCache()
+
+    def _bind(self, norms64: np.ndarray) -> None:
+        """Bind the layout to row norms ``norms64``, in layout order."""
+        self.norms64 = np.ascontiguousarray(norms64, dtype=np.float64)
+        self.norms32 = self.norms64.astype(np.float32)
+        self.n_dead = int(np.count_nonzero(self.norms64 == np.inf))
         self.layout = ScanLayout(
             self.codes_t, self.norms32, self.norms64, self.num_codewords, fused=False
         )
-        #: Cross-query LUT reuse (bit-identical; see repro.retrieval.lut_cache).
-        self.lut_cache: LUTCache | None = LUTCache()
+
+    def with_norms(self, norms64: np.ndarray) -> "IVFIndex":
+        """This layer under other row norms: a copy bound to ``norms64`` (in
+        index order; a tombstoned base's, dead rows at ``+inf``), sharing
+        the cells, codes and LUT cache."""
+        ivf = copy.copy(self)
+        ivf._bind(np.asarray(norms64, dtype=np.float64)[self.ids])
+        return ivf
 
     # ------------------------------------------------------------------
     # Construction
@@ -361,6 +379,8 @@ class IVFIndex(SearchSurface):
         use_rerank = self.rerank if rerank is None else bool(rerank)
         lut64, q_sq64 = tables
         k_scan = k + RERANK_PAD if use_rerank else k
+        # Rows the probed cells must hold: k_scan live ones past the dead.
+        need = min(k_scan + self.n_dead, len(self))
 
         obs = get_obs()
         scan_start = time.perf_counter() if obs.enabled else 0.0
@@ -370,13 +390,11 @@ class IVFIndex(SearchSurface):
         kernel = native.load()
         if kernel is not None:
             out_indices, out_values, (cells_used, candidates) = kernel.search_cells(
-                lut64, q_sq64, self.layout, cross, self._cells, nprobe, self.ids,
-                k_scan, k, use_rerank,
+                lut64, q_sq64, self.layout, cross, self._cells, nprobe, need,
+                self.ids, k_scan, k, use_rerank,
             )
         else:
-            ranges, cells_used, candidates = probe_cells(
-                cross, *self._cells, nprobe, min(k_scan, len(self))
-            )
+            ranges, cells_used, candidates = probe_cells(cross, *self._cells, nprobe, need)
             # The id map is applied to the survivors only, inside the search.
             out_indices, out_values = search_ranges(
                 lut64, q_sq64, self.layout, ranges, k, ids=self.ids, rerank=use_rerank

@@ -13,7 +13,10 @@ LSM-style decomposition:
   and seals it into an immutable :class:`Segment`, rows sorted by external
   id.
 - ``remove(ids)`` never touches row storage: it flips tombstone bits in a
-  copy-on-write mask, so a dead row simply scans at distance ``+inf``.
+  copy-on-write mask and sets the dead rows' norms to ``+inf`` in every
+  layout that scans them — the segment's own and, for the base, its
+  engine's flat and IVF layouts — so a dead row simply scans at distance
+  ``+inf``.
 - ``compact()`` merges every segment's live rows into one fresh base
   segment in ascending-id order, drops tombstones, rebuilds the attached
   engine (and its IVF cell layout) over the compacted rows, and swaps the
@@ -23,14 +26,16 @@ LSM-style decomposition:
 
 **Exactness.** Search results are *bit-identical* to a from-scratch
 rebuild over the live rows (parity-tested in
-``tests/retrieval/test_mutable.py``): ADC distances are per-row
-independent; each segment is searched as the flat engine searches its
-layout (:func:`~repro.retrieval.adc.search_ranges`: a float32 preselect,
-then the survivors re-scored in float64 and ranked on ``(distance,
-external id)``); and the cross-segment merge is a ``lexsort`` on the same
-key — the exact order the rebuilt index's stable ranking produces.
-Tombstones cannot perturb live rows: a dead row's norm is ``+inf`` in both
-the float32 and the float64 norms, so it only ever loses comparisons.
+``tests/retrieval/test_mutable.py``) unless an IVF engine prunes the base:
+ADC distances are per-row independent; each segment is searched as the
+flat engine searches its layout (:func:`~repro.retrieval.adc.search_ranges`:
+a float32 preselect, then the survivors re-scored in float64 and ranked on
+``(distance, external id)``); and the cross-segment merge is a ``lexsort``
+on the same key — the exact order the rebuilt index's stable ranking
+produces. Tombstones cannot perturb live rows: a dead row's norm is
+``+inf`` in both the float32 and the float64 norms, so it only ever loses
+comparisons; an IVF probe widens until its cells hold ``k + RERANK_PAD``
+rows past the base's dead count.
 
 **Drift.** Each add batch's mean quantization error is compared against a
 baseline (the first batch, unless set explicitly); the ratio lands in the
@@ -165,11 +170,14 @@ class Segment:
     ``layout`` is the segment's bound
     :class:`~repro.retrieval.adc.ScanLayout`, whose float32 and float64
     norms bake it in as ``+inf`` so the search itself needs no masking
-    pass. ``codes_t`` is the segment's one code array: the frozen, unfused
-    :func:`~repro.retrieval.adc.scan_codes` layout, laid out once at seal
-    time, shared by every copy-on-write tombstoning of the segment and, for
-    a base, by its engine's index and flat layout. ``codes`` is its
-    ``(n, M)`` view.
+    pass. ``engine`` is the base's :class:`~repro.retrieval.engine.QueryEngine`
+    (``None`` elsewhere, or without ``engine_kwargs``), its flat and IVF
+    layouts carrying the same ``+inf`` norms; a segment with an engine is
+    searched through it. ``codes_t`` is the segment's one code array: the
+    frozen, unfused :func:`~repro.retrieval.adc.scan_codes` layout, laid out
+    once at seal time, shared by every copy-on-write tombstoning of the
+    segment and, for a base, by its engine's index and flat layout.
+    ``codes`` is its ``(n, M)`` view.
     """
 
     codes_t: np.ndarray = field(repr=False)
@@ -179,6 +187,7 @@ class Segment:
     dead: np.ndarray
     layout: ScanLayout = field(repr=False, default=None)  # type: ignore[assignment]
     n_dead: int = 0
+    engine: object = field(repr=False, default=None)
 
     @classmethod
     def seal(
@@ -204,35 +213,34 @@ class Segment:
         ids = np.ascontiguousarray(ids[order])
         if labels is not None:
             labels = np.asarray(labels)[order]
-        if dead is None:
-            dead = np.zeros(len(ids), dtype=bool)
-        else:
-            dead = np.asarray(dead, dtype=bool)[order]
-        return cls._assemble(codes_t, norms, ids, labels, dead, num_codewords)
-
-    @classmethod
-    def _assemble(cls, codes_t, norms, ids, labels, dead, num_codewords) -> "Segment":
-        # A segment with no tombstones scans its stored norms as they are.
-        norms64 = np.where(dead, np.inf, norms) if dead.any() else norms
-        return cls(
+        dead = None if dead is None else np.asarray(dead, dtype=bool)[order]
+        # A segment with no tombstones scans its stored norms as they are; a
+        # given tombstone mask is applied as one tombstoning.
+        segment = cls(
             codes_t=codes_t,
             norms=norms,
             ids=ids,
             labels=labels,
-            dead=dead,
-            layout=ScanLayout(
-                codes_t, norms64.astype(np.float32), norms64, num_codewords, False
-            ),
-            n_dead=int(dead.sum()),
+            dead=np.zeros(len(ids), dtype=bool),
+            layout=ScanLayout(codes_t, norms.astype(np.float32), norms, num_codewords, False),
         )
+        return segment if dead is None or not dead.any() else segment.with_dead(dead)
 
     def with_dead(self, rows: np.ndarray) -> "Segment":
-        """Copy-on-write tombstoning: a new segment with ``rows`` dead."""
+        """Copy-on-write tombstoning: a new segment with ``rows`` dead, at
+        ``+inf`` in its layout's norms and in its engine's, if any."""
         dead = self.dead.copy()
         dead[rows] = True
-        return type(self)._assemble(
-            self.codes_t, self.norms, self.ids, self.labels, dead,
-            self.layout.num_codewords,
+        norms64 = np.where(dead, np.inf, self.norms)
+        return replace(
+            self,
+            dead=dead,
+            n_dead=int(dead.sum()),
+            layout=ScanLayout(
+                self.codes_t, norms64.astype(np.float32), norms64,
+                self.layout.num_codewords, False,
+            ),
+            engine=None if self.engine is None else self.engine.with_norms(norms64),
         )
 
     @property
@@ -253,8 +261,9 @@ class _Generation:
     """An immutable snapshot of the whole index: base + sealed segments.
 
     ``segments[0]`` is the base (the last compaction's output, possibly
-    empty); later entries are add batches sealed since. Searches capture
-    one ``_Generation`` reference and are immune to concurrent mutations.
+    empty), carrying the engine when there is one; later entries are add
+    batches sealed since. Searches capture one ``_Generation`` reference —
+    segments and engine together — and are immune to concurrent mutations.
     """
 
     number: int
@@ -281,9 +290,11 @@ class MutableIndex(SearchSurface):
         :class:`~repro.retrieval.engine.QueryEngine` with these kwargs is
         kept over the base segment and rebuilt at every compaction (pass
         ``ivf=<cells>`` for a coarse IVF layer whose cell blocks are
-        re-balanced with each compacted base). Freshly added segments are
-        always searched exactly, in-process, over their own layouts; the
-        engine accelerates the (large) base.
+        re-balanced with each compacted base). Removing base rows rebinds
+        its layouts to the tombstoned norms, so the base stays behind the
+        engine (and its ``nprobe``) until the next compaction. Freshly
+        added segments are always searched exactly, in-process, over their
+        own layouts; the engine accelerates the (large) base.
     auto_compact_segments:
         Compact automatically when the generation exceeds this many
         segments (``None`` disables; ``compact()`` stays available).
@@ -338,8 +349,6 @@ class MutableIndex(SearchSurface):
         # Live id -> (segment position in the generation tuple, row).
         self._locations: dict[int, tuple[int, int]] = {}
         self._next_id = 0
-        self._engine = None
-        self._engine_base: Segment | None = None
         self._closed = False
 
         self._drift_baseline: float | None = None
@@ -371,9 +380,7 @@ class MutableIndex(SearchSurface):
                 index.codes, index.db_sq_norms, ids, labels=index.labels,
                 num_codewords=index.num_codewords,
             )
-            mutable._install_generation(
-                _Generation(number=1, segments=(base,)), rebuild_engine=True
-            )
+            mutable._install_generation(_Generation(number=1, segments=(base,)))
             mutable._locations = {
                 int(ext): (0, row) for row, ext in enumerate(base.ids)
             }
@@ -438,7 +445,7 @@ class MutableIndex(SearchSurface):
     @property
     def ivf(self):
         """The base engine's IVF layer, if one is attached."""
-        return getattr(self._engine, "ivf", None)
+        return getattr(self._gen.segments[0].engine, "ivf", None)
 
     def segment_sizes(self) -> tuple[int, ...]:
         return tuple(len(segment) for segment in self._gen.segments)
@@ -454,13 +461,9 @@ class MutableIndex(SearchSurface):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the base engine; later searches and mutations raise."""
-        if self._closed:
-            return
+        """Refuse later searches and mutations (idempotent). The engine
+        holds nothing to release, and in-flight searches finish."""
         self._closed = True
-        if self._engine is not None:
-            self._engine.close()
-        self._engine = None
 
     def __enter__(self) -> "MutableIndex":
         return self
@@ -536,8 +539,7 @@ class MutableIndex(SearchSurface):
                     gen,
                     number=gen.number + 1,
                     segments=gen.segments + (segment,),
-                ),
-                rebuild_engine=False,
+                )
             )
             for row, ext in enumerate(segment.ids):
                 self._locations[int(ext)] = (position, row)
@@ -574,8 +576,7 @@ class MutableIndex(SearchSurface):
                     np.asarray(rows, dtype=np.int64)
                 )
             self._install_generation(
-                replace(gen, number=gen.number + 1, segments=tuple(segments)),
-                rebuild_engine=False,
+                replace(gen, number=gen.number + 1, segments=tuple(segments))
             )
             for ext in ids:
                 del self._locations[int(ext)]
@@ -604,8 +605,7 @@ class MutableIndex(SearchSurface):
             dropped = gen.dead_count
             merged = self._merged_live_segment(gen)
             self._install_generation(
-                _Generation(number=gen.number + 1, segments=(merged,)),
-                rebuild_engine=True,
+                _Generation(number=gen.number + 1, segments=(merged,))
             )
             self._locations = {
                 int(ext): (0, row) for row, ext in enumerate(merged.ids)
@@ -651,16 +651,17 @@ class MutableIndex(SearchSurface):
         positions to the same external ids) as long as the base path is
         exact — i.e. unless ``nprobe`` prunes the base through an attached
         IVF layer. ``k`` is capped at the live count; tombstoned rows can
-        never appear.
+        never appear. A closed index raises ``RuntimeError``.
 
         The batch's lookup tables are built once — through the base
-        engine's LUT cache when there is one — and shared by the base scan
-        and every other segment's :func:`~repro.retrieval.adc.search_ranges`
-        call.
+        engine's LUT cache when there is one — and shared by the base
+        engine's scan and every other segment's
+        :func:`~repro.retrieval.adc.search_ranges` call, each asked for the
+        same ``k``; :func:`~repro.retrieval.adc.merge_topk` ranks the union.
         """
+        self._check_open()
         gen = self._gen
-        engine = self._engine
-        engine_base = self._engine_base
+        engine = gen.segments[0].engine
         queries, k_eff = validate_query_batch(
             queries,
             k,
@@ -679,23 +680,18 @@ class MutableIndex(SearchSurface):
         id_blocks: list[np.ndarray] = []
         dist_blocks: list[np.ndarray] = []
         for segment in gen.segments:
-            if len(segment) == 0 or segment.n_live == 0:
+            if segment.n_live == 0:
                 continue
-            if engine is not None and segment is engine_base:
-                # The engine cannot mask tombstones, so over-fetch by the
-                # base's dead count: among the top (k_eff + n_dead) rows at
-                # least k_eff are live (or every live base row is included).
-                base_k = min(len(segment), k_eff + segment.n_dead)
-                rows, dists = engine.scan(
-                    queries, tables, base_k, rerank=rerank, nprobe=nprobe
-                )
-                found = segment.ids[rows]
-                dists = np.where(segment.dead[rows], np.inf, dists)
-            else:
+            if segment.engine is None:
                 found, dists = search_ranges(
                     *tables, segment.layout, [(0, len(segment))], k_eff,
                     ids=segment.ids,
                 )
+            else:
+                rows, dists = segment.engine.scan(
+                    queries, tables, k_eff, rerank=rerank, nprobe=nprobe
+                )
+                found = segment.ids[rows]
             id_blocks.append(found)
             dist_blocks.append(dists)
         return merge_topk(dist_blocks, id_blocks, k_eff)
@@ -747,29 +743,28 @@ class MutableIndex(SearchSurface):
             codes, norms, ids, labels=labels, num_codewords=self.num_codewords
         )
 
-    def _install_generation(
-        self, gen: _Generation, *, rebuild_engine: bool
-    ) -> None:
-        """Publish ``gen``; optionally rebuild the engine over its base.
+    def _install_generation(self, gen: _Generation) -> None:
+        """Publish ``gen``, building an engine over a new base first.
 
-        The engine is built *before* the swap, so a search never observes
-        a generation whose base has no serving layout. The previous engine
-        is dropped, not closed: searches that captured the old generation
-        may still be scanning through it, and it holds nothing to release.
+        A base without an engine under ``engine_kwargs`` is a freshly sealed
+        one (adopted, compacted or loaded), and gets its engine *before* the
+        swap, so a search never observes a base with no serving layout. A
+        replaced engine is dropped, not closed: searches that captured the
+        old generation may still be scanning through it, and it holds
+        nothing to release.
         """
-        if self._engine_kwargs is not None and rebuild_engine:
+        base = gen.segments[0]
+        if self._engine_kwargs is not None and base.engine is None and len(base):
             from repro.retrieval.engine import QueryEngine
 
-            base = gen.segments[0]
-            new_engine = None
-            if len(base):
-                # The engine's index and flat layout are views of base.codes_t.
-                new_engine = QueryEngine(
-                    QuantizedIndex(self.codebooks, base.codes, base.norms, base.labels),
-                    **self._engine_kwargs,
-                )
-            self._engine = new_engine
-            self._engine_base = base if new_engine is not None else None
+            # The engine's index and flat layout are views of base.codes_t.
+            engine = QueryEngine(
+                QuantizedIndex(self.codebooks, base.codes, base.norms, base.labels),
+                **self._engine_kwargs,
+            )
+            if base.n_dead:  # a loaded base: its tombstones reach the engine too
+                engine = engine.with_norms(base.layout.norms64)
+            gen = replace(gen, segments=(replace(base, engine=engine),) + gen.segments[1:])
         self._gen = gen
 
     def _update_drift(

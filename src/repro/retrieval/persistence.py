@@ -268,8 +268,7 @@ def load_mutable_index(path: str, *, engine_kwargs: dict | None = None):
     )
     with index._lock:
         index._install_generation(
-            _Generation(number=int(state[0]), segments=tuple(segments)),
-            rebuild_engine=True,
+            _Generation(number=int(state[0]), segments=tuple(segments))
         )
         index._locations = locations
         index._next_id = int(state[1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.retrieval import index as index_module
 from repro.retrieval.adc import encode_nearest
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import exhaustive_search
@@ -77,6 +78,23 @@ class TestSearch:
         codes = encode_nearest(database, codebooks)
         built = QuantizedIndex.build(codebooks, database, codes=codes)
         assert np.array_equal(built.codes, codes)
+
+
+class TestReferenceSearchBlocks:
+    @pytest.mark.parametrize("k", [1, 7, None])
+    @pytest.mark.parametrize("block_queries", [1, 7])
+    def test_query_blocks_answer_as_one_block(self, monkeypatch, k, block_queries):
+        index, _ = build_index(n=60)
+        queries = np.random.default_rng(3).normal(size=(16, 8))
+        whole = index.search_with_distances(queries, k)
+        monkeypatch.setattr(index_module, "SEARCH_BLOCK_ELEMENTS", 60 * block_queries)
+        blocked = index.search_with_distances(queries, k)
+        for a, b in zip(blocked, whole):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        # An empty batch keeps its shape through the blocks.
+        empty = index.search_with_distances(np.empty((0, 8)), k)
+        assert empty[0].shape == empty[1].shape == (0, 60 if k is None else k)
 
 
 class TestBuildObservability:

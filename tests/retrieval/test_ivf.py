@@ -358,6 +358,19 @@ class TestEngineIntegration:
         want = ivf.search(SearchRequest(queries, k=10, nprobe=4)).indices
         np.testing.assert_array_equal(got, want)
 
+    def test_engine_rerank_reaches_a_prebuilt_ivf(self):
+        # The prebuilt layer reranks by default; the engine's rerank=False
+        # must still reach its probed scans.
+        index, queries = make_clustered_index()
+        ivf = IVFIndex.build(index, num_cells=16, nprobe=4, rerank=True)
+        with QueryEngine(index, rerank=False, ivf=ivf) as engine:
+            got = engine.search_with_distances(queries, k=10)
+        want = ivf.search_with_distances(queries, k=10, rerank=False)
+        reranked = ivf.search_with_distances(queries, k=10)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert got[1].tobytes() != reranked[1].tobytes()
+
     def test_engine_builds_ivf_from_cell_count(self):
         index, queries = make_clustered_index()
         with QueryEngine(index, ivf=16, nprobe=16) as engine:

@@ -13,6 +13,8 @@ the cell count, and batches of 1, 8, 9 and 64 queries.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,15 +126,17 @@ def test_kernel_probe_outputs_equal_the_reference(mode):
     cross = queries @ ivf.centroids.T
     cells = ((ivf.centroids**2).sum(axis=1), ivf.cell_offsets)
     for nprobe in (1, 4, CELLS):
-        for k, rerank in ((1, True), (10, False), (70, True)):
+        for (k, rerank), dead in itertools.product(
+            ((1, True), (10, False), (70, True)), (0, 40)
+        ):
             k_scan = k + RERANK_PAD if rerank else k
+            # A tombstoned layout's row target: k_scan past its dead rows.
+            need = min(k_scan + dead, len(ivf))
             ids, distances, probe = kernel.search_cells(
-                lut64, q_sq64, ivf.layout, cross, cells, nprobe, ivf.ids,
+                lut64, q_sq64, ivf.layout, cross, cells, nprobe, need, ivf.ids,
                 k_scan, k, rerank,
             )
-            ranges, used, candidates = probe_cells(
-                cross, *cells, nprobe, min(k_scan, len(ivf))
-            )
+            ranges, used, candidates = probe_cells(cross, *cells, nprobe, need)
             assert np.array_equal(probe, np.stack((used, candidates)))
             want = search_ranges(lut64, q_sq64, ivf.layout, ranges, k,
                                  ids=ivf.ids, rerank=rerank)
@@ -158,4 +162,4 @@ def test_kernel_rejects_probe_inputs_it_cannot_walk():
     ):
         with pytest.raises(ValueError, match="probe inputs"):
             kernel.search_cells(lut64, q_sq64, ivf.layout, bad_cross, bad_cells,
-                                nprobe, ivf.ids, 18, 10, True)
+                                nprobe, 18, ivf.ids, 18, 10, True)

@@ -10,8 +10,12 @@ auto-compaction, and persistence behaviour around it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.errors import IncompatibleStateError
 from repro.retrieval import (
@@ -172,6 +176,12 @@ class TestLifecycle:
         assert calls, "the base was not scanned through the engine"
         index.close()
 
+    def test_a_closed_index_refuses_searches(self):
+        index, _, queries, _ = make_mutable(engine_kwargs={})
+        index.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            index.search(queries, k=3)
+
 
 class TestValidation:
     def test_add_rejects_wrong_dim(self):
@@ -311,16 +321,22 @@ class TestParityInterleavings:
     @pytest.mark.parametrize(
         "engine_kwargs", [{}, {"ivf": 6, "nprobe": 6}], ids=["engine", "ivf"]
     )
-    def test_engine_and_ivf_base_match_plain_scan(self, engine_kwargs):
+    def test_engine_and_ivf_base_match_plain_scan(self, engine_kwargs, monkeypatch):
         plain, vectors, queries, rng = make_mutable(seed=9, n_base=60)
         backed, _, _, _ = make_mutable(seed=9, n_base=60, engine_kwargs=engine_kwargs)
         for index in (plain, backed):
             adds = np.random.default_rng(42).normal(size=(20, 8))
             index.add(adds)
             index.remove(index.live_ids()[::5])
+        calls = []
+        scan = QueryEngine.scan
+        monkeypatch.setattr(
+            QueryEngine, "scan", lambda *a, **kw: calls.append(1) or scan(*a, **kw)
+        )
         assert np.array_equal(
             plain.search(queries, k=10), backed.search(queries, k=10)
         )
+        assert calls, "the tombstoned base was not scanned through the engine"
         # Compaction rebuilds the engine layout; parity must survive it.
         backed.compact()
         plain.compact()
@@ -331,6 +347,102 @@ class TestParityInterleavings:
             assert backed.ivf is not None
         plain.close()
         backed.close()
+
+
+def probed_rows(ivf, queries, nprobe):
+    """Rows of each query's ``nprobe`` nearest cells, as one sorted array."""
+    scores = (ivf.centroids**2).sum(axis=1) - 2.0 * queries @ ivf.centroids.T
+    cells = np.unique(np.argsort(scores, axis=1, kind="stable")[:, :nprobe])
+    offsets = ivf.cell_offsets
+    return np.unique(
+        np.concatenate([ivf.ids[offsets[c] : offsets[c + 1]] for c in cells])
+    )
+
+
+class TestTombstonedEngineBase:
+    """Removals from the base keep it behind its engine: its flat and IVF
+    layouts carry the dead rows' ``+inf`` norms."""
+
+    def test_nprobe_is_honoured_after_a_base_removal(self):
+        index, _, queries, _ = make_mutable(
+            seed=11, n_base=400, engine_kwargs={"ivf": 16, "nprobe": 1}
+        )
+        pruned = index.search(queries, k=10)
+        full = index.search_with_distances(queries, 10, nprobe=16)[0]
+        assert not np.array_equal(pruned, full), "nprobe=1 should prune here"
+        # A base row neither answer holds: its removal changes neither.
+        doomed = np.setdiff1d(index.live_ids(), np.concatenate([pruned, full]))[:1]
+        index.remove(doomed)
+        assert np.array_equal(index.search(queries, k=10), pruned)
+        assert np.array_equal(
+            index.search_with_distances(queries, 10, nprobe=16)[0], full
+        )
+        index.close()
+
+    @pytest.mark.parametrize(
+        "engine_kwargs", [{}, {"ivf": 8, "nprobe": 2}], ids=["engine", "ivf"]
+    )
+    def test_a_loaded_tombstoned_base_answers_as_in_memory(
+        self, tmp_path, scan_kernels, engine_kwargs
+    ):
+        def run():
+            index, _, queries, rng = make_mutable(
+                seed=12, n_base=300, engine_kwargs=engine_kwargs
+            )
+            index.add(rng.normal(size=(20, 8)))
+            index.remove(index.live_ids()[::3])  # base and added rows
+            path = str(tmp_path / "tombstoned.npz")
+            save_mutable_index(index, path)
+            loaded = load_mutable_index(path, engine_kwargs=engine_kwargs)
+            assert loaded.tombstone_count == index.tombstone_count
+            rebuilt, ids = index.rebuild()
+            answers = []
+            probes = (None, 1, 8) if engine_kwargs else (None,)
+            for nprobe, k in itertools.product(probes, (1, 10, None)):
+                want = index.search_with_distances(queries, k, nprobe=nprobe)
+                got = loaded.search_with_distances(queries, k, nprobe=nprobe)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                if nprobe == 8 or not engine_kwargs:
+                    # Full probe: the rebuild's answer, bit for bit.
+                    rows, distances = rebuilt.search_with_distances(queries, k)
+                    assert np.array_equal(got[0], ids[rows])
+                    assert np.array_equal(got[1], distances)
+                answers += list(got)
+            index.close()
+            loaded.close()
+            return answers
+
+        scan_kernels.agree(scan_kernels.each(run))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dead_fraction=st.floats(0.6, 1.0),
+        k=st.integers(1, 40),
+        nprobe=st.integers(1, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_pruned_answers_over_mostly_dead_cells_hold_only_live_rows(
+        self, scan_kernels, seed, dead_fraction, k, nprobe
+    ):
+        def run():
+            index, _, queries, rng = make_mutable(
+                seed=seed, n_base=120, engine_kwargs={"ivf": 6, "nprobe": nprobe}
+            )
+            index.add(rng.normal(size=(5, 8)))
+            rows = probed_rows(index.ivf, queries, nprobe)
+            index.remove(
+                rng.choice(rows, size=int(dead_fraction * len(rows)), replace=False)
+            )
+            live = index.live_ids()
+            ids, distances = index.search_with_distances(queries, k)
+            assert ids.shape == (len(queries), min(k, len(live)))
+            assert np.isfinite(distances).all()
+            assert np.isin(ids, live).all()
+            index.close()
+            return ids, distances
+
+        scan_kernels.agree(scan_kernels.each(run))
 
 
 class TestSearchAPISurface:

@@ -123,7 +123,7 @@ class TestResidentBytes:
             assert resident_bytes_per_item(daemon, len(index)) <= 75
             # The base segment's one code array is also its engine's layout.
             base = mutable._gen.segments[0]
-            assert np.shares_memory(base.codes_t, mutable._engine.sharded.codes_t)
+            assert np.shares_memory(base.codes_t, base.engine.sharded.codes_t)
 
 
 class TestSharedLayouts:
